@@ -1,16 +1,16 @@
 """Sparse aerial LiDAR target detection and multi-target tracking."""
 
-from .core import (EmptyScanError, Measurement, NumericalError, Pose, Scan,
-                   ValidationError, mean_range, to_global)
+from .core import (Measurement, NumericalError, Pose, Scan, ValidationError,
+                   to_global)
 from .detector import (Cluster, Detector, DetectorConfig, PRESETS,
                        TemporalHistory, adaptive_epsilon, dbscan,
                        estimate_centroid, get_preset, roi_filter,
                        validate_geometric, validate_jump, validate_temporal,
                        voxel_downsample)
-from .filter import (FilterConfig, IMMState, KState, imm_init, imm_mix,
-                     imm_step, kf_predict, kf_update)
+from .filter import (FilterConfig, IMMState, KState, imm_correct_pda, imm_init,
+                     imm_mix, imm_step, kf_predict, kf_update)
 from .association import (GateResult, JpdaParams, TrackView, build_cost, gate,
-                          hungarian, jpda, jpda_update)
+                          hungarian, jpda)
 from .trackman import (FrameRecord, Track, Tracker, TrackerConfig,
                        lifecycle_advance, run_tracker)
 from .simulator import (GroundTruth, Scenario, SensorModel, gen_trajectories,

@@ -3,7 +3,9 @@
 `gate`/`build_cost`/`hungarian`/`jpda` operate on lightweight `TrackView`
 snapshots so they stay decoupled from track bookkeeping. The Hungarian
 solve is delegated to scipy's exact linear_sum_assignment; JPDA enumerates
-feasible joint events explicitly.
+feasible joint events explicitly. Both strategies end in the same filter
+update, `filter.imm_correct_pda`: Hungarian passes the one-hot beta row of
+its assigned detection, JPDA each track's row of marginals.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import NumericalError, ValidationError
-from .filter import KState, _sym, ensure_psd, gaussian_loglik
+from .core import ValidationError
+from .filter import _sym
 
 SENTINEL_COST = 1e9
 
@@ -199,31 +201,3 @@ def jpda(tracks: list[TrackView], detections: np.ndarray,
     beta[:, 0] = 1.0 - beta[:, 1:].sum(axis=1)
     np.clip(beta, 0.0, 1.0, out=beta)
     return beta
-
-
-def jpda_update(state: KState, detections: np.ndarray, beta_row: np.ndarray,
-                R: np.ndarray) -> KState:
-    """Probabilistic-data-association measurement update of one track.
-
-    Applies the combined innovation and the standard PDA covariance:
-    beta0 * P_pred + (1 - beta0) * P_upd + spread-of-innovations term.
-    """
-    dets = np.asarray(detections, dtype=float).reshape(-1, 3)
-    beta_row = np.asarray(beta_row, dtype=float)
-    if abs(beta_row.sum() - 1.0) > 1e-9:
-        raise ValidationError("beta row must sum to 1")
-    beta0 = float(beta_row[0])
-    if beta0 >= 1.0 - 1e-15:
-        return state
-    y = dets - state.x[:3]                         # (m, 3)
-    b = beta_row[1:]
-    nu = b @ y                                     # combined innovation
-    S = _sym(state.P[:3, :3] + np.asarray(R, dtype=float))
-    K = np.linalg.solve(S, state.P[:3, :]).T       # (6, 3)
-    x = state.x + K @ nu
-    IKH = np.eye(6)
-    IKH[:, :3] -= K
-    P_upd = IKH @ state.P @ IKH.T + K @ np.asarray(R, dtype=float) @ K.T
-    spread3 = (y.T * b) @ y - np.outer(nu, nu)
-    P = beta0 * state.P + (1.0 - beta0) * P_upd + K @ spread3 @ K.T
-    return KState(x=x, P=ensure_psd(P))

@@ -6,17 +6,17 @@ Subcommands: simulate, detect, track, sweep, evaluate. Exit codes:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import io as stio
-from .core import Measurement, NumericalError, ValidationError
+from .association import AssociationComplexityError
+from .core import NumericalError, ValidationError
 from .detector import Detector, DetectorConfig, PRESETS, get_preset
-from .filter import FilterConfig
 from .metrics import eval_detection, eval_mot
 from .simulator import KINDS, Scenario, run_scenario
 from .trackman import Tracker, TrackerConfig
@@ -30,6 +30,19 @@ def _fail(code: int, msg: str) -> None:
     sys.exit(code)
 
 
+def _exit_codes(command):
+    """Report bad input as exit 3 and numeric failures as exit 4."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (stio.DataError, ValidationError, OSError) as exc:
+            _fail(EXIT_DATA, str(exc))
+        except (NumericalError, AssociationComplexityError) as exc:
+            _fail(EXIT_NUMERIC, str(exc))
+    return run
+
+
 def _detector_config(preset: str | None, config: str | None) -> DetectorConfig:
     if (preset is None) == (config is None):
         raise click.UsageError("exactly one of --preset or --config is required")
@@ -38,13 +51,11 @@ def _detector_config(preset: str | None, config: str | None) -> DetectorConfig:
             return get_preset(preset)
         except ValidationError as exc:
             raise click.UsageError(str(exc))
+    text = Path(config).read_text()
     try:
-        fields = json.loads(Path(config).read_text())
-        return DetectorConfig(**fields)
-    except FileNotFoundError as exc:
-        _fail(EXIT_DATA, str(exc))
+        return DetectorConfig(**json.loads(text))
     except (json.JSONDecodeError, TypeError, ValidationError) as exc:
-        _fail(EXIT_DATA, f"invalid detector config: {exc}")
+        raise stio.DataError(f"invalid detector config: {exc}") from exc
 
 
 def _run_detector(scans, cfg: DetectorConfig):
@@ -52,11 +63,11 @@ def _run_detector(scans, cfg: DetectorConfig):
     return [(s.t, det.detect(s)) for s in scans]
 
 
-def _check_alignment(frames, gt) -> None:
-    if len(frames) != gt.n_frames:
+def _check_alignment(times, gt) -> None:
+    if len(times) != gt.n_frames:
         raise stio.DataError(
-            f"frame count mismatch: {len(frames)} frames vs {gt.n_frames} truth")
-    for k, (t, _) in enumerate(frames):
+            f"frame count mismatch: {len(times)} frames vs {gt.n_frames} truth")
+    for k, t in enumerate(times):
         if abs(t - float(gt.t[k])) > 1e-9:
             raise stio.DataError(
                 f"timestamp misalignment at frame {k}: {t} vs {gt.t[k]}")
@@ -74,6 +85,7 @@ def main() -> None:
 @click.option("--dt", type=float, default=0.1)
 @click.option("--out", "out_dir", type=click.Path(), required=True,
               help="Output directory for scans.jsonl and truth.jsonl.")
+@_exit_codes
 def simulate(kind, frames, seed, dt, out_dir) -> None:
     """Generate a scenario's scan stream and ground truth."""
     try:
@@ -82,12 +94,9 @@ def simulate(kind, frames, seed, dt, out_dir) -> None:
     except ValidationError as exc:
         raise click.UsageError(str(exc))
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        stio.write_scans(scans, out / "scans.jsonl")
-        stio.write_ground_truth(gt, out / "truth.jsonl")
-    except OSError as exc:
-        _fail(EXIT_DATA, str(exc))
+    out.mkdir(parents=True, exist_ok=True)
+    stio.write_scans(scans, out / "scans.jsonl")
+    stio.write_ground_truth(gt, out / "truth.jsonl")
     click.echo(f"wrote {len(scans)} scans to {out}")
 
 
@@ -101,24 +110,19 @@ def simulate(kind, frames, seed, dt, out_dir) -> None:
               help="Ground truth for the detection report.")
 @click.option("--match-radius", type=float, default=1.0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
+@_exit_codes
 def detect(scans_path, preset, config, truth_path, match_radius, out_path):
     """Run the detector over a scan stream; write detections and a report."""
     cfg = _detector_config(preset, config)
-    try:
-        scans = stio.read_scans(scans_path)
-        frames = _run_detector(scans, cfg)
-        stio.write_measurement_frames(frames, out_path)
-        report = None
-        if truth_path is not None:
-            gt = stio.read_ground_truth(truth_path)
-            _check_alignment(frames, gt)
-            report = eval_detection([ms for _, ms in frames], gt, match_radius)
-            Path(out_path).with_suffix(".report.json").write_text(
-                json.dumps(report.to_dict(), indent=2) + "\n")
-    except (stio.DataError, ValidationError, FileNotFoundError) as exc:
-        _fail(EXIT_DATA, str(exc))
-    except NumericalError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    frames = _run_detector(stio.read_scans(scans_path), cfg)
+    stio.write_measurement_frames(frames, out_path)
+    report = None
+    if truth_path is not None:
+        gt = stio.read_ground_truth(truth_path)
+        _check_alignment([t for t, _ in frames], gt)
+        report = eval_detection([ms for _, ms in frames], gt, match_radius)
+        Path(out_path).with_suffix(".report.json").write_text(
+            json.dumps(report.to_dict(), indent=2) + "\n")
     n = sum(len(ms) for _, ms in frames)
     click.echo(f"wrote {n} detections over {len(frames)} frames to {out_path}")
     if report is not None:
@@ -137,30 +141,25 @@ def detect(scans_path, preset, config, truth_path, match_radius, out_path):
               default="hungarian")
 @click.option("--match-radius", type=float, default=1.0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
+@_exit_codes
 def track(scans_path, meas_path, truth_path, preset, config, association,
           match_radius, out_path):
     """Track a measurement stream; write the frame log and a MOT report."""
     if (scans_path is None) == (meas_path is None):
         raise click.UsageError("exactly one of --scans or --measurements is required")
-    try:
-        if scans_path is not None:
-            cfg = _detector_config(preset, config)
-            frames = _run_detector(stio.read_scans(scans_path), cfg)
-        else:
-            frames = stio.read_measurement_frames(meas_path)
-        gt = stio.read_ground_truth(truth_path)
-        _check_alignment(frames, gt)
-        tcfg = TrackerConfig(association_mode=association)
-        tracker = Tracker(tcfg)
-        log = [tracker.step(ms, t) for t, ms in frames]
-        stio.write_frame_log(log, out_path)
-        report = eval_mot(log, gt, match_radius)
-        Path(out_path).with_suffix(".report.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n")
-    except (stio.DataError, ValidationError, FileNotFoundError) as exc:
-        _fail(EXIT_DATA, str(exc))
-    except NumericalError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    if scans_path is not None:
+        cfg = _detector_config(preset, config)
+        frames = _run_detector(stio.read_scans(scans_path), cfg)
+    else:
+        frames = stio.read_measurement_frames(meas_path)
+    gt = stio.read_ground_truth(truth_path)
+    _check_alignment([t for t, _ in frames], gt)
+    tracker = Tracker(TrackerConfig(association_mode=association))
+    log = [tracker.step(ms, t) for t, ms in frames]
+    stio.write_frame_log(log, out_path)
+    report = eval_mot(log, gt, match_radius)
+    Path(out_path).with_suffix(".report.json").write_text(
+        json.dumps(report.to_dict(), indent=2) + "\n")
     click.echo(json.dumps(report.to_dict()))
 
 
@@ -174,6 +173,7 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
               help="Comma-separated minPts values, e.g. 1,2,3,4.")
 @click.option("--match-radius", type=float, default=1.0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
+@_exit_codes
 def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
           out_path):
     """Detection-report table over a minPts grid (Table-I-style columns)."""
@@ -184,22 +184,17 @@ def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
         raise click.UsageError("--min-pts must be comma-separated integers")
     if not grid:
         raise click.UsageError("--min-pts grid is empty")
-    try:
-        scans = stio.read_scans(scans_path)
-        gt = stio.read_ground_truth(truth_path)
-        rows = []
-        for mp in grid:
-            cfg = dataclasses.replace(base, min_pts=mp)
-            frames = _run_detector(scans, cfg)
-            _check_alignment(frames, gt)
-            rep = eval_detection([ms for _, ms in frames], gt, match_radius)
-            rows.append({"min_pts": mp, "eps0": cfg.eps0, "voxel": cfg.voxel,
-                         **rep.to_dict()})
-        Path(out_path).write_text(json.dumps(rows, indent=2) + "\n")
-    except (stio.DataError, ValidationError, FileNotFoundError) as exc:
-        _fail(EXIT_DATA, str(exc))
-    except NumericalError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    scans = stio.read_scans(scans_path)
+    gt = stio.read_ground_truth(truth_path)
+    rows = []
+    for mp in grid:
+        cfg = dataclasses.replace(base, min_pts=mp)
+        frames = _run_detector(scans, cfg)
+        _check_alignment([t for t, _ in frames], gt)
+        rep = eval_detection([ms for _, ms in frames], gt, match_radius)
+        rows.append({"min_pts": mp, "eps0": cfg.eps0, "voxel": cfg.voxel,
+                     **rep.to_dict()})
+    Path(out_path).write_text(json.dumps(rows, indent=2) + "\n")
     for row in rows:
         click.echo(json.dumps(row))
 
@@ -210,24 +205,21 @@ def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
 @click.option("--truth", "truth_path", type=click.Path(), required=True)
 @click.option("--match-radius", type=float, default=1.0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
+@_exit_codes
 def evaluate(det_path, log_path, truth_path, match_radius, out_path):
     """Evaluate stored detections or a frame log against ground truth."""
     if (det_path is None) == (log_path is None):
         raise click.UsageError("exactly one of --detections or --frame-log is required")
-    try:
-        gt = stio.read_ground_truth(truth_path)
-        if det_path is not None:
-            frames = stio.read_measurement_frames(det_path)
-            _check_alignment(frames, gt)
-            report = eval_detection([ms for _, ms in frames], gt, match_radius)
-        else:
-            log = stio.read_frame_log(log_path)
-            report = eval_mot(log, gt, match_radius)
-        Path(out_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    except (stio.DataError, ValidationError, FileNotFoundError) as exc:
-        _fail(EXIT_DATA, str(exc))
-    except NumericalError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    gt = stio.read_ground_truth(truth_path)
+    if det_path is not None:
+        frames = stio.read_measurement_frames(det_path)
+        _check_alignment([t for t, _ in frames], gt)
+        report = eval_detection([ms for _, ms in frames], gt, match_radius)
+    else:
+        log = stio.read_frame_log(log_path)
+        _check_alignment([r.t for r in log], gt)
+        report = eval_mot(log, gt, match_radius)
+    Path(out_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     click.echo(json.dumps(report.to_dict()))
 
 

@@ -6,7 +6,7 @@ as immutable values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +15,6 @@ ORTHONORMAL_TOL = 1e-9
 
 class ValidationError(ValueError):
     """Input violates a documented precondition or type invariant."""
-
-
-class EmptyScanError(ValidationError):
-    """Operation requires a nonempty scan."""
 
 
 class NumericalError(ArithmeticError):
@@ -120,10 +116,3 @@ def to_global_many(points, pose: Pose) -> np.ndarray:
     """Vectorized `to_global` over an (N, 3) point set."""
     pts = as_points(points)
     return pts @ pose.rotation.T + pose.translation
-
-
-def mean_range(scan: Scan) -> float:
-    """Mean Euclidean norm of the scan's local-frame points."""
-    if len(scan) == 0:
-        raise EmptyScanError("mean_range requires a nonempty scan")
-    return float(np.linalg.norm(scan.points, axis=1).mean())

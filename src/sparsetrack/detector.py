@@ -10,11 +10,11 @@ process one scan stream sequentially.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Measurement, Scan, ValidationError, mean_range, to_global
+from .core import Measurement, Scan, ValidationError, to_global
 
 
 @dataclass(frozen=True)
@@ -297,12 +297,3 @@ class Detector:
         for z in accepted:
             self.history.push(z, scan.t)
         return measurements
-
-
-def detect(scan: Scan, cfg: DetectorConfig, state: TemporalHistory,
-           last_t: float | None = None) -> list[Measurement]:
-    """Functional single-scan entry point sharing an external history."""
-    det = Detector(cfg)
-    det.history = state
-    det._last_t = last_t
-    return det.detect(scan)

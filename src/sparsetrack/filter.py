@@ -3,34 +3,30 @@
 State is 6-dimensional [position, velocity] in the global frame; the
 measurement is position only. The IMM runs three constant-velocity models
 that differ only in process-noise intensity (hover / cruise / evasive).
-All functions are pure over value states.
+
+The model bank is held as arrays, x (M, 6), P (M, 6, 6) and mu (M,), and
+each IMM stage is one batched operation over the models. Hungarian and JPDA
+tracking share one measurement update, `imm_correct_pda`. `KState`,
+`kf_predict` and `kf_update` are the single Kalman filter that the IMM
+reduces to with one model, kept as its reference. All functions return new
+states and leave their inputs unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, as_point
+from .core import NumericalError, ValidationError, as_point, as_points
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_I6 = np.eye(6)
+_H = np.eye(3, 6)            # position-only measurement matrix
+_HIT = np.array([0.0, 1.0])  # beta row of one certain detection
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
-
-
-def ensure_psd(P: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Symmetrize and clamp tiny negative eigenvalues; error beyond -tol."""
-    P = _sym(np.asarray(P, dtype=float))
-    w = np.linalg.eigvalsh(P)
-    lo = float(w.min())
-    if lo < -tol:
-        raise NumericalError(f"covariance indefinite (min eigenvalue {lo:.3e})")
-    if lo < 0.0:
-        w2, V = np.linalg.eigh(P)
-        P = _sym(V @ np.diag(np.clip(w2, 0.0, None)) @ V.T)
-    return P
+    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -58,22 +54,51 @@ class KState:
         return self.x[3:]
 
 
+def _moments(w: np.ndarray, x: np.ndarray, P: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Moment-matched mean and covariance of a mixture of the M models.
+
+    `w` holds mixture weights over the models: shape (M,) for one Gaussian,
+    (J, M) for J of them. `x` is (M, 6) and `P` is (M, 6, 6). The
+    covariance is left unsymmetrised; every caller symmetrises it later.
+    """
+    xm = w @ x
+    d = x - xm[..., None, :]
+    Pm = (w @ P.reshape(len(x), 36)).reshape(xm.shape[:-1] + (6, 6))
+    return xm, Pm + (d * w[..., None]).swapaxes(-1, -2) @ d
+
+
 @dataclass(frozen=True)
 class IMMState:
-    """Bank of model-conditioned states plus probabilities and the fusion."""
+    """Model bank x (M, 6), P (M, 6, 6) with probabilities mu (M,).
 
-    models: tuple[KState, ...]
+    The bank is validated and symmetrised once, here; `fused` is its
+    moment-matched fusion.
+    """
+
+    x: np.ndarray
+    P: np.ndarray
     mu: np.ndarray
-    fused: KState
+    fused: KState = field(init=False)
 
     def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        P = np.asarray(self.P, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim != 1 or len(mu) != len(self.models):
-            raise ValidationError("mu length must match model count")
-        if np.any(mu < -1e-12) or abs(mu.sum() - 1.0) > 1e-9:
+        m = len(mu) if mu.ndim == 1 else -1
+        if x.shape != (m, 6) or P.shape != (m, 6, 6):
+            raise ValidationError(
+                "model bank must be x (M, 6), P (M, 6, 6) and mu (M,)")
+        if (mu < -1e-12).any() or abs(mu.sum() - 1.0) > 1e-9:
             raise ValidationError("model probabilities must be a distribution")
-        object.__setattr__(self, "mu", np.clip(mu, 0.0, None))
-        object.__setattr__(self, "models", tuple(self.models))
+        if not np.isfinite(x.sum() + P.sum()):
+            raise ValidationError("non-finite filter state")
+        mu = np.maximum(mu, 0.0)
+        P = _sym(P)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "fused", KState(*_moments(mu, x, P)))
 
 
 @dataclass(frozen=True)
@@ -171,80 +196,95 @@ def kf_update(s: KState, z, R: np.ndarray
 
 
 def imm_mix(s: IMMState, cfg: FilterConfig
-            ) -> tuple[list[KState], np.ndarray]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interaction step: mixed initial conditions and predicted mu.
 
-    Returns (mixed states, mu_pred). A model whose predicted probability is
-    zero gets uniform mixing weights.
+    Returns (x (M, 6), P (M, 6, 6), mu_pred). A model whose predicted
+    probability is zero gets uniform mixing weights.
     """
     m = cfg.n_models
     mu_pred = cfg.Pi.T @ s.mu
-    mixed: list[KState] = []
-    for j in range(m):
-        if mu_pred[j] > 0.0:
-            w = cfg.Pi[:, j] * s.mu / mu_pred[j]
-        else:
-            w = np.full(m, 1.0 / m)
-        x0 = sum(w[i] * s.models[i].x for i in range(m))
-        P0 = np.zeros((6, 6))
-        for i in range(m):
-            d = s.models[i].x - x0
-            P0 += w[i] * (s.models[i].P + np.outer(d, d))
-        mixed.append(KState(x=x0, P=_sym(P0)))
-    return mixed, mu_pred
-
-
-def imm_fuse(models: list[KState] | tuple[KState, ...],
-             mu: np.ndarray) -> KState:
-    """Moment-matched fusion of model-conditioned estimates."""
-    mu = np.asarray(mu, dtype=float)
-    x = sum(mu[j] * m.x for j, m in enumerate(models))
-    P = np.zeros((6, 6))
-    for j, m in enumerate(models):
-        e = m.x - x
-        P += mu[j] * (m.P + np.outer(e, e))
-    return KState(x=x, P=_sym(P))
+    # w[j, i] = Pi[i, j] * mu[i] / mu_pred[j]
+    w = np.divide(cfg.Pi.T * s.mu, mu_pred[:, None],
+                  out=np.full((m, m), 1.0 / m), where=mu_pred[:, None] > 0.0)
+    x, P = _moments(w, s.x, s.P)
+    return x, P, mu_pred
 
 
 def imm_init(position, cfg: FilterConfig) -> IMMState:
     """Fresh track state at a measured position with zero velocity."""
-    x = np.zeros(6)
-    x[:3] = as_point(position)
-    models = tuple(KState(x=x, P=cfg.P0) for _ in range(cfg.n_models))
-    return IMMState(models=models, mu=cfg.mu0.copy(),
-                    fused=imm_fuse(models, cfg.mu0))
+    m = cfg.n_models
+    x = np.zeros((m, 6))
+    x[:, :3] = as_point(position)
+    return IMMState(x=x, P=np.broadcast_to(cfg.P0, (m, 6, 6)),
+                    mu=cfg.mu0.copy())
 
 
 def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     """Mix and time-update every model; mu becomes the predicted mu."""
-    mixed, mu_pred = imm_mix(s, cfg)
-    pred = tuple(kf_predict(mixed[j], dt, cfg.q_levels[j])
-                 for j in range(cfg.n_models))
-    mu = mu_pred / mu_pred.sum()
-    return IMMState(models=pred, mu=mu, fused=imm_fuse(pred, mu))
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    x, P, mu_pred = imm_mix(s, cfg)
+    F = transition_matrix(dt)
+    Q = np.square(cfg.q_levels)[:, None, None] * process_noise(dt, 1.0)
+    return IMMState(x=x @ F.T, P=F @ P @ F.T + Q, mu=mu_pred / mu_pred.sum())
+
+
+def imm_correct_pda(pred: IMMState, dets, beta_row, cfg: FilterConfig
+                    ) -> IMMState:
+    """PDA measurement update of every model with one shared beta row.
+
+    `beta_row` is the miss probability beta0 followed by one association
+    probability per row of `dets` (n, 3), and must sum to 1. Each model
+    takes the combined innovation and the PDA covariance
+    beta0 * P_pred + (1 - beta0) * P_upd + the spread of the innovations.
+    Model probabilities are reweighted by each model's beta-weighted
+    detection likelihood, normalised over the models; the miss mass is
+    uninformative across models. The weights are formed in log space, so a
+    likelihood that underflows in linear space still ranks the models.
+    """
+    dets = as_points(dets)
+    beta = np.asarray(beta_row, dtype=float)
+    if beta.shape != (len(dets) + 1,) or abs(beta.sum() - 1.0) > 1e-9:
+        raise ValidationError(
+            "beta row must be one miss plus one entry per detection, "
+            "summing to 1")
+    beta0, b = float(beta[0]), beta[1:]
+    if beta0 >= 1.0 - 1e-15:
+        return pred
+    S = pred.P[:, :3, :3] + cfg.R                   # (M, 3, 3)
+    sign, logdet = np.linalg.slogdet(S)
+    if (sign <= 0).any():
+        raise NumericalError(
+            f"singular innovation covariance (slogdet signs {sign})")
+    Sinv = np.linalg.inv(S)
+    y = dets - pred.x[:, None, :3]                  # (M, n, 3)
+    quad = np.einsum("mki,mij,mkj->mk", y, Sinv, y)
+    with np.errstate(divide="ignore"):
+        # a[m, k] = log(b_k N(y_mk; 0, S_m)); -inf where b_k = 0
+        a = np.log(b) - 0.5 * (3 * _LOG_2PI + logdet[:, None] + quad)
+        # log-sum-exp over the detections, then normalised over the models
+        top = a.max(axis=1)
+        loglik = top + np.log(np.exp(a - top[:, None]).sum(axis=1))
+        loglik -= loglik.max() + np.log(np.exp(loglik - loglik.max()).sum())
+        log_w = np.log(pred.mu) + np.logaddexp(np.log(beta0),
+                                               np.log(1.0 - beta0) + loglik)
+    mu = np.exp(log_w - log_w.max())
+
+    nu = b @ y                                      # (M, 3) combined innovation
+    K = pred.P[:, :, :3] @ Sinv                     # (M, 6, 3)
+    Kt = K.swapaxes(1, 2)
+    IKH = _I6 - K @ _H
+    P_upd = IKH @ pred.P @ IKH.swapaxes(1, 2) + K @ cfg.R @ Kt
+    spread = (y.swapaxes(1, 2) * b) @ y - nu[:, :, None] * nu[:, None, :]
+    P = beta0 * pred.P + (1.0 - beta0) * P_upd + K @ spread @ Kt
+    x = pred.x + (K @ nu[:, :, None])[:, :, 0]
+    return IMMState(x=x, P=P, mu=mu / mu.sum())
 
 
 def imm_correct(pred: IMMState, z, cfg: FilterConfig) -> IMMState:
-    """Per-model measurement update plus likelihood-weighted mu update."""
-    z = as_point(z)
-    updated: list[KState] = []
-    logliks = np.empty(cfg.n_models)
-    for j in range(cfg.n_models):
-        sj = pred.models[j]
-        y = z - sj.x[:3]
-        S = _sym(sj.P[:3, :3] + cfg.R)
-        logliks[j] = gaussian_loglik(y, S)
-        upd, _, _, _ = kf_update(sj, z, cfg.R)
-        updated.append(upd)
-    with np.errstate(divide="ignore"):
-        log_mu = np.log(pred.mu) + logliks
-    if np.all(np.isneginf(log_mu)):
-        mu = pred.mu.copy()  # all likelihoods underflew: keep predicted mu
-    else:
-        mu = np.exp(log_mu - log_mu.max())
-        mu = mu / mu.sum()
-    return IMMState(models=tuple(updated), mu=mu,
-                    fused=imm_fuse(updated, mu))
+    """Single-measurement update: `imm_correct_pda` with beta row [0, 1]."""
+    return imm_correct_pda(pred, as_point(z)[None], _HIT, cfg)
 
 
 def imm_step(s: IMMState, dt: float, z, cfg: FilterConfig) -> IMMState:

@@ -6,11 +6,10 @@ round-trip losslessly through these parsers.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
-from .core import Measurement, Pose, Scan, ValidationError
+from .core import Measurement, Pose, Scan
 from .simulator import GroundTruth
 from .trackman import FrameRecord
 
@@ -51,10 +50,9 @@ def read_scans(path) -> list[Scan]:
                 pose = Pose(np.array(rec["pose"]["translation"]),
                             np.array(rec["pose"]["rotation"]))
                 scans.append(Scan(t=float(rec["t"]),
-                                  points=np.array(rec["points"], dtype=float
-                                                  ).reshape(-1, 3),
+                                  points=np.array(rec["points"], dtype=float),
                                   pose=pose))
-            except (KeyError, ValidationError, ValueError) as exc:
+            except (KeyError, ValueError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: invalid scan ({exc})") from exc
     return scans
 
@@ -133,7 +131,7 @@ def read_measurement_frames(path) -> list[tuple[float, list[Measurement]]]:
                                   support=int(m["support"]))
                       for m in rec["measurements"]]
                 frames.append((t, ms))
-            except (KeyError, ValidationError, ValueError) as exc:
+            except (KeyError, ValueError, TypeError) as exc:
                 raise DataError(
                     f"{path}:{lineno}: invalid measurements ({exc})") from exc
     return frames

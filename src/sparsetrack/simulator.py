@@ -8,7 +8,7 @@ default; tracking operates in the global frame regardless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Measurement, NumericalError, ValidationError
+from .core import Measurement, ValidationError
 from . import association as assoc
-from .association import GateResult, JpdaParams, TrackView
-from .filter import (FilterConfig, IMMState, KState, imm_fuse, imm_init,
-                     imm_predict, imm_correct, _sym)
+from .association import JpdaParams, TrackView
+from .filter import (FilterConfig, IMMState, imm_init, imm_predict,
+                     imm_correct, imm_correct_pda, _sym)
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -122,7 +122,7 @@ class Tracker:
         self._next_id += 1
         return tr
 
-    def _views(self, tracks: list[Track], t: float) -> list[TrackView]:
+    def _views(self, tracks: list[Track]) -> list[TrackView]:
         R = self.cfg.filter.R
         views = []
         for tr in tracks:
@@ -135,52 +135,8 @@ class Tracker:
 
     def _imm_correct_pda(self, pred: IMMState, dets: np.ndarray,
                          beta_row: np.ndarray) -> IMMState:
-        """Per-model PDA update with a shared beta row.
-
-        Model probabilities are reweighted by the beta-weighted mixture of
-        per-model detection likelihoods; the miss mass is uninformative
-        across models.
-        """
-        cfg = self.cfg.filter
-        beta0 = float(beta_row[0])
-        b = beta_row[1:]
-        active = b > 0.0
-        models = []
-        mix_lik = np.zeros(cfg.n_models)
-        log2pi3 = 3.0 * np.log(2.0 * np.pi)
-        I6 = np.eye(6)
-        for j in range(cfg.n_models):
-            sj = pred.models[j]
-            S = _sym(sj.P[:3, :3] + cfg.R)
-            try:
-                Sinv = np.linalg.inv(S)
-                sign, logdet = np.linalg.slogdet(S)
-                if sign <= 0:
-                    raise np.linalg.LinAlgError("non-PD S")
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular innovation covariance ({exc})")
-            y = dets - sj.x[:3]                       # (m, 3)
-            quad = np.einsum("ki,ij,kj->k", y, Sinv, y)
-            lik = np.exp(-0.5 * (log2pi3 + logdet + quad))
-            mix_lik[j] = float(b[active] @ lik[active]) if active.any() else 0.0
-            # PDA update of model j (combined innovation + inflated P)
-            nu = b @ y
-            K = sj.P[:, :3] @ Sinv                    # (6, 3)
-            x = sj.x + K @ nu
-            IKH = I6.copy()
-            IKH[:, :3] -= K
-            P_upd = IKH @ sj.P @ IKH.T + K @ cfg.R @ K.T
-            spread3 = (y.T * b) @ y - np.outer(nu, nu)
-            P = beta0 * sj.P + (1.0 - beta0) * P_upd + K @ spread3 @ K.T
-            models.append(KState(x=x, P=_sym(P)))
-        if beta0 >= 1.0 - 1e-15 or mix_lik.sum() <= 0.0:
-            mu = pred.mu.copy()
-        else:
-            lik = mix_lik / mix_lik.sum()
-            w = pred.mu * (beta0 + (1.0 - beta0) * lik)
-            mu = w / w.sum()
-        return IMMState(models=tuple(models), mu=mu,
-                        fused=imm_fuse(models, mu))
+        """JPDA update of one track; perfbench times it under this name."""
+        return imm_correct_pda(pred, dets, beta_row, self.cfg.filter)
 
     # -- public API --------------------------------------------------------
 
@@ -210,7 +166,7 @@ class Tracker:
         used_dets: set[int] = set()
 
         if active and len(dets):
-            views = self._views(active, t)
+            views = self._views(active)
             g = assoc.gate(views, dets, cfg.jpda)
             if cfg.association_mode == HUNGARIAN:
                 cost = assoc.build_cost(views, dets, g, cfg.cost_weights, t_now=t)
@@ -300,12 +256,6 @@ class Tracker:
         return FrameRecord(t=t, tracks=snapshot, assignments=assignments,
                            beta_summary=beta_summary, spawned=spawned,
                            deleted=deleted, resurrected=resurrected)
-
-
-def tracker_step(tracker: Tracker, measurements: list[Measurement],
-                 t: float) -> FrameRecord:
-    """Functional alias for `Tracker.step`."""
-    return tracker.step(measurements, t)
 
 
 def run_tracker(measurement_frames: list[tuple[float, list[Measurement]]],

@@ -16,8 +16,8 @@ from sparsetrack.association import (JpdaParams, TrackView, gate, hungarian,
                                      jpda)
 from sparsetrack.cli import main as cli_main
 from sparsetrack.detector import Detector, DetectorConfig, dbscan, get_preset
-from sparsetrack.filter import (FilterConfig, imm_init, imm_step, kf_predict,
-                                kf_update)
+from sparsetrack.filter import (FilterConfig, KState, imm_init, imm_step,
+                                kf_predict, kf_update)
 from sparsetrack.metrics import DetectionReport, eval_detection, eval_mot
 from sparsetrack.simulator import (Scenario, SensorModel, TRACKING_SENSOR,
                                    run_scenario)
@@ -107,7 +107,7 @@ def test_criterion_04_imm_degeneracy():
         mu0[model] = 1.0
         cfg = FilterConfig(Pi=np.eye(cfg_base.n_models), mu0=mu0)
         s = imm_init((1.0, -2.0, 3.0), cfg)
-        ref = s.models[model]
+        ref = KState(x=s.x[model], P=s.P[model])
         q = cfg.q_levels[model]
         for _ in range(1000):
             z = rng.normal(scale=2.0, size=3) + (1.0, -2.0, 3.0)
@@ -134,7 +134,7 @@ def test_criterion_05_covariance_hygiene():
                 z = s.fused.x[:3] + rng.normal(scale=1.0, size=3)
             s = imm_step(s, float(rng.uniform(0.05, 0.3)), z, cfg)
             steps += 1
-            for P in [m.P for m in s.models] + [s.fused.P]:
+            for P in [*s.P, s.fused.P]:
                 assert np.allclose(P, P.T, atol=1e-9)
                 assert np.linalg.eigvalsh(P).min() >= -1e-9
     report(True, "criterion 5: covariances symmetric PSD (eig >= -1e-9) "

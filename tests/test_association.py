@@ -7,8 +7,9 @@ import pytest
 from sparsetrack.core import ValidationError
 from sparsetrack.association import (SENTINEL_COST, GateResult, JpdaParams,
                                      TrackView, build_cost, gate, hungarian,
-                                     jpda, jpda_update)
-from sparsetrack.filter import KState, kf_update
+                                     jpda)
+from sparsetrack.filter import (FilterConfig, IMMState, KState,
+                                imm_correct_pda, kf_update)
 
 
 def view(z_pred=(0, 0, 0), S=None, **kw):
@@ -191,30 +192,36 @@ class TestJpda:
 
 
 class TestJpdaUpdate:
+    """`filter.imm_correct_pda`, the update both association modes run."""
+
     R = 0.01 * np.eye(3)
+    cfg = FilterConfig(q_levels=(1.0,), Pi=np.eye(1), mu0=(1.0,), R=R)
 
     def state(self):
         return KState(x=np.zeros(6), P=np.diag([1, 1, 1, 4, 4, 4]))
 
+    def update(self, s, dets, beta_row):
+        bank = IMMState(x=s.x[None], P=s.P[None], mu=np.ones(1))
+        return imm_correct_pda(bank, dets, beta_row, self.cfg).fused
+
     def test_concentrated_beta_equals_kf_update(self):
         s = self.state()
         det = np.array([[0.3, -0.2, 0.1]])
-        out = jpda_update(s, det, np.array([0.0, 1.0]), self.R)
+        out = self.update(s, det, np.array([0.0, 1.0]))
         ref, _, _, _ = kf_update(s, det[0], self.R)
         assert np.allclose(out.x, ref.x, atol=1e-12)
         assert np.allclose(out.P, ref.P, atol=1e-9)
 
     def test_all_miss_keeps_prediction(self):
         s = self.state()
-        out = jpda_update(s, np.array([[1.0, 0, 0]]),
-                          np.array([1.0, 0.0]), self.R)
+        out = self.update(s, np.array([[1.0, 0, 0]]), np.array([1.0, 0.0]))
         assert np.allclose(out.x, s.x)
         assert np.allclose(out.P, s.P)
 
     def test_symmetric_pair_midpoint_innovation(self):
         s = self.state()
         dets = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
-        out = jpda_update(s, dets, np.array([0.0, 0.5, 0.5]), self.R)
+        out = self.update(s, dets, np.array([0.0, 0.5, 0.5]))
         # combined innovation is zero: mean unchanged
         assert np.allclose(out.x, s.x, atol=1e-12)
         # covariance exceeds the certain single-detection posterior
@@ -231,11 +238,22 @@ class TestJpdaUpdate:
             dets = s.x[:3] + rng.normal(scale=0.5, size=(m, 3))
             w = rng.uniform(0, 1, size=m + 1)
             w /= w.sum()
-            out = jpda_update(s, dets, w, self.R)
+            out = self.update(s, dets, w)
             assert np.allclose(out.P, out.P.T, atol=1e-9)
             assert np.linalg.eigvalsh(out.P).min() >= -1e-9
 
     def test_bad_beta_rejected(self):
         with pytest.raises(ValidationError):
-            jpda_update(self.state(), np.zeros((1, 3)),
-                        np.array([0.5, 0.2]), self.R)
+            self.update(self.state(), np.zeros((1, 3)), np.array([0.5, 0.2]))
+
+    def test_underflowing_selected_model_keeps_one_hot_mu(self):
+        # Model 0 holds all the probability but is so confident that the
+        # detection's likelihood underflows in linear space; model 1's does
+        # not. With Pi = I the other models can never gain probability.
+        cfg = FilterConfig(Pi=np.eye(3), mu0=(1.0, 0.0, 0.0), R=self.R)
+        P = np.stack([1e-6 * np.eye(6), 100.0 * np.eye(6), np.eye(6)])
+        bank = IMMState(x=np.zeros((3, 6)), P=P, mu=cfg.mu0)
+        out = imm_correct_pda(bank, np.array([[10.0, 0, 0]]),
+                              np.array([0.0, 1.0]), cfg)
+        assert np.array_equal(out.mu, [1.0, 0.0, 0.0])
+        assert np.all(np.isfinite(out.x)) and np.all(np.isfinite(out.P))

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from sparsetrack import io as stio
 from sparsetrack.cli import main
 
 
@@ -105,6 +107,22 @@ class TestDetect:
                                    "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("record", [
+        # a 3x2 point list must not be read as 2x3 points
+        {"t": 0.0, "points": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]},
+        {"t": None, "points": [[1.0, 2.0, 3.0]]},
+    ])
+    def test_invalid_scan_record_data_error(self, runner, tmp_path, record):
+        pose = {"translation": [0.0, 0.0, 0.0],
+                "rotation": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}
+        scans = tmp_path / "scans.jsonl"
+        scans.write_text(json.dumps({**record, "pose": pose}) + "\n")
+        res = runner.invoke(main, ["detect", "--scans", str(scans),
+                                   "--preset", "O",
+                                   "--out", str(tmp_path / "o.jsonl")])
+        assert res.exit_code == 3, res.output
+        assert "invalid scan" in res.output
+
     def test_config_file(self, runner, tmp_path):
         scans, _ = simulate(runner, tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -192,6 +210,42 @@ class TestTrack:
         assert res.exit_code == 3
 
 
+    def test_null_timestamp_data_error(self, runner, tmp_path):
+        _, truth = simulate(runner, tmp_path)
+        meas = tmp_path / "meas.jsonl"
+        meas.write_text(json.dumps({"t": None, "measurements": []}) + "\n")
+        res = runner.invoke(main, ["track", "--measurements", str(meas),
+                                   "--truth", str(truth),
+                                   "--out", str(tmp_path / "o.jsonl")])
+        assert res.exit_code == 3, res.output
+        assert "invalid measurements" in res.output
+
+    def test_joint_event_cap_numeric_error(self, runner, tmp_path,
+                                           monkeypatch):
+        from sparsetrack import association
+        from sparsetrack.simulator import Scenario, gen_trajectories
+        real_jpda = association.jpda
+
+        def capped_jpda(tracks, dets, gate_result, params):
+            params = dataclasses.replace(params, max_events=1)
+            return real_jpda(tracks, dets, gate_result, params)
+
+        monkeypatch.setattr(association, "jpda", capped_jpda)
+        gt = gen_trajectories(Scenario(kind="separated", n_frames=5, seed=1))
+        meas = tmp_path / "meas.jsonl"
+        meas.write_text("".join(json.dumps({"t": float(t), "measurements": [
+            {"position": [0.0, 0.0, 5.0], "support": 2},
+            {"position": [1.5, 0.0, 5.0], "support": 2}]}) + "\n"
+            for t in gt.t))
+        truth = tmp_path / "truth.jsonl"
+        stio.write_ground_truth(gt, truth)
+        res = runner.invoke(main, ["track", "--measurements", str(meas),
+                                   "--truth", str(truth), "--association",
+                                   "jpda", "--out", str(tmp_path / "o.jsonl")])
+        assert res.exit_code == 4, res.output
+        assert "joint-event count exceeded" in res.output
+
+
 class TestSweep:
     def test_grid_monotone(self, runner, tmp_path):
         scans, truth = simulate(runner, tmp_path, frames=150, seed=8)
@@ -259,6 +313,25 @@ class TestEvaluate:
         assert res.exit_code == 0, res.output
         report = json.loads(out.read_text())
         assert report["tp"] + report["fn"] > 0
+
+    def test_misaligned_frame_log_data_error(self, runner, tmp_path):
+        scans, truth = simulate(runner, tmp_path, frames=60)
+        log = tmp_path / "log.jsonl"
+        res = runner.invoke(main, ["track", "--scans", str(scans),
+                                   "--preset", "B_s", "--truth", str(truth),
+                                   "--out", str(log)])
+        assert res.exit_code == 0, res.output
+        # same frame count, different timestamps
+        other = tmp_path / "other"
+        res = runner.invoke(main, ["simulate", "--kind", "separated",
+                                   "--frames", "60", "--dt", "0.2",
+                                   "--out", str(other)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["evaluate", "--frame-log", str(log),
+                                   "--truth", str(other / "truth.jsonl"),
+                                   "--out", str(tmp_path / "e.json")])
+        assert res.exit_code == 3, res.output
+        assert "timestamp misalignment" in res.output
 
     def test_exactly_one_input_required(self, runner, tmp_path):
         _, truth = simulate(runner, tmp_path)

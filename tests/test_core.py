@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsetrack.core import (EmptyScanError, Measurement, Pose, Scan,
-                              ValidationError, mean_range, to_global,
-                              to_global_many)
+from sparsetrack.core import (Measurement, Pose, Scan, ValidationError,
+                              to_global, to_global_many)
 
 
 def yaw_pose(deg: float, translation=(0.0, 0.0, 0.0)) -> Pose:
@@ -69,23 +68,6 @@ class TestScan:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValidationError):
             Scan(t=0.0, points=np.zeros((3, 2)), pose=Pose.identity())
-
-
-class TestMeanRange:
-    def test_single_point(self):
-        s = Scan(t=0.0, points=np.array([[3.0, 4.0, 0.0]]),
-                 pose=Pose.identity())
-        assert mean_range(s) == pytest.approx(5.0)
-
-    def test_two_points(self):
-        s = Scan(t=0.0, points=np.array([[1.0, 0, 0], [3.0, 0, 0]]),
-                 pose=Pose.identity())
-        assert mean_range(s) == pytest.approx(2.0)
-
-    def test_empty_errors(self):
-        s = Scan(t=0.0, points=np.zeros((0, 3)), pose=Pose.identity())
-        with pytest.raises(EmptyScanError):
-            mean_range(s)
 
 
 class TestMeasurement:

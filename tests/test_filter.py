@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sparsetrack.core import NumericalError, ValidationError
-from sparsetrack.filter import (FilterConfig, IMMState, KState, ensure_psd,
-                                gaussian_loglik, imm_fuse, imm_init, imm_mix,
-                                imm_predict, imm_step, kf_predict, kf_update,
-                                process_noise, transition_matrix)
+from sparsetrack.filter import (FilterConfig, IMMState, KState,
+                                gaussian_loglik, imm_correct, imm_init,
+                                imm_mix, imm_predict, imm_step, kf_predict,
+                                kf_update, process_noise, transition_matrix)
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -84,20 +84,6 @@ class TestKfUpdate:
             gaussian_loglik(np.zeros(3), np.zeros((3, 3)))
 
 
-class TestEnsurePsd:
-    def test_clamps_tiny_negative(self):
-        P = np.eye(6)
-        P[0, 0] = -1e-12
-        out = ensure_psd(P)
-        assert np.linalg.eigvalsh(out).min() >= 0
-
-    def test_rejects_indefinite(self):
-        P = np.eye(6)
-        P[0, 0] = -1.0
-        with pytest.raises(NumericalError):
-            ensure_psd(P)
-
-
 class TestFilterConfig:
     def test_defaults_valid(self):
         cfg = FilterConfig()
@@ -118,41 +104,40 @@ class TestImm:
     def test_identity_mixing_is_noop(self):
         cfg = FilterConfig(Pi=np.eye(3))
         rng = np.random.default_rng(2)
-        models = tuple(kstate(x=rng.normal(size=6)) for _ in range(3))
+        x = rng.normal(size=(3, 6))
         mu = np.array([0.2, 0.5, 0.3])
-        s = IMMState(models=models, mu=mu, fused=imm_fuse(models, mu))
-        mixed, mu_pred = imm_mix(s, cfg)
+        s = IMMState(x=x, P=np.tile(np.eye(6), (3, 1, 1)), mu=mu)
+        mixed_x, mixed_P, mu_pred = imm_mix(s, cfg)
         assert np.allclose(mu_pred, mu)
         for j in range(3):
-            assert np.allclose(mixed[j].x, models[j].x, atol=1e-12)
-            assert np.allclose(mixed[j].P, models[j].P, atol=1e-12)
+            assert np.allclose(mixed_x[j], s.x[j], atol=1e-12)
+            assert np.allclose(mixed_P[j], s.P[j], atol=1e-12)
 
     def test_equal_states_zero_spread(self):
         cfg = FilterConfig()
         base = kstate(x=np.arange(6, dtype=float))
         mu = np.array([0.2, 0.5, 0.3])
-        s = IMMState(models=(base,) * 3, mu=mu, fused=base)
-        mixed, _ = imm_mix(s, cfg)
-        for m in mixed:
-            assert np.allclose(m.x, base.x)
-            assert np.allclose(m.P, base.P, atol=1e-12)
+        s = IMMState(x=np.tile(base.x, (3, 1)), P=np.tile(base.P, (3, 1, 1)),
+                     mu=mu)
+        mixed_x, mixed_P, _ = imm_mix(s, cfg)
+        for x, P in zip(mixed_x, mixed_P):
+            assert np.allclose(x, base.x)
+            assert np.allclose(P, base.P, atol=1e-12)
 
     def test_mixing_spread_is_psd(self):
         cfg = FilterConfig(q_levels=(0.5, 2.0),
                            Pi=np.full((2, 2), 0.5), mu0=(0.5, 0.5))
-        a = kstate(x=np.zeros(6))
-        b = kstate(x=np.ones(6))
-        s = IMMState(models=(a, b), mu=np.array([0.5, 0.5]),
-                     fused=imm_fuse((a, b), np.array([0.5, 0.5])))
-        mixed, _ = imm_mix(s, cfg)
-        for m in mixed:
-            diff = m.P - np.eye(6)  # both priors are I; spread adds PSD term
+        s = IMMState(x=np.stack([np.zeros(6), np.ones(6)]),
+                     P=np.tile(np.eye(6), (2, 1, 1)), mu=np.array([0.5, 0.5]))
+        _, mixed_P, _ = imm_mix(s, cfg)
+        for P in mixed_P:
+            diff = P - np.eye(6)  # both priors are I; spread adds PSD term
             assert np.linalg.eigvalsh(diff).min() >= -1e-12
 
     def test_single_model_equals_kf(self):
         cfg = FilterConfig(q_levels=(2.0,), Pi=np.eye(1), mu0=(1.0,))
         s = imm_init((1.0, 2.0, 3.0), cfg)
-        ref = s.models[0]
+        ref = KState(x=s.x[0], P=s.P[0])
         rng = np.random.default_rng(3)
         for _ in range(30):
             z = rng.normal(size=3) + (1, 2, 3)
@@ -168,10 +153,8 @@ class TestImm:
         # identical model states -> identical likelihoods -> mu = predicted mu
         pred = imm_predict(s, 0.1, cfg)
         # models differ only through q; force them identical first
-        base = pred.models[0]
-        pred_eq = IMMState(models=(base,) * 3, mu=pred.mu,
-                           fused=imm_fuse((base,) * 3, pred.mu))
-        from sparsetrack.filter import imm_correct
+        pred_eq = IMMState(x=np.tile(pred.x[0], (3, 1)),
+                           P=np.tile(pred.P[0], (3, 1, 1)), mu=pred.mu)
         out = imm_correct(pred_eq, (0.3, 0, 0), cfg)
         assert np.allclose(out.mu, pred.mu, atol=1e-12)
 
@@ -179,7 +162,7 @@ class TestImm:
         cfg = FilterConfig()
         s = imm_init((1, 1, 1), cfg)
         out = imm_step(s, 0.1, None, cfg)
-        expected = sum(out.mu[j] * out.models[j].x[:3] for j in range(3))
+        expected = sum(out.mu[j] * out.x[j, :3] for j in range(3))
         assert np.allclose(out.fused.x[:3], expected)
 
     def test_mu_stays_distribution(self):
@@ -206,7 +189,7 @@ class TestImm:
 
     def test_immstate_validates_mu(self):
         with pytest.raises(ValidationError):
-            IMMState(models=(kstate(),), mu=np.array([0.5]), fused=kstate())
+            IMMState(x=np.zeros((1, 6)), P=np.eye(6)[None], mu=np.array([0.5]))
 
 
 class TestKState:
