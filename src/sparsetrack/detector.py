@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import Measurement, Scan, ValidationError, to_global
 
@@ -111,6 +112,7 @@ class TemporalHistory:
 
     def __init__(self, K: int):
         self._buf: deque[tuple[np.ndarray, float]] = deque(maxlen=K)
+        self._pos: np.ndarray | None = None   # stacked positions, built lazily
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -122,13 +124,21 @@ class TemporalHistory:
         if self._buf and t < self._buf[-1][1]:
             raise ValidationError("history timestamps must be monotone")
         self._buf.append((np.asarray(position, dtype=float), t))
+        self._pos = None
 
     def nearest(self, position: np.ndarray) -> tuple[np.ndarray, float] | None:
-        """Entry spatially closest to `position`, or None when empty."""
+        """Entry spatially closest to `position`, or None when empty.
+
+        Ties go to the earliest entry.
+        """
         if not self._buf:
             return None
-        pos = np.asarray(position, dtype=float)
-        dists = [np.linalg.norm(pos - e[0]) for e in self._buf]
+        if self._pos is None:
+            self._pos = np.array([e[0] for e in self._buf])
+        d = np.asarray(position, dtype=float) - self._pos
+        # (1, 3) @ (3, 1) is the dot product np.linalg.norm takes of one
+        # vector, so distances round exactly as a per-entry norm would.
+        dists = np.sqrt(d[:, None, :] @ d[:, :, None])
         return self._buf[int(np.argmin(dists))]
 
 
@@ -179,7 +189,10 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> list[Cluster]:
 
     Neighborhood counts include the query point, so min_pts=1 makes every
     point a core point. Border points join the first core cluster that
-    reaches them in input order, making runs reproducible.
+    reaches them in input order, making runs reproducible. Each point's
+    neighbors within eps (boundary included) come from one k-d tree query,
+    so memory is O(n + neighbor pairs) rather than O(n^2). Points inside a
+    cluster keep their input order.
     """
     if eps <= 0 or min_pts < 1:
         raise ValidationError("dbscan requires eps > 0 and min_pts >= 1")
@@ -187,25 +200,35 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> list[Cluster]:
     n = pts.shape[0]
     if n == 0:
         return []
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    adj = d2 <= eps * eps
-    core = adj.sum(axis=1) >= min_pts
-    labels = np.full(n, -1, dtype=int)
+    nbrs = cKDTree(pts).query_ball_point(pts, eps, return_sorted=True)
+    core = [len(nb) >= min_pts for nb in nbrs]
+    labels = [-1] * n
     next_label = 0
     for i in range(n):
         if labels[i] != -1 or not core[i]:
             continue
         labels[i] = next_label
-        frontier = [i]
+        frontier = deque([i])
         while frontier:
-            j = frontier.pop(0)
-            for k in np.flatnonzero(adj[j]):
+            for k in nbrs[frontier.popleft()]:
                 if labels[k] == -1:
                     labels[k] = next_label
                     if core[k]:
                         frontier.append(k)
         next_label += 1
-    return [Cluster.from_points(pts[labels == lbl]) for lbl in range(next_label)]
+    if next_label == 0:
+        return []
+    # Group points by label in one stable sort. Noise (-1) sorts first;
+    # cluster k is grouped[bounds[k]:bounds[k + 1]].
+    lab = np.array(labels)
+    grouped = pts[np.argsort(lab, kind="stable")]
+    bounds = np.cumsum(np.bincount(lab + 1, minlength=next_label + 1))
+    ext = (np.maximum.reduceat(grouped, bounds[:-1])
+           - np.minimum.reduceat(grouped, bounds[:-1]))
+    b = bounds.tolist()
+    return [Cluster(points=grouped[b[k]:b[k + 1]], extents=tuple(e),
+                    count=b[k + 1] - b[k])
+            for k, e in enumerate(ext.tolist())]
 
 
 def validate_geometric(c: Cluster, cfg: DetectorConfig) -> bool:

@@ -101,6 +101,18 @@ class IMMState:
         object.__setattr__(self, "fused", KState(*_moments(mu, x, P)))
 
 
+def _stepped(x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> IMMState:
+    """Bank computed by a filter step from a valid bank.
+
+    The step's inputs were validated, so a result that fails validation
+    (a non-finite state after an overflow, say) is a numeric failure.
+    """
+    try:
+        return IMMState(x=x, P=P, mu=mu)
+    except ValidationError as exc:
+        raise NumericalError(f"filter step failed: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     q_levels: tuple[float, ...] = (0.5, 2.0, 8.0)   # process noise intensities (m/s^2)
@@ -227,7 +239,7 @@ def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     x, P, mu_pred = imm_mix(s, cfg)
     F = transition_matrix(dt)
     Q = np.square(cfg.q_levels)[:, None, None] * process_noise(dt, 1.0)
-    return IMMState(x=x @ F.T, P=F @ P @ F.T + Q, mu=mu_pred / mu_pred.sum())
+    return _stepped(x @ F.T, F @ P @ F.T + Q, mu_pred / mu_pred.sum())
 
 
 def imm_correct_pda(pred: IMMState, dets, beta_row, cfg: FilterConfig
@@ -279,7 +291,7 @@ def imm_correct_pda(pred: IMMState, dets, beta_row, cfg: FilterConfig
     spread = (y.swapaxes(1, 2) * b) @ y - nu[:, :, None] * nu[:, None, :]
     P = beta0 * pred.P + (1.0 - beta0) * P_upd + K @ spread @ Kt
     x = pred.x + (K @ nu[:, :, None])[:, :, 0]
-    return IMMState(x=x, P=P, mu=mu / mu.sum())
+    return _stepped(x, P, mu / mu.sum())
 
 
 def imm_correct(pred: IMMState, z, cfg: FilterConfig) -> IMMState:

@@ -5,7 +5,6 @@ test verdict itself carries the same information under `pytest -v`.
 """
 import dataclasses
 import itertools
-import json
 import time
 
 import numpy as np
@@ -21,7 +20,7 @@ from sparsetrack.filter import (FilterConfig, KState, imm_init, imm_step,
 from sparsetrack.metrics import DetectionReport, eval_detection, eval_mot
 from sparsetrack.simulator import (Scenario, SensorModel, TRACKING_SENSOR,
                                    run_scenario)
-from sparsetrack.trackman import FrameRecord, Tracker, TrackerConfig
+from sparsetrack.trackman import Tracker, TrackerConfig
 
 from test_detector import partition, reference_dbscan
 from test_metrics import frame, make_gt

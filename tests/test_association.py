@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from sparsetrack.core import ValidationError
-from sparsetrack.association import (SENTINEL_COST, GateResult, JpdaParams,
-                                     TrackView, build_cost, gate, hungarian,
-                                     jpda)
+from sparsetrack.association import (JpdaParams, TrackView, build_cost, gate,
+                                     hungarian, jpda)
 from sparsetrack.filter import (FilterConfig, IMMState, KState,
                                 imm_correct_pda, kf_update)
 

@@ -158,7 +158,6 @@ class TestTrack:
         assert totals["hungarian"] == totals["jpda"]
 
     def test_perfect_measurements_mota_one(self, runner, tmp_path):
-        import numpy as np
         from sparsetrack import io as stio
         from sparsetrack.core import Measurement
         from sparsetrack.simulator import Scenario, gen_trajectories
@@ -244,6 +243,23 @@ class TestTrack:
                                    "jpda", "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 4, res.output
         assert "joint-event count exceeded" in res.output
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_filter_overflow_numeric_error(self, runner, tmp_path):
+        from sparsetrack.simulator import Scenario, gen_trajectories
+        gt = gen_trajectories(Scenario(kind="separated", n_frames=2, seed=1))
+        gt = dataclasses.replace(gt, t=gt.t * 1e200)  # dt = 1e199 s
+        meas = tmp_path / "meas.jsonl"
+        meas.write_text("".join(json.dumps({"t": float(t), "measurements": [
+            {"position": [0.0, 0.0, 5.0], "support": 2}]}) + "\n"
+            for t in gt.t))
+        truth = tmp_path / "truth.jsonl"
+        stio.write_ground_truth(gt, truth)
+        res = runner.invoke(main, ["track", "--measurements", str(meas),
+                                   "--truth", str(truth),
+                                   "--out", str(tmp_path / "o.jsonl")])
+        assert res.exit_code == 4, res.output
+        assert "non-finite" in res.output
 
 
 class TestSweep:

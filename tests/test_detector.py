@@ -1,4 +1,5 @@
-import dataclasses
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -149,14 +150,40 @@ class TestDbscan:
 
     def test_matches_reference_on_random_clouds(self):
         rng = np.random.default_rng(42)
-        for _ in range(60):
+        for k in range(120):
             n = int(rng.integers(0, 80))
-            pts = rng.uniform(-3, 3, size=(n, 3))
-            eps = float(rng.uniform(0.3, 1.2))
+            if k % 2:
+                # integer grid at spacing eps, with repeated points: many
+                # pairs lie exactly eps apart (dyadic spacings) or coincide
+                eps = float(rng.choice([0.25, 0.5, 0.3, 0.7]))
+                pts = rng.integers(-3, 4, size=(n, 3)) * eps
+            else:
+                eps = float(rng.uniform(0.3, 1.2))
+                pts = rng.uniform(-3, 3, size=(n, 3))
             mp = int(rng.integers(1, 5))
-            got = partition(dbscan(pts, eps, mp))
-            want = partition(reference_dbscan(pts, eps, mp))
-            assert got == want
+            got = dbscan(pts, eps, mp)
+            want = reference_dbscan(pts, eps, mp)
+            # same clusters in the same order, points in the same order
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.points, w.points)
+                assert (g.extents, g.count) == (w.extents, w.count)
+
+    def test_exact_eps_boundary_included(self):
+        pts = np.array([[0, 0, 0], [0.5, 0, 0], [0.5, 0, 0], [1.0, 0, 0]])
+        clusters = dbscan(pts, eps=0.5, min_pts=4)
+        assert [c.count for c in clusters] == [4]
+
+    def test_large_scan_is_fast(self):
+        # 10^4 points; a dense n x n distance matrix would need ~2.4 GB
+        pts = np.random.default_rng(5).uniform(-10, 10, size=(10_000, 3))
+        t0 = time.perf_counter()
+        clusters = dbscan(pts, eps=0.6, min_pts=1)
+        assert time.perf_counter() - t0 < 2.0
+        # min_pts=1: every point is a core point of exactly one cluster
+        out = np.vstack([c.points for c in clusters])
+        assert np.array_equal(np.unique(out, axis=0), np.unique(pts, axis=0))
+        assert len(out) == len(pts)
 
     def test_partition_permutation_invariant(self):
         rng = np.random.default_rng(7)
@@ -171,6 +198,44 @@ class TestDbscan:
             dbscan(np.zeros((1, 3)), eps=0.0, min_pts=1)
         with pytest.raises(ValidationError):
             dbscan(np.zeros((1, 3)), eps=0.5, min_pts=0)
+
+
+class TestTemporalHistory:
+    @staticmethod
+    def brute_nearest(hist, pos):
+        entries = hist.entries()
+        dists = [np.linalg.norm(pos - e[0]) for e in entries]
+        return entries[int(np.argmin(dists))]
+
+    def test_matches_brute_force_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            K = int(rng.integers(1, 8))
+            hist = TemporalHistory(K)
+            assert hist.nearest(np.zeros(3)) is None
+            t = 0.0
+            for _ in range(int(rng.integers(1, 3 * K + 2))):
+                t += float(rng.uniform(0.0, 0.2))
+                hist.push(rng.uniform(-5, 5, 3), t)  # evicts once full
+                assert len(hist) <= K
+                for q in rng.uniform(-6, 6, size=(3, 3)):
+                    assert hist.nearest(q) is self.brute_nearest(hist, q)
+        # offsets that permute one vector are equally far in exact
+        # arithmetic, so the choice rests on how each distance rounds
+        for _ in range(40):
+            q, v = rng.uniform(-5, 5, size=(2, 3))
+            hist = TemporalHistory(6)
+            for perm in itertools.permutations(range(3)):
+                hist.push(q + v[list(perm)], 0.0)
+            assert hist.nearest(q) is self.brute_nearest(hist, q)
+
+    def test_tie_returns_earliest(self):
+        hist = TemporalHistory(4)
+        for x, t in ((9.0, 0.0), (1.0, 0.1), (-1.0, 0.2), (1.0, 0.3), (9.0, 0.4)):
+            hist.push(np.array([x, 0.0, 0.0]), t)
+        # (9, 0, 0) at t=0 was evicted; three entries are 1 m from the origin
+        assert hist.nearest(np.zeros(3))[1] == 0.1
+        assert hist.nearest(np.array([1.0, 0.0, 0.0]))[1] == 0.1
 
 
 class TestValidationLayers:

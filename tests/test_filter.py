@@ -187,6 +187,16 @@ class TestImm:
         assert errs[-1] < 0.02
         assert errs[-1] < errs[0]
 
+    @pytest.mark.parametrize("step", [
+        lambda s, cfg: imm_predict(s, 1e200, cfg),            # dt overflows
+        lambda s, cfg: imm_correct(imm_predict(s, 0.1, cfg),
+                                   (1e300, 0.0, 0.0), cfg),  # innovation overflows
+    ], ids=["predict", "correct"])
+    def test_non_finite_step_result_is_numerical_error(self, step):
+        cfg = FilterConfig()
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            step(imm_init((0, 0, 0), cfg), cfg)
+
     def test_immstate_validates_mu(self):
         with pytest.raises(ValidationError):
             IMMState(x=np.zeros((1, 6)), P=np.eye(6)[None], mu=np.array([0.5]))

@@ -1,6 +1,3 @@
-import dataclasses
-import json
-
 import numpy as np
 import pytest
 
