@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,15 +20,10 @@ from .core import NumericalError, ValidationError
 from .detector import Detector, DetectorConfig, PRESETS, get_preset
 from .metrics import eval_detection, eval_mot
 from .simulator import KINDS, Scenario, run_scenario
-from .trackman import Tracker, TrackerConfig
+from .trackman import TrackerConfig, run_tracker
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-def _fail(code: int, msg: str) -> None:
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(code)
 
 
 def _exit_codes(command):
@@ -37,9 +33,11 @@ def _exit_codes(command):
         try:
             return command(*args, **kwargs)
         except (stio.DataError, ValidationError, OSError) as exc:
-            _fail(EXIT_DATA, str(exc))
+            code, error = EXIT_DATA, exc
         except (NumericalError, AssociationComplexityError) as exc:
-            _fail(EXIT_NUMERIC, str(exc))
+            code, error = EXIT_NUMERIC, exc
+        click.echo(f"error: {error}", err=True)
+        sys.exit(code)
     return run
 
 
@@ -63,6 +61,16 @@ def _run_detector(scans, cfg: DetectorConfig):
     return [(s.t, det.detect(s)) for s in scans]
 
 
+def _positive_radius(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter("must be a finite number > 0")
+    return value
+
+
+_match_radius = click.option("--match-radius", type=float, default=1.0,
+                             callback=_positive_radius)
+
+
 def _check_alignment(times, gt) -> None:
     if len(times) != gt.n_frames:
         raise stio.DataError(
@@ -71,6 +79,17 @@ def _check_alignment(times, gt) -> None:
         if abs(t - float(gt.t[k])) > 1e-9:
             raise stio.DataError(
                 f"timestamp misalignment at frame {k}: {t} vs {gt.t[k]}")
+
+
+def _score_detections(frames, gt, match_radius: float):
+    _check_alignment([t for t, _ in frames], gt)
+    return eval_detection([ms for _, ms in frames], gt, match_radius)
+
+
+def _report(report, path) -> None:
+    """Write a report to `path` as indented JSON and echo it as one line."""
+    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    click.echo(json.dumps(report.to_dict()))
 
 
 @click.group()
@@ -108,7 +127,7 @@ def simulate(kind, frames, seed, dt, out_dir) -> None:
               help="JSON file of DetectorConfig fields.")
 @click.option("--truth", "truth_path", type=click.Path(), default=None,
               help="Ground truth for the detection report.")
-@click.option("--match-radius", type=float, default=1.0)
+@_match_radius
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_exit_codes
 def detect(scans_path, preset, config, truth_path, match_radius, out_path):
@@ -116,17 +135,12 @@ def detect(scans_path, preset, config, truth_path, match_radius, out_path):
     cfg = _detector_config(preset, config)
     frames = _run_detector(stio.read_scans(scans_path), cfg)
     stio.write_measurement_frames(frames, out_path)
-    report = None
-    if truth_path is not None:
-        gt = stio.read_ground_truth(truth_path)
-        _check_alignment([t for t, _ in frames], gt)
-        report = eval_detection([ms for _, ms in frames], gt, match_radius)
-        Path(out_path).with_suffix(".report.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n")
     n = sum(len(ms) for _, ms in frames)
     click.echo(f"wrote {n} detections over {len(frames)} frames to {out_path}")
-    if report is not None:
-        click.echo(json.dumps(report.to_dict()))
+    if truth_path is not None:
+        gt = stio.read_ground_truth(truth_path)
+        _report(_score_detections(frames, gt, match_radius),
+                Path(out_path).with_suffix(".report.json"))
 
 
 @main.command()
@@ -139,7 +153,7 @@ def detect(scans_path, preset, config, truth_path, match_radius, out_path):
 @click.option("--config", type=click.Path(), default=None)
 @click.option("--association", type=click.Choice(["hungarian", "jpda"]),
               default="hungarian")
-@click.option("--match-radius", type=float, default=1.0)
+@_match_radius
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_exit_codes
 def track(scans_path, meas_path, truth_path, preset, config, association,
@@ -154,13 +168,10 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
         frames = stio.read_measurement_frames(meas_path)
     gt = stio.read_ground_truth(truth_path)
     _check_alignment([t for t, _ in frames], gt)
-    tracker = Tracker(TrackerConfig(association_mode=association))
-    log = [tracker.step(ms, t) for t, ms in frames]
+    log = run_tracker(frames, TrackerConfig(association_mode=association))
     stio.write_frame_log(log, out_path)
-    report = eval_mot(log, gt, match_radius)
-    Path(out_path).with_suffix(".report.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n")
-    click.echo(json.dumps(report.to_dict()))
+    _report(eval_mot(log, gt, match_radius),
+            Path(out_path).with_suffix(".report.json"))
 
 
 @main.command()
@@ -171,7 +182,7 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
 @click.option("--config", type=click.Path(), default=None)
 @click.option("--min-pts", "min_pts_grid", type=str, required=True,
               help="Comma-separated minPts values, e.g. 1,2,3,4.")
-@click.option("--match-radius", type=float, default=1.0)
+@_match_radius
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_exit_codes
 def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
@@ -189,9 +200,7 @@ def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
     rows = []
     for mp in grid:
         cfg = dataclasses.replace(base, min_pts=mp)
-        frames = _run_detector(scans, cfg)
-        _check_alignment([t for t, _ in frames], gt)
-        rep = eval_detection([ms for _, ms in frames], gt, match_radius)
+        rep = _score_detections(_run_detector(scans, cfg), gt, match_radius)
         rows.append({"min_pts": mp, "eps0": cfg.eps0, "voxel": cfg.voxel,
                      **rep.to_dict()})
     Path(out_path).write_text(json.dumps(rows, indent=2) + "\n")
@@ -203,7 +212,7 @@ def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
 @click.option("--detections", "det_path", type=click.Path(), default=None)
 @click.option("--frame-log", "log_path", type=click.Path(), default=None)
 @click.option("--truth", "truth_path", type=click.Path(), required=True)
-@click.option("--match-radius", type=float, default=1.0)
+@_match_radius
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @_exit_codes
 def evaluate(det_path, log_path, truth_path, match_radius, out_path):
@@ -212,15 +221,13 @@ def evaluate(det_path, log_path, truth_path, match_radius, out_path):
         raise click.UsageError("exactly one of --detections or --frame-log is required")
     gt = stio.read_ground_truth(truth_path)
     if det_path is not None:
-        frames = stio.read_measurement_frames(det_path)
-        _check_alignment([t for t, _ in frames], gt)
-        report = eval_detection([ms for _, ms in frames], gt, match_radius)
+        report = _score_detections(stio.read_measurement_frames(det_path), gt,
+                                   match_radius)
     else:
         log = stio.read_frame_log(log_path)
         _check_alignment([r.t for r in log], gt)
         report = eval_mot(log, gt, match_radius)
-    Path(out_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    click.echo(json.dumps(report.to_dict()))
+    _report(report, out_path)
 
 
 if __name__ == "__main__":

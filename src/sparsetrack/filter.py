@@ -232,6 +232,7 @@ def imm_init(position, cfg: FilterConfig) -> IMMState:
                     mu=cfg.mu0.copy())
 
 
+@np.errstate(all="ignore")  # a non-finite result raises NumericalError
 def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     """Mix and time-update every model; mu becomes the predicted mu."""
     if dt <= 0:
@@ -242,6 +243,7 @@ def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     return _stepped(x @ F.T, F @ P @ F.T + Q, mu_pred / mu_pred.sum())
 
 
+@np.errstate(all="ignore")  # log(0) = -inf is intended
 def imm_correct_pda(pred: IMMState, dets, beta_row, cfg: FilterConfig
                     ) -> IMMState:
     """PDA measurement update of every model with one shared beta row.
@@ -272,15 +274,14 @@ def imm_correct_pda(pred: IMMState, dets, beta_row, cfg: FilterConfig
     Sinv = np.linalg.inv(S)
     y = dets - pred.x[:, None, :3]                  # (M, n, 3)
     quad = np.einsum("mki,mij,mkj->mk", y, Sinv, y)
-    with np.errstate(divide="ignore"):
-        # a[m, k] = log(b_k N(y_mk; 0, S_m)); -inf where b_k = 0
-        a = np.log(b) - 0.5 * (3 * _LOG_2PI + logdet[:, None] + quad)
-        # log-sum-exp over the detections, then normalised over the models
-        top = a.max(axis=1)
-        loglik = top + np.log(np.exp(a - top[:, None]).sum(axis=1))
-        loglik -= loglik.max() + np.log(np.exp(loglik - loglik.max()).sum())
-        log_w = np.log(pred.mu) + np.logaddexp(np.log(beta0),
-                                               np.log(1.0 - beta0) + loglik)
+    # a[m, k] = log(b_k N(y_mk; 0, S_m)); -inf where b_k = 0
+    a = np.log(b) - 0.5 * (3 * _LOG_2PI + logdet[:, None] + quad)
+    # log-sum-exp over the detections, then normalised over the models
+    top = a.max(axis=1)
+    loglik = top + np.log(np.exp(a - top[:, None]).sum(axis=1))
+    loglik -= loglik.max() + np.log(np.exp(loglik - loglik.max()).sum())
+    log_w = np.log(pred.mu) + np.logaddexp(np.log(beta0),
+                                           np.log(1.0 - beta0) + loglik)
     mu = np.exp(log_w - log_w.max())
 
     nu = b @ y                                      # (M, 3) combined innovation

@@ -244,7 +244,9 @@ class TestTrack:
         assert res.exit_code == 4, res.output
         assert "joint-event count exceeded" in res.output
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # Under pytest a warning never reaches res.output, so the mark turns any
+    # numpy RuntimeWarning into a failure.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_filter_overflow_numeric_error(self, runner, tmp_path):
         from sparsetrack.simulator import Scenario, gen_trajectories
         gt = gen_trajectories(Scenario(kind="separated", n_frames=2, seed=1))
@@ -260,6 +262,7 @@ class TestTrack:
                                    "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 4, res.output
         assert "non-finite" in res.output
+        assert "encountered in" not in res.output
 
 
 class TestSweep:
@@ -354,3 +357,17 @@ class TestEvaluate:
         res = runner.invoke(main, ["evaluate", "--truth", str(truth),
                                    "--out", str(tmp_path / "e.json")])
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+def test_match_radius_must_be_finite_and_positive(runner, tmp_path, radius):
+    f = str(tmp_path / "absent.jsonl")
+    for args in (["detect", "--scans", f, "--preset", "O"],
+                 ["track", "--measurements", f, "--truth", f],
+                 ["sweep", "--scans", f, "--truth", f, "--preset", "O",
+                  "--min-pts", "1"],
+                 ["evaluate", "--detections", f, "--truth", f]):
+        res = runner.invoke(main, args + ["--match-radius", radius,
+                                          "--out", f])
+        assert res.exit_code == 2, (args, res.output)
+        assert "--match-radius" in res.output
