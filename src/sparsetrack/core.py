@@ -26,7 +26,7 @@ def as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise ValidationError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"non-finite point: {a}")
     return a
 
@@ -38,7 +38,7 @@ def as_points(pts) -> np.ndarray:
         return a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValidationError(f"expected an (N, 3) array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("non-finite coordinates in point set")
     return a
 
@@ -108,11 +108,11 @@ class Measurement:
 
 
 def to_global(p, pose: Pose) -> np.ndarray:
-    """Transform a local-frame point into the global frame."""
-    return pose.rotation @ as_point(p) + pose.translation
+    """Transform a local-frame point (3,) or point set (N, 3) to the global frame.
 
-
-def to_global_many(points, pose: Pose) -> np.ndarray:
-    """Vectorized `to_global` over an (N, 3) point set."""
-    pts = as_points(points)
-    return pts @ pose.rotation.T + pose.translation
+    Each point is its own (3, 3) @ (3, 1) product, so a point rounds the
+    same alone as in a set; `P @ R.T` would round differently.
+    """
+    a = np.asarray(p, dtype=float)
+    pts = as_point(a) if a.ndim == 1 else as_points(a)
+    return (pose.rotation @ pts[..., None])[..., 0] + pose.translation

@@ -126,20 +126,23 @@ class TemporalHistory:
         self._buf.append((np.asarray(position, dtype=float), t))
         self._pos = None
 
-    def nearest(self, position: np.ndarray) -> tuple[np.ndarray, float] | None:
-        """Entry spatially closest to `position`, or None when empty.
+    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of `points` (N, 3): the index into `entries()` of
+        the spatially closest entry and its distance, or -1 and inf when
+        the history is empty.
 
         Ties go to the earliest entry.
         """
+        pts = np.asarray(points, dtype=float)
         if not self._buf:
-            return None
+            return np.full(len(pts), -1), np.full(len(pts), np.inf)
         if self._pos is None:
             self._pos = np.array([e[0] for e in self._buf])
-        d = np.asarray(position, dtype=float) - self._pos
+        d = pts[:, None, :] - self._pos
         # (1, 3) @ (3, 1) is the dot product np.linalg.norm takes of one
         # vector, so distances round exactly as a per-entry norm would.
-        dists = np.sqrt(d[:, None, :] @ d[:, :, None])
-        return self._buf[int(np.argmin(dists))]
+        dists = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        return dists.argmin(axis=1), dists.min(axis=1)
 
 
 def roi_filter(scan: Scan, cfg: DetectorConfig) -> Scan:
@@ -292,29 +295,36 @@ class Detector:
         eps = adaptive_epsilon(r, cfg)
         clusters = dbscan(down, eps, cfg.min_pts)
 
+        kept = [c for c in clusters if validate_geometric(c, cfg)]
+        if not kept:
+            return []
+        # Centroids of all survivors in one (N, 3) array: a 1-point
+        # cluster's point as it is, estimate_centroid for larger ones.
+        local = np.concatenate([c.points[:1] for c in kept])
+        for i, c in enumerate(kept):
+            if c.count > 1:
+                local[i] = estimate_centroid(c)
+        zs = to_global(local, scan.pose)
+
+        idx, dist = self.history.nearest(zs)
+        entries = self.history.entries()
         measurements: list[Measurement] = []
         accepted: list[np.ndarray] = []
-        for c in clusters:
-            if not validate_geometric(c, cfg):
-                continue
-            z_local = estimate_centroid(c)
-            z = to_global(z_local, scan.pose)
+        for z, c, j, d in zip(zs, kept, idx.tolist(), dist.tolist()):
             # Layer 2 is checked against the spatially nearest prior
-            # candidate; candidates far from everything in the window are
-            # treated as new sources rather than implausible jumps.
-            prev = self.history.nearest(z)
-            if prev is not None:
-                dist = float(np.linalg.norm(z - prev[0]))
-                if dist <= cfg.d_new_source:
-                    dt = scan.t - prev[1]
-                    if dt <= 0 or not validate_jump(z, prev[0], dt, cfg):
-                        continue
+            # candidate; candidates farther than d_new_source from
+            # everything in the window are new sources, not implausible
+            # jumps.
+            if j >= 0 and d <= cfg.d_new_source:
+                prev, tp = entries[j]
+                if not validate_jump(z, prev, scan.t - tp, cfg):
+                    continue
+            accepted.append(z)  # layer-3 rejects stay future candidates
             if cfg.layer3_enabled and not validate_temporal(z, scan.t,
                                                             self.history, cfg):
-                accepted.append(z)  # still a candidate for future frames
                 continue
-            accepted.append(z)
-            measurements.append(Measurement(t=scan.t, position=z, support=c.count))
+            measurements.append(Measurement(t=scan.t, position=z,
+                                            support=c.count))
         # History gets this frame's layer-1/2 survivors only after the whole
         # frame is processed, so same-frame candidates do not interact.
         for z in accepted:

@@ -94,12 +94,21 @@ def write_scans(scans: list[Scan], path) -> None:
 
 
 def read_scans(path) -> list[Scan]:
+    """Scans; a pose bit-identical to the previous scan's is checked once."""
     def decode(rec, prev) -> Scan:
-        pose = _get(rec, "pose", dict)
-        return Scan(t=float(_get(rec, "t", int, float)),
-                    points=_array(rec, "points", (None, 3)),
-                    pose=Pose(_array(pose, "translation", (3,)),
-                              _array(pose, "rotation", (3, 3))))
+        raw = _get(rec, "pose", dict)
+        t = float(_get(rec, "t", int, float))
+        points = _array(rec, "points", (None, 3))
+        trans = _array(raw, "translation", (3,))
+        rot = _array(raw, "rotation", (3, 3))
+        # by bits, so -0.0 and 0.0 differ and a reused pose is this line's
+        if (prev is not None
+                and trans.tobytes() == prev.pose.translation.tobytes()
+                and rot.tobytes() == prev.pose.rotation.tobytes()):
+            pose = prev.pose
+        else:
+            pose = Pose(trans, rot)
+        return Scan(t=t, points=points, pose=pose)
     return _read_jsonl(path, "scan", decode)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from scipy.spatial.transform import Rotation
+
 from sparsetrack.core import (Measurement, Pose, Scan, ValidationError,
-                              to_global, to_global_many)
+                              to_global)
 
 
 def yaw_pose(deg: float, translation=(0.0, 0.0, 0.0)) -> Pose:
@@ -48,11 +50,25 @@ class TestToGlobal:
         assert np.allclose(to_global((1, 0, 0), p), (0, 1, 0), atol=1e-12)
 
     def test_many_matches_single(self):
-        p = yaw_pose(25.0, (0.5, 0.0, -1.0))
-        pts = np.random.default_rng(0).normal(size=(10, 3))
-        many = to_global_many(pts, p)
-        for k in range(10):
-            assert np.allclose(many[k], to_global(pts[k], p))
+        rng = np.random.default_rng(0)
+        for k in range(50):
+            p = Pose(rng.normal(scale=10.0, size=3),
+                     Rotation.random(random_state=k).as_matrix())
+            pts = rng.normal(scale=20.0, size=(30, 3))
+            many = to_global(pts, p)
+            assert many.shape == (30, 3)
+            for q, z in zip(pts, many):
+                assert z.tobytes() == to_global(q, p).tobytes()
+                assert z.tobytes() == (p.rotation @ q + p.translation).tobytes()
+
+    def test_empty_point_set(self):
+        assert to_global(np.zeros((0, 3)), yaw_pose(10.0)).shape == (0, 3)
+
+    def test_rejects_bad_shapes(self):
+        for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 3, 1)),
+                    np.array([np.nan, 0.0, 0.0])):
+            with pytest.raises(ValidationError):
+                to_global(bad, Pose.identity())
 
 
 class TestScan:

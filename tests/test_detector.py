@@ -1,10 +1,14 @@
 import itertools
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from sparsetrack.core import Pose, Scan, ValidationError
+from sparsetrack.core import Measurement, Pose, Scan, ValidationError
 from sparsetrack.detector import (Cluster, Detector, DetectorConfig, PRESETS,
                                   REAL_PRESETS, SIM_PRESETS, TemporalHistory,
                                   adaptive_epsilon, dbscan, estimate_centroid,
@@ -65,6 +69,65 @@ def reference_dbscan(points, eps, min_pts):
         if choices:
             members[min(choices, key=lambda k: min(ordered[k]))].add(p)
     return [Cluster.from_points(pts[sorted(m)]) for m in members]
+
+
+def reference_detect(cfg: DetectorConfig, scans):
+    """The per-cluster `Detector.detect` loop the batched one replaced.
+
+    Every layer-1 survivor gets its own centroid, `R @ z + t` transform and
+    history lookup; the nearest entry is the first with the least per-entry
+    `np.linalg.norm`. Returns, for each scan, its measurements and the
+    history entries after it, plus a Counter of what perfbench counts and
+    of how often a decision fell exactly on a boundary.
+    """
+    history = TemporalHistory(cfg.K)   # only push and entries are used
+    counts = Counter()
+    frames = []
+    for scan in scans:
+        measurements: list[Measurement] = []
+        roi = roi_filter(scan, cfg)
+        clusters = []
+        if len(roi):
+            down = voxel_downsample(roi.points, cfg.voxel)
+            r = float(np.linalg.norm(down, axis=1).mean())
+            clusters = dbscan(down, adaptive_epsilon(r, cfg), cfg.min_pts)
+        counts["clusters"] += len(clusters)
+        accepted: list[np.ndarray] = []
+        for c in clusters:
+            if not validate_geometric(c, cfg):
+                counts["layer1_reject"] += 1
+                continue
+            z_local = estimate_centroid(c)
+            z = scan.pose.rotation @ z_local + scan.pose.translation
+            entries = history.entries()
+            prev = None
+            if entries:
+                dists = [np.linalg.norm(z - pos) for pos, _ in entries]
+                counts["nearest_tie"] += dists.count(min(dists)) > 1
+                prev = entries[int(np.argmin(dists))]
+            if prev is not None:
+                dist = float(np.linalg.norm(z - prev[0]))
+                counts["at_new_source"] += dist == cfg.d_new_source
+                if dist <= cfg.d_new_source:
+                    dt = scan.t - prev[1]
+                    counts["at_jump_bound"] += dist == max(cfg.tau_min,
+                                                           cfg.v_max * dt)
+                    if dt <= 0 or not validate_jump(z, prev[0], dt, cfg):
+                        counts["layer2_reject"] += 1
+                        continue
+            if cfg.layer3_enabled and not validate_temporal(z, scan.t,
+                                                            history, cfg):
+                counts["layer3_reject"] += 1
+                accepted.append(z)  # still a candidate for future frames
+                continue
+            accepted.append(z)
+            measurements.append(Measurement(t=scan.t, position=z,
+                                            support=c.count))
+        for z in accepted:
+            history.push(z, scan.t)
+        counts["measurements"] += len(measurements)
+        frames.append((measurements, history.entries()))
+    return frames, counts
 
 
 class TestRoiFilter:
@@ -203,23 +266,31 @@ class TestDbscan:
 class TestTemporalHistory:
     @staticmethod
     def brute_nearest(hist, pos):
-        entries = hist.entries()
-        dists = [np.linalg.norm(pos - e[0]) for e in entries]
-        return entries[int(np.argmin(dists))]
+        """Index of the first entry with the least per-entry norm, and it."""
+        dists = [np.linalg.norm(pos - e[0]) for e in hist.entries()]
+        k = int(np.argmin(dists))
+        return k, dists[k]
+
+    def assert_matches_brute(self, hist, queries):
+        idx, dist = hist.nearest(queries)
+        assert idx.shape == dist.shape == (len(queries),)
+        for q, k, d in zip(queries, idx, dist):
+            want_k, want_d = self.brute_nearest(hist, q)
+            assert k == want_k and d.tobytes() == want_d.tobytes()
 
     def test_matches_brute_force_loop(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             K = int(rng.integers(1, 8))
             hist = TemporalHistory(K)
-            assert hist.nearest(np.zeros(3)) is None
+            idx, dist = hist.nearest(np.zeros((2, 3)))
+            assert idx.tolist() == [-1, -1] and dist.tolist() == [np.inf] * 2
             t = 0.0
             for _ in range(int(rng.integers(1, 3 * K + 2))):
                 t += float(rng.uniform(0.0, 0.2))
                 hist.push(rng.uniform(-5, 5, 3), t)  # evicts once full
                 assert len(hist) <= K
-                for q in rng.uniform(-6, 6, size=(3, 3)):
-                    assert hist.nearest(q) is self.brute_nearest(hist, q)
+                self.assert_matches_brute(hist, rng.uniform(-6, 6, size=(3, 3)))
         # offsets that permute one vector are equally far in exact
         # arithmetic, so the choice rests on how each distance rounds
         for _ in range(40):
@@ -227,15 +298,16 @@ class TestTemporalHistory:
             hist = TemporalHistory(6)
             for perm in itertools.permutations(range(3)):
                 hist.push(q + v[list(perm)], 0.0)
-            assert hist.nearest(q) is self.brute_nearest(hist, q)
+            self.assert_matches_brute(hist, np.stack([q, q + 1e-3 * v]))
 
     def test_tie_returns_earliest(self):
         hist = TemporalHistory(4)
         for x, t in ((9.0, 0.0), (1.0, 0.1), (-1.0, 0.2), (1.0, 0.3), (9.0, 0.4)):
             hist.push(np.array([x, 0.0, 0.0]), t)
         # (9, 0, 0) at t=0 was evicted; three entries are 1 m from the origin
-        assert hist.nearest(np.zeros(3))[1] == 0.1
-        assert hist.nearest(np.array([1.0, 0.0, 0.0]))[1] == 0.1
+        idx, dist = hist.nearest(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        assert [hist.entries()[k][1] for k in idx] == [0.1, 0.1]
+        assert dist.tolist() == [1.0, 0.0]
 
 
 class TestValidationLayers:
@@ -403,3 +475,115 @@ class TestDetectorPipeline:
             DetectorConfig(n_min=5, n_max=2)
         with pytest.raises(ValidationError):
             DetectorConfig(M=4, K=3)
+
+
+# Exact streams: anchors on a dyadic grid under one signed-permutation pose,
+# so centroid distances are exact and can land on a decision boundary.
+# Object offsets between scans have norms 0.5, 1.25, 2.5 and 5.0
+# (= d_new_source); scan steps of 1/16, 1/8 and 1/4 s give jump bounds
+# max(0.5, 10 dt) of 0.625, 1.25 and 2.5.
+OFFSETS = ((0.5, 0.0), (0.75, 1.0), (1.5, 2.0), (3.0, 4.0))
+DTS = (0.0625, 0.125, 0.25)
+# z offsets of 1 to 4 points whose mean (2 points) or median is 0, so a
+# cluster's centroid is its anchor
+SHAPES = ([0.0], [-0.125, 0.125], [-0.125, 0.0, 0.125],
+          [-0.1875, -0.0625, 0.0625, 0.1875])
+PROPER_SIGNED_PERMUTATIONS = [
+    R for R in (np.diag(s)[list(p)] for p in itertools.permutations(range(3))
+                for s in itertools.product((1.0, -1.0), repeat=3))
+    if np.linalg.det(R) > 0]
+
+
+def object_points(anchor, size):
+    return np.array([anchor]) + np.outer(SHAPES[size - 1], [0.0, 0.0, 1.0])
+
+
+@st.composite
+def streams(draw):
+    """(cfg, scans): objects that appear fresh, follow an object of the last
+    scan by an offset above, or sit midway between two of them."""
+    cfg = DetectorConfig(eps0=0.3, voxel=0.05,
+                         min_pts=draw(st.integers(1, 3)),
+                         n_min=draw(st.integers(1, 2)),
+                         layer3_enabled=draw(st.booleans()),
+                         K=draw(st.integers(2, 6)), M=draw(st.integers(1, 2)))
+    exact = draw(st.booleans())
+    if exact:
+        pose = Pose(0.5 * np.array(draw(st.tuples(*[st.integers(-8, 8)] * 3)),
+                                   dtype=float),
+                    draw(st.sampled_from(PROPER_SIGNED_PERMUTATIONS)))
+    t, prev, scans = 0.0, [], []
+    for _ in range(draw(st.integers(1, 6))):
+        t += draw(st.sampled_from(DTS))
+        anchors = []
+        for _ in range(draw(st.integers(0, 5))):
+            how = draw(st.sampled_from(("fresh", "follow", "midway")))
+            if how == "follow" and prev:
+                a = draw(st.sampled_from(prev))
+                dx, dy = draw(st.sampled_from(OFFSETS))
+                if draw(st.booleans()):
+                    dx, dy = dy, dx
+                sx, sy = draw(st.sampled_from(((1, 1), (1, -1), (-1, 1),
+                                               (-1, -1))))
+                anchors.append((a[0] + sx * dx, a[1] + sy * dy, a[2]))
+            elif how == "midway" and len(prev) >= 2:
+                a, b = draw(st.permutations(prev))[:2]
+                anchors.append(tuple((p + q) / 2 for p, q in zip(a, b)))
+            else:
+                anchors.append((8.0 + 0.5 * draw(st.integers(-8, 8)),
+                                0.5 * draw(st.integers(-8, 8)),
+                                2.0 + 0.5 * draw(st.integers(0, 4))))
+        pts = [object_points(a, draw(st.integers(1, 4))) for a in anchors]
+        if not exact:
+            # jitter the points too, so centroids round
+            seed = draw(st.integers(0, 2**32 - 1))
+            rng = np.random.default_rng(seed)
+            pts = [p + rng.normal(scale=0.01, size=p.shape) for p in pts]
+            pose = Pose(rng.normal(scale=20.0, size=3),
+                        Rotation.random(random_state=seed).as_matrix())
+        scans.append(Scan(t=t, points=np.vstack(pts) if pts
+                          else np.zeros((0, 3)), pose=pose))
+        prev = anchors
+    return cfg, scans
+
+
+def assert_detect_matches_reference(cfg, scans):
+    """Run `Detector.detect` and `reference_detect`; return the latter's
+    counts after requiring byte-equal output and history on every scan."""
+    want, counts = reference_detect(cfg, scans)
+    det = Detector(cfg)
+    for scan, (want_ms, want_hist) in zip(scans, want):
+        got = det.detect(scan)
+        assert [(m.t, m.support, m.position.tobytes()) for m in got] == [
+            (m.t, m.support, m.position.tobytes()) for m in want_ms]
+        assert [(t, p.tobytes()) for p, t in det.history.entries()] == [
+            (t, p.tobytes()) for p, t in want_hist]
+    return counts
+
+
+class TestBatchedDetect:
+    """`Detector.detect` against the per-cluster `reference_detect`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams())
+    def test_matches_reference(self, stream):
+        assert_detect_matches_reference(*stream)
+
+    def test_boundaries_reached(self):
+        # One exact stream. Scan 2: C is 5 m (= d_new_source) from A, so
+        # layer 2 checks and rejects it; D is 1.25 m from B, the jump bound
+        # of a 1/8 s step, and passes. Scan 3: E is midway between A and D.
+        cfg = DetectorConfig(eps0=0.3, voxel=0.05, min_pts=1)
+        pose = Pose(np.array([1.0, -2.0, 0.5]), PROPER_SIGNED_PERMUTATIONS[5])
+        frames = [[(8.0, 0.0, 2.0), (8.0, -4.0, 2.0)],          # A, B
+                  [(11.0, 4.0, 2.0), (8.75, -3.0, 2.0)],        # C, D
+                  [(8.375, -1.5, 2.0)]]                         # E
+        scans = [Scan(t=0.125 * (k + 1), pose=pose, points=np.vstack(
+            [object_points(a, 1 + k) for a in anchors]))
+            for k, anchors in enumerate(frames)]
+        counts = assert_detect_matches_reference(cfg, scans)
+        assert counts["at_new_source"] == 1
+        assert counts["at_jump_bound"] == 1
+        assert counts["nearest_tie"] == 1
+        assert counts["layer2_reject"] == 1
+        assert counts["measurements"] == 4

@@ -93,6 +93,29 @@ def test_invalid_scan_record(tmp_path):
         stio.read_scans(path)
 
 
+def test_repeated_pose_is_checked_once_by_bits(tmp_path):
+    def line(translation, rotation):
+        return json.dumps({"t": 0.0, "points": [], "pose": {
+            "translation": translation, "rotation": rotation}}) + "\n"
+
+    eye, neg = np.eye(3).tolist(), np.eye(3).tolist()
+    neg[0][1] = -0.0
+    path = tmp_path / "scans.jsonl"
+    path.write_text(line([0.0, 0, 0], eye) + line([0.0, 0, 0], eye)
+                    + line([-0.0, 0, 0], eye) + line([-0.0, 0, 0], eye)
+                    + line([-0.0, 0, 0], neg))
+    a, b, c, d, e = (s.pose for s in stio.read_scans(path))
+    # a pose is reused only when its bits repeat, so -0.0 is not 0.0
+    assert b is a and d is c and c is not b and e is not d
+    assert np.signbit(c.translation[0]) and not np.signbit(b.translation[0])
+    assert np.signbit(e.rotation[0, 1])
+    # a pose that differs from the last checked one is checked again
+    path.write_text(line([0.0, 0, 0], eye)
+                    + line([0.0, 0, 0], (2 * np.eye(3)).tolist()))
+    with pytest.raises(stio.DataError, match=r":2: invalid scan \(rotation"):
+        stio.read_scans(path)
+
+
 def test_identity_change_rejected(tmp_path):
     path = tmp_path / "truth.jsonl"
     rec1 = ('{"t": 0.0, "targets": [{"id": 0, "pos": [0,0,0], "vel": [0,0,0],'

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsetrack.core import Measurement, ValidationError
+from sparsetrack import association
+from sparsetrack.association import AssociationComplexityError, jpda
+from sparsetrack.core import Measurement, NumericalError, ValidationError
 from sparsetrack.filter import imm_init, FilterConfig
 from sparsetrack.trackman import (CONFIRMED, DELETED, DORMANT, TENTATIVE,
                                   Track, Tracker, TrackerConfig,
@@ -196,3 +202,59 @@ class TestConfig:
             TrackerConfig(confirm_hits=0)
         with pytest.raises(ValidationError):
             TrackerConfig(init_min_separation=0.0)
+
+
+# Measurement streams: points either anywhere in a 40 m box or on a coarse
+# grid, so gates overlap, tracks share detections and JPDA splits beta.
+_coord = st.floats(-20.0, 20.0, allow_nan=False)
+_point = st.one_of(st.tuples(_coord, _coord, _coord),
+                   st.tuples(*[st.sampled_from((-1.0, 0.0, 0.5, 1.0))] * 3))
+_streams = st.lists(st.tuples(st.sampled_from((0.05, 0.1, 0.5)),
+                              st.lists(_point, max_size=4)),
+                    min_size=1, max_size=30)
+
+
+class TestTrackerStreams:
+    """Random streams through both modes keep the tracker's invariants."""
+
+    @pytest.mark.parametrize("mode", ["hungarian", "jpda"])
+    @settings(max_examples=60, deadline=None)
+    @given(stream=_streams, confirm=st.integers(1, 3),
+           misses=st.integers(1, 4), dormant=st.integers(1, 4))
+    def test_invariants(self, mode, stream, confirm, misses, dormant):
+        cfg = TrackerConfig(association_mode=mode, confirm_hits=confirm,
+                            max_misses_active=misses,
+                            max_misses_dormant=dormant)
+        tracker = Tracker(cfg)
+        betas = []
+
+        def recording_jpda(*args, **kwargs):
+            betas.append(jpda(*args, **kwargs))
+            return betas[-1]
+
+        spawned, deleted, t = [], set(), 0.0
+        with mock.patch.object(association, "jpda", recording_jpda):
+            for dt, points in stream:
+                t += dt
+                try:
+                    rec = tracker.step([meas(p, t) for p in points], t)
+                except (NumericalError, AssociationComplexityError):
+                    break  # the documented numeric failures
+                ids = [tr["id"] for tr in rec.tracks]
+                assert len(set(ids)) == len(ids)
+                # ids are handed out once, in order, and never come back
+                assert rec.spawned == list(range(len(spawned),
+                                                 len(spawned) + len(rec.spawned)))
+                spawned += rec.spawned
+                assert not deleted & (set(ids) | set(rec.resurrected))
+                deleted |= set(rec.deleted)
+                assert not deleted & set(ids)
+                for tr in tracker.tracks:
+                    for P in (*tr.imm.P, tr.imm.fused.P):
+                        assert np.array_equal(P, P.T)
+                        assert np.linalg.eigvalsh(P).min() >= -1e-9 * max(
+                            1.0, np.abs(P).max())
+        for beta in betas:
+            assert (beta >= 0).all()
+            assert np.allclose(beta.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        assert mode == "jpda" or not betas
