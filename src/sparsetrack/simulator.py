@@ -1,5 +1,8 @@
 """Two-target scenario generation and the sparse-return sensor model.
 
+Each scenario kind is one row of `SCENARIOS`: its default frame count, the
+x drift of the pair's centre and its offset law. Target 0 sits at the centre
+plus the offset, target 1 at the centre minus it, both near 10 m altitude.
 Trajectories are analytic (sums of sinusoids) so positions and velocities
 are exact and C1-smooth; only the measurement statistics matter for the
 association-ambiguity regimes. The observer is static at the origin by
@@ -9,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,15 +24,47 @@ CROSSINGS = "crossings"
 SEPARATED = "separated"
 MODERATE = "moderate"
 
-KINDS = (OCCLUSION, CROSSINGS, SEPARATED, MODERATE)
 
-# Default frame counts per scenario kind.
-DEFAULT_FRAMES = {
-    OCCLUSION: 968,
-    CROSSINGS: 1708,
-    SEPARATED: 832,
-    MODERATE: 1305,
+def _sinusoid(t: np.ndarray, amp: float, omega: float, phase: float = 0.0
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Position and exact velocity of amp*sin(omega*t + phase)."""
+    return amp * np.sin(omega * t + phase), amp * omega * np.cos(omega * t + phase)
+
+
+def _y_gap(gap: float, t, T) -> tuple:
+    """A constant y gap of `gap` m."""
+    return 0.0, 0.0, gap / 2, 0.0
+
+
+def _x_swing(amp: float, min_omega: float, y_half: float, t, T) -> tuple:
+    """An x gap of amp*sin(omega*t), at least 1.25 cycles per stream so the
+    x order swaps twice, with a ±y_half split in y."""
+    rel, vrel = _sinusoid(t, amp, max(min_omega, 2.5 * math.pi / T))
+    return rel / 2, vrel / 2, y_half, 0.0
+
+
+def _y_breathe(mean: float, amp: float, min_omega: float, t, T) -> tuple:
+    """A y gap of mean + amp*cos(omega*t), one full cycle per stream."""
+    omega = max(min_omega, 2.0 * math.pi / T)
+    return (0.0, 0.0, (mean + amp * np.cos(omega * t)) / 2,
+            -amp * omega * np.sin(omega * t) / 2)
+
+
+class _Kind(NamedTuple):
+    frames: int                  # default stream length
+    drift: tuple[float, float]   # centre x drift: amplitude (m), omega (rad/s)
+    # offset law: (times t, stream length T) -> target 0's offset (x, vx, y, vy)
+    offset: Callable[[np.ndarray, float], tuple]
+
+
+SCENARIOS = {
+    OCCLUSION: _Kind(968, (3.0, 0.08), partial(_y_gap, 12.0)),
+    CROSSINGS: _Kind(1708, (6.0, 0.12), partial(_x_swing, 2.5, 0.6, 0.15)),
+    SEPARATED: _Kind(832, (8.0, 0.15), partial(_y_gap, 8.0)),
+    MODERATE: _Kind(1305, (6.0, 0.1), partial(_y_breathe, 4.5, 2.6, 0.1)),
 }
+KINDS = tuple(SCENARIOS)
+DEFAULT_FRAMES = {kind: row.frames for kind, row in SCENARIOS.items()}
 
 
 @dataclass(frozen=True)
@@ -43,15 +80,18 @@ class SensorModel:
     occlusion_windows: tuple[tuple[float, float, int], ...] = ()
 
     def __post_init__(self):
+        # each test is written so that NaN fails it
         if not (0.0 <= self.p_hit <= 1.0):
             raise ValidationError("p_hit must be in [0, 1]")
-        if self.sigma_meas <= 0:
-            raise ValidationError("sigma_meas must be positive")
+        if not (0.0 < self.sigma_meas < math.inf):
+            raise ValidationError("sigma_meas must be finite and positive")
+        if not (0.0 <= self.clutter_rate < math.inf):
+            raise ValidationError("clutter_rate must be finite and >= 0")
         probs = np.array(list(self.n_return_dist.values()), dtype=float)
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValidationError("n_return_dist must be a distribution")
-        if any(int(k) < 1 for k in self.n_return_dist):
-            raise ValidationError("return counts must be >= 1")
+        if any(type(k) is not int or k < 1 for k in self.n_return_dist):
+            raise ValidationError("return counts must be integers >= 1")
 
 
 # Sensor used by the tracking scenarios: the per-target return count can
@@ -68,105 +108,65 @@ TRACKING_SENSOR = SensorModel(
 @dataclass(frozen=True)
 class Scenario:
     kind: str
-    n_frames: int | None = None
+    n_frames: int | None = None  # None: the kind's default
     dt: float = 0.1
     seed: int = 0
-    sensor: SensorModel | None = None
-    params: dict = field(default_factory=dict)
+    sensor: SensorModel = TRACKING_SENSOR
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SCENARIOS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
-        n = self.n_frames if self.n_frames is not None else DEFAULT_FRAMES[self.kind]
-        if n <= 0:
-            raise ValidationError("n_frames must be positive")
+        n = SCENARIOS[self.kind].frames if self.n_frames is None else self.n_frames
+        if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+            raise ValidationError(f"n_frames must be a positive integer, got {n!r}")
+        if not (self.dt > 0 and math.isfinite(n * self.dt)):
+            raise ValidationError(f"dt must be positive with n_frames * dt "
+                                  f"finite, got dt={self.dt!r}")
         object.__setattr__(self, "n_frames", n)
-        if self.sensor is None:
-            object.__setattr__(self, "sensor", TRACKING_SENSOR)
 
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Aligned per-frame truth for two identity-labeled targets."""
+    """Aligned per-frame truth for N identity-labeled targets."""
 
     t: np.ndarray          # (F,)
-    positions: np.ndarray  # (F, 2, 3) global frame
-    velocities: np.ndarray  # (F, 2, 3)
-    visible: np.ndarray    # (F, 2) bool
-    ids: tuple[int, int] = (0, 1)
+    positions: np.ndarray  # (F, N, 3) global frame
+    velocities: np.ndarray  # (F, N, 3)
+    visible: np.ndarray    # (F, N) bool
+    ids: tuple[int, ...] | None = None  # None: 0, 1, ..., N-1
+
+    def __post_init__(self):
+        n = self.positions.shape[1]
+        if self.ids is None:
+            object.__setattr__(self, "ids", tuple(range(n)))
+        elif len(self.ids) != n:
+            raise ValidationError(f"{len(self.ids)} ids for {n} targets")
 
     @property
     def n_frames(self) -> int:
         return len(self.t)
 
 
-def _sinusoid(t: np.ndarray, amp: float, omega: float, phase: float = 0.0
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Position and exact velocity of amp*sin(omega*t + phase)."""
-    return amp * np.sin(omega * t + phase), amp * omega * np.cos(omega * t + phase)
-
-
-def _trajectories(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, velocities), each (F, 2, 3)."""
-    t = np.arange(sc.n_frames) * sc.dt
-    T = sc.n_frames * sc.dt
-    p = sc.params
-    z0 = p.get("altitude", 10.0)
-    pos = np.zeros((sc.n_frames, 2, 3))
-    vel = np.zeros((sc.n_frames, 2, 3))
-
+def _trajectories(sc: Scenario, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, velocities), each (F, 2, 3), at times t."""
+    row = SCENARIOS[sc.kind]
+    xc, vxc = _sinusoid(t, *row.drift)
+    ox, vox, oy, voy = row.offset(t, sc.n_frames * sc.dt)
+    pos = np.zeros((len(t), 2, 3))
+    vel = np.zeros((len(t), 2, 3))
+    pos[:, 0, 0], vel[:, 0, 0] = xc + ox, vxc + vox
+    pos[:, 1, 0], vel[:, 1, 0] = xc - ox, vxc - vox
+    pos[:, 0, 1], vel[:, 0, 1] = oy, voy
+    # 0.0 - oy, not -oy: a zero offset or rate stays +0.0 on target 1
+    pos[:, 1, 1], vel[:, 1, 1] = 0.0 - oy, 0.0 - voy
     # shared gentle altitude variation keeps trajectories 3D
-    za, zv = _sinusoid(t, 0.4, 0.07)
-    zb, zvb = _sinusoid(t, 0.4, 0.07, phase=1.3)
-
-    if sc.kind == SEPARATED:
-        xc, vxc = _sinusoid(t, p.get("drift_amp", 8.0), p.get("drift_omega", 0.15))
-        gap = p.get("y_gap", 8.0)
-        for i, (ys, zz, zzv) in enumerate(((gap / 2, za, zv),
-                                           (-gap / 2, zb, zvb))):
-            pos[:, i, 0], vel[:, i, 0] = xc, vxc
-            pos[:, i, 1] = ys
-            pos[:, i, 2], vel[:, i, 2] = z0 + zz, zzv
-    elif sc.kind == CROSSINGS:
-        xc, vxc = _sinusoid(t, p.get("drift_amp", 6.0), p.get("drift_omega", 0.12))
-        # the default rate guarantees >= 2 x-order swaps on short streams
-        rel, vrel = _sinusoid(t, p.get("cross_amp", 2.5),
-                              p.get("cross_omega",
-                                    max(0.6, 2.5 * math.pi / T)))
-        y_half = p.get("y_half", 0.15)
-        pos[:, 0, 0], vel[:, 0, 0] = xc + rel / 2, vxc + vrel / 2
-        pos[:, 1, 0], vel[:, 1, 0] = xc - rel / 2, vxc - vrel / 2
-        pos[:, 0, 1], pos[:, 1, 1] = y_half, -y_half
-        pos[:, 0, 2], vel[:, 0, 2] = z0 + za, zv
-        pos[:, 1, 2], vel[:, 1, 2] = z0 + zb, zvb
-    elif sc.kind == MODERATE:
-        xc, vxc = _sinusoid(t, p.get("drift_amp", 6.0), p.get("drift_omega", 0.1))
-        mean_sep = p.get("mean_sep", 4.5)
-        sep_amp = p.get("sep_amp", 2.6)
-        # a full separation cycle always fits in the stream
-        omega = p.get("sep_omega", max(0.1, 2.0 * math.pi / T))
-        sep = mean_sep + sep_amp * np.cos(omega * t)
-        dsep = -sep_amp * omega * np.sin(omega * t)
-        pos[:, 0, 0], vel[:, 0, 0] = xc, vxc
-        pos[:, 1, 0], vel[:, 1, 0] = xc, vxc
-        pos[:, 0, 1], vel[:, 0, 1] = sep / 2, dsep / 2
-        pos[:, 1, 1], vel[:, 1, 1] = -sep / 2, -dsep / 2
-        pos[:, 0, 2], vel[:, 0, 2] = z0 + za, zv
-        pos[:, 1, 2], vel[:, 1, 2] = z0 + zb, zvb
-    else:  # OCCLUSION: well-separated slow targets
-        xc, vxc = _sinusoid(t, p.get("drift_amp", 3.0), p.get("drift_omega", 0.08))
-        gap = p.get("y_gap", 12.0)
-        for i, (ys, zz, zzv) in enumerate(((gap / 2, za, zv),
-                                           (-gap / 2, zb, zvb))):
-            pos[:, i, 0], vel[:, i, 0] = xc, vxc
-            pos[:, i, 1] = ys
-            pos[:, i, 2], vel[:, i, 2] = z0 + zz, zzv
+    for i, phase in enumerate((0.0, 1.3)):
+        z, vz = _sinusoid(t, 0.4, 0.07, phase)
+        pos[:, i, 2], vel[:, i, 2] = 10.0 + z, vz
     return pos, vel
 
 
-def _occlusion_windows(sc: Scenario, rng: np.random.Generator
+def _occlusion_windows(sc: Scenario, n_targets: int, rng: np.random.Generator
                        ) -> tuple[tuple[float, float, int], ...]:
     """One 3-5 s forced detection gap per target, clear of stream edges."""
     T = sc.n_frames * sc.dt
@@ -174,7 +174,7 @@ def _occlusion_windows(sc: Scenario, rng: np.random.Generator
         raise ValidationError(
             "occlusion scenario needs at least 4 s of stream for a 3 s gap")
     windows = []
-    for target in (0, 1):
+    for target in range(n_targets):
         dur = float(rng.uniform(3.0, min(5.0, 0.8 * T)))
         lo, hi = 0.1 * T, max(0.1 * T + sc.dt, 0.9 * T - dur)
         start = float(rng.uniform(lo, hi))
@@ -187,12 +187,12 @@ def gen_trajectories(sc: Scenario,
     """Ground-truth trajectories honoring the scenario separation contract."""
     if rng is None:
         rng = np.random.default_rng(sc.seed)
-    pos, vel = _trajectories(sc)
     t = np.arange(sc.n_frames) * sc.dt
-    visible = np.ones((sc.n_frames, 2), dtype=bool)
+    pos, vel = _trajectories(sc, t)
+    visible = np.ones(pos.shape[:2], dtype=bool)
     windows = sc.sensor.occlusion_windows
     if sc.kind == OCCLUSION and not windows:
-        windows = _occlusion_windows(sc, rng)
+        windows = _occlusion_windows(sc, pos.shape[1], rng)
     for (start, end, target) in windows:
         visible[(t >= start) & (t < end), target] = False
     gt = GroundTruth(t=t, positions=pos, velocities=vel, visible=visible)
@@ -212,8 +212,7 @@ def _check_contract(sc: Scenario, gt: GroundTruth) -> None:
     if sc.kind == MODERATE and (sep.min() >= 3.0 or sep.max() <= 5.0):
         raise ValidationError("moderate scenario needs close and far phases")
     if sc.kind == OCCLUSION:
-        for target in (0, 1):
-            vis = gt.visible[:, target]
+        for vis in gt.visible.T:
             runs = _longest_false_run(vis)
             if runs * sc.dt < 3.0 - 1e-9:
                 raise ValidationError("occlusion gap shorter than 3 s")

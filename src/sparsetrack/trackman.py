@@ -54,8 +54,6 @@ class Track:
     id: int
     imm: IMMState
     status: str
-    created_at: float
-    hits: int = 0
     misses: int = 0
     consec_hits: int = 0
     last_confident: tuple[np.ndarray, float] | None = None
@@ -87,7 +85,6 @@ def lifecycle_advance(track: Track, hit: bool, cfg: TrackerConfig) -> str:
     if track.status == DELETED:
         raise ValidationError("cannot advance a deleted track")
     if hit:
-        track.hits += 1
         track.consec_hits += 1
         track.misses = 0
         if track.status == TENTATIVE and track.consec_hits >= cfg.confirm_hits:
@@ -116,9 +113,9 @@ class Tracker:
 
     # -- internals ---------------------------------------------------------
 
-    def _new_track(self, position: np.ndarray, t: float) -> Track:
+    def _new_track(self, position: np.ndarray) -> Track:
         tr = Track(id=self._next_id, imm=imm_init(position, self.cfg.filter),
-                   status=TENTATIVE, created_at=t)
+                   status=TENTATIVE)
         self._next_id += 1
         return tr
 
@@ -226,7 +223,6 @@ class Tracker:
                 tr.status = CONFIRMED
                 tr.misses = 0
                 tr.consec_hits = 1
-                tr.hits += 1
                 tr.last_confident = (dets[best_j].copy(), t)
                 resurrected.append(tr.id)
                 assignments.append((tr.id, best_j))
@@ -241,7 +237,7 @@ class Tracker:
             if any(np.linalg.norm(p - q) < cfg.init_min_separation
                    for q in live_positions):
                 continue
-            tr = self._new_track(p, t)
+            tr = self._new_track(p)
             self.tracks.append(tr)
             live_positions.append(tr.position)
             spawned.append(tr.id)

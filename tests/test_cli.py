@@ -44,6 +44,13 @@ class TestSimulate:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("dt", ["nan", "1e308", "0"])
+    def test_invalid_dt_usage_error(self, runner, tmp_path, dt):
+        res = runner.invoke(main, ["simulate", "--kind", "separated",
+                                   "--dt", dt, "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "dt" in res.output
+
 
 class TestDetect:
     def test_preset_with_report(self, runner, tmp_path):

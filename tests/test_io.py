@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from sparsetrack import io as stio
 from sparsetrack.cli import main
-from sparsetrack.core import Measurement, Pose, Scan
+from sparsetrack.core import Measurement, Pose, Scan, ValidationError
 from sparsetrack.simulator import (GroundTruth, Scenario, gen_trajectories,
                                    run_scenario)
 from sparsetrack.trackman import FrameRecord, TrackerConfig, run_tracker
@@ -45,6 +45,30 @@ def test_ground_truth_roundtrip(tmp_path, small_run):
     assert np.array_equal(gt.velocities, back.velocities)
     assert np.array_equal(gt.visible, back.visible)
     assert gt.ids == back.ids
+
+
+@pytest.mark.parametrize("n_targets", [1, 3])
+def test_ground_truth_roundtrip_any_target_count(tmp_path, n_targets):
+    rng = np.random.default_rng(n_targets)
+    gt = GroundTruth(t=np.arange(4) * 0.1,
+                     positions=rng.standard_normal((4, n_targets, 3)),
+                     velocities=rng.standard_normal((4, n_targets, 3)),
+                     visible=rng.random((4, n_targets)) < 0.5)
+    assert gt.ids == tuple(range(n_targets))
+    path = tmp_path / "truth.jsonl"
+    stio.write_ground_truth(gt, path)
+    back = stio.read_ground_truth(path)
+    assert back.ids == gt.ids
+    assert np.array_equal(gt.positions, back.positions)
+    assert np.array_equal(gt.velocities, back.velocities)
+    assert np.array_equal(gt.visible, back.visible)
+
+
+def test_ground_truth_ids_length_checked():
+    with pytest.raises(ValidationError, match="ids"):
+        GroundTruth(t=np.zeros(1), positions=np.zeros((1, 2, 3)),
+                    velocities=np.zeros((1, 2, 3)),
+                    visible=np.ones((1, 2), dtype=bool), ids=(0, 1, 2))
 
 
 def test_measurement_roundtrip(tmp_path):

@@ -23,9 +23,14 @@ class TestScenarioDefaults:
         with pytest.raises(ValidationError):
             Scenario(kind="swarm")
 
-    def test_bad_dt(self):
-        with pytest.raises(ValidationError):
-            Scenario(kind=SEPARATED, dt=0.0)
+    @pytest.mark.parametrize("field,value", [
+        ("dt", 0.0), ("dt", float("nan")), ("dt", float("inf")),
+        ("dt", 1e308), ("n_frames", 0), ("n_frames", 1.5),
+        ("n_frames", True), ("n_frames", "10"),
+    ])
+    def test_bad_dt(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            Scenario(kind=SEPARATED, **{field: value})
 
 
 class TestTrajectoryContracts:
@@ -137,6 +142,20 @@ class TestSampleScan:
             SensorModel(n_return_dist={1: 0.5, 2: 0.6})
         with pytest.raises(ValidationError):
             SensorModel(n_return_dist={0: 1.0})
+        for key in (1.5, "1", True):
+            with pytest.raises(ValidationError, match="return counts"):
+                SensorModel(n_return_dist={key: 1.0})
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="clutter_rate"):
+                SensorModel(clutter_rate=bad)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="sigma_meas"):
+                SensorModel(sigma_meas=bad)
+        for dist in ({1: float("nan")}, {1: 0.5, 2: float("nan")},
+                     {1: float("inf")}):
+            with pytest.raises(ValidationError, match="n_return_dist"):
+                SensorModel(n_return_dist=dist)
+        assert SensorModel(clutter_rate=500.0).clutter_rate == 500.0
 
 
 class TestRunScenario:

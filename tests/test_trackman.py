@@ -19,8 +19,7 @@ def meas(pos, t):
 
 
 def make_track(status=TENTATIVE, pos=(0.0, 0.0, 0.0)):
-    return Track(id=0, imm=imm_init(pos, FilterConfig()), status=status,
-                 created_at=0.0)
+    return Track(id=0, imm=imm_init(pos, FilterConfig()), status=status)
 
 
 class TestLifecycle:
