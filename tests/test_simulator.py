@@ -23,12 +23,16 @@ class TestScenarioDefaults:
         with pytest.raises(ValidationError):
             Scenario(kind="swarm")
 
+    def test_bad_dt(self):
+        with pytest.raises(ValidationError):
+            Scenario(kind=SEPARATED, dt=0.0)
+
     @pytest.mark.parametrize("field,value", [
         ("dt", 0.0), ("dt", float("nan")), ("dt", float("inf")),
         ("dt", 1e308), ("n_frames", 0), ("n_frames", 1.5),
         ("n_frames", True), ("n_frames", "10"),
     ])
-    def test_bad_dt(self, field, value):
+    def test_bad_field(self, field, value):
         with pytest.raises(ValidationError, match=field):
             Scenario(kind=SEPARATED, **{field: value})
 
