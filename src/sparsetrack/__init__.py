@@ -7,8 +7,7 @@ from .detector import (Cluster, Detector, DetectorConfig, PRESETS,
                        estimate_centroid, get_preset, roi_filter,
                        validate_geometric, validate_jump, validate_temporal,
                        voxel_downsample)
-from .filter import (FilterConfig, IMMState, KState, imm_correct_pda, imm_init,
-                     imm_mix, imm_step, kf_predict, kf_update)
+from .filter import FilterConfig, IMMState, imm_correct_pda, imm_init, imm_mix
 from .association import (GateResult, JpdaParams, TrackView, build_cost, gate,
                           hungarian, jpda)
 from .trackman import (FrameRecord, Track, Tracker, TrackerConfig,

@@ -1,11 +1,12 @@
 """Mahalanobis gating and the two association strategies.
 
-`gate`/`build_cost`/`hungarian`/`jpda` operate on lightweight `TrackView`
-snapshots so they stay decoupled from track bookkeeping. The Hungarian
-solve is delegated to scipy's exact linear_sum_assignment; JPDA enumerates
-feasible joint events explicitly. Both strategies end in the same filter
-update, `filter.imm_correct_pda`: Hungarian passes the one-hot beta row of
-its assigned detection, JPDA each track's row of marginals.
+`gate`/`build_cost`/`hungarian`/`jpda` operate on a `TrackView`, one array
+row per track, so they stay decoupled from track bookkeeping and each runs
+once per frame for all tracks. The Hungarian solve is delegated to scipy's
+exact linear_sum_assignment; JPDA enumerates feasible joint events
+explicitly. Both strategies end in the same filter update,
+`filter.imm_correct_pda`: Hungarian passes the one-hot beta row of each
+track's assigned detection, JPDA each track's row of marginals.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from .core import ValidationError
 from .filter import _sym
 
 SENTINEL_COST = 1e9
+_LOG_2PI3 = 3 * math.log(2 * math.pi)
+_I3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -38,13 +41,17 @@ class JpdaParams:
 
 @dataclass(frozen=True)
 class TrackView:
-    """Per-track snapshot the association stage needs."""
+    """What the association stage needs of T tracks, one row per track."""
 
-    z_pred: np.ndarray                  # predicted measurement H x (3,)
-    S: np.ndarray                       # innovation covariance (3, 3)
-    velocity: np.ndarray | None = None
-    last_confident: tuple[np.ndarray, float] | None = None  # (position, t)
-    dormant: bool = False
+    z_pred: np.ndarray                  # (T, 3) predicted measurements H x
+    S: np.ndarray                       # (T, 3, 3) innovation covariances
+    velocity: np.ndarray | None = None  # (T, 3)
+    anchor: np.ndarray | None = None    # (T, 3) last confident position
+    anchor_t: np.ndarray | None = None  # (T,) its time; NaN: no anchor
+    dormant: np.ndarray | None = None   # (T,) bool: widened gate
+
+    def __len__(self) -> int:
+        return len(self.z_pred)
 
 
 @dataclass
@@ -55,61 +62,64 @@ class GateResult:
     notes: list[str] = field(default_factory=list)
 
 
-def gate(tracks: list[TrackView], detections: np.ndarray,
+def gate(tracks: TrackView, detections: np.ndarray,
          params: JpdaParams) -> GateResult:
-    """Chi-squared gating; dormant tracks use the widened gate."""
+    """Chi-squared gating of every track at once; dormant tracks use the
+    widened gate.
+
+    A track whose S is not positive definite (slogdet sign <= 0, or a
+    non-finite log-determinant) gets an infeasible row and one note. Such
+    an S is swapped for I before the one stacked inverse, so it cannot make
+    the inverse fail and the other rows are unaffected.
+    """
     dets = np.asarray(detections, dtype=float).reshape(-1, 3)
-    n, m = len(tracks), dets.shape[0]
-    d2 = np.full((n, m), np.inf)
-    loglik = np.full((n, m), -np.inf)
-    feasible = np.zeros((n, m), dtype=bool)
-    notes: list[str] = []
-    for i, tv in enumerate(tracks):
-        S = _sym(np.asarray(tv.S, dtype=float))
-        try:
-            Sinv = np.linalg.inv(S)
-            sign, logdet = np.linalg.slogdet(S)
-            if sign <= 0:
-                raise np.linalg.LinAlgError("non-PD innovation covariance")
-        except np.linalg.LinAlgError as exc:
-            notes.append(f"track {i}: singular S ({exc}); row infeasible")
-            continue
-        thresh = params.gamma * (params.dormant_gate_factor if tv.dormant else 1.0)
-        if m:
-            y = dets - tv.z_pred
-            q = np.einsum("ki,ij,kj->k", y, Sinv, y)
-            d2[i] = q
-            loglik[i] = -0.5 * (3 * math.log(2 * math.pi) + logdet + q)
-            feasible[i] = q <= thresh
-    return GateResult(d2=d2, feasible=feasible, loglik=loglik, notes=notes)
+    z = np.asarray(tracks.z_pred, dtype=float).reshape(-1, 3)
+    S = _sym(np.asarray(tracks.S, dtype=float).reshape(-1, 3, 3))
+    sign, logdet = np.linalg.slogdet(S)
+    ok = (sign > 0) & np.isfinite(logdet)
+    notes = [] if ok.all() else [
+        f"track {i}: singular S (slogdet sign {sign[i]:g}, "
+        f"logdet {logdet[i]:.3e}); row infeasible"
+        for i in np.flatnonzero(~ok).tolist()]
+    if notes:
+        S = np.where(ok[:, None, None], S, _I3)
+    y = dets - z[:, None]                               # (T, n, 3)
+    d2 = np.einsum("tki,tij,tkj->tk", y, np.linalg.inv(S), y)
+    loglik = -0.5 * (_LOG_2PI3 + logdet[:, None] + d2)
+    if notes:
+        d2[~ok] = np.inf
+        loglik[~ok] = -np.inf
+    limit = params.gamma if tracks.dormant is None else params.gamma * \
+        np.where(tracks.dormant, params.dormant_gate_factor, 1.0)[:, None]
+    return GateResult(d2=d2, feasible=d2 <= limit, loglik=loglik,
+                      notes=notes)
 
 
-def build_cost(tracks: list[TrackView], detections: np.ndarray,
+def build_cost(tracks: TrackView, detections: np.ndarray,
                gate_result: GateResult, weights: tuple[float, float, float],
                t_now: float | None = None) -> np.ndarray:
     """Cost = w_m * d2 + w_a * identity-anchor + w_v * velocity penalty.
 
-    Anchor and velocity terms vanish when a track has no confident history.
+    Anchor and velocity terms vanish for a track with no confident history.
     Infeasible pairs get the sentinel cost.
     """
     dets = np.asarray(detections, dtype=float).reshape(-1, 3)
     w_m, w_a, w_v = weights
-    n, m = gate_result.d2.shape
-    cost = np.full((n, m), SENTINEL_COST)
-    for i, tv in enumerate(tracks):
-        for j in range(m):
-            if not gate_result.feasible[i, j]:
-                continue
-            c = w_m * gate_result.d2[i, j]
-            if tv.last_confident is not None:
-                anchor_pos, anchor_t = tv.last_confident
-                c += w_a * float(np.linalg.norm(dets[j] - anchor_pos))
-                if (tv.velocity is not None and t_now is not None
-                        and t_now > anchor_t):
-                    implied_v = (dets[j] - anchor_pos) / (t_now - anchor_t)
-                    c += w_v * float(np.linalg.norm(implied_v - tv.velocity))
-            cost[i, j] = min(c, SENTINEL_COST - 1.0)
-    return cost
+    feasible = gate_result.feasible
+    cost = w_m * np.where(feasible, gate_result.d2, 0.0)
+    if tracks.anchor is not None:
+        anchor_t = np.asarray(tracks.anchor_t, dtype=float)
+        has = ~np.isnan(anchor_t)[:, None]
+        diff = dets - np.asarray(tracks.anchor, dtype=float)[:, None]
+        cost = cost + np.where(has, w_a * np.linalg.norm(diff, axis=2), 0.0)
+        if tracks.velocity is not None and t_now is not None:
+            lag = t_now - anchor_t
+            moving = lag > 0                            # False where NaN
+            implied = diff / np.where(moving, lag, 1.0)[:, None, None]
+            miss = np.linalg.norm(implied - tracks.velocity[:, None], axis=2)
+            cost = cost + np.where(moving[:, None], w_v * miss, 0.0)
+    return np.where(feasible, np.minimum(cost, SENTINEL_COST - 1.0),
+                    SENTINEL_COST)
 
 
 def hungarian(cost: np.ndarray
@@ -138,7 +148,7 @@ class AssociationComplexityError(RuntimeError):
     """Joint-event enumeration exceeded the configured cap."""
 
 
-def jpda(tracks: list[TrackView], detections: np.ndarray,
+def jpda(tracks: TrackView, detections: np.ndarray,
          gate_result: GateResult, params: JpdaParams) -> np.ndarray:
     """Marginal association probabilities by joint-event enumeration.
 
@@ -150,22 +160,24 @@ def jpda(tracks: list[TrackView], detections: np.ndarray,
     beta = np.zeros((n, m + 1))
     if n == 0:
         return beta
-    feas = gate_result.feasible
     # Per-pair event weight relative to the clutter hypothesis:
-    # assigned -> Pd * Lambda_ij / lambda_c, missed -> (1 - Pd).
+    # assigned -> Pd * Lambda_ij / lambda_c, missed -> (1 - Pd). The
+    # enumeration reads them as Python lists, which is faster than
+    # indexing arrays element by element and gives the same floats.
     with np.errstate(over="ignore"):
         w_pair = np.where(
-            feas,
+            gate_result.feasible,
             params.Pd * np.exp(gate_result.loglik) / params.lambda_c,
-            0.0)
+            0.0).tolist()
+    feas = gate_result.feasible.tolist()
     w_miss = 1.0 - params.Pd
     if w_miss == 0.0:
         w_miss = 1e-300  # Pd = 1: keep all-miss events representable
 
     total = 0.0
-    acc = np.zeros((n, m + 1))
-    used = np.zeros(m, dtype=bool)
-    choice = np.empty(n, dtype=int)
+    acc = [[0.0] * (m + 1) for _ in range(n)]
+    used = [False] * m
+    choice = [0] * n                  # column of acc: 0 miss, j + 1 det j
     count = 0
 
     def recurse(i: int, weight: float) -> None:
@@ -179,24 +191,24 @@ def jpda(tracks: list[TrackView], detections: np.ndarray,
                     f"joint-event count exceeded {params.max_events}; "
                     "tighten the gate or reduce track/detection density")
             total += weight
-            for ti in range(n):
-                acc[ti, choice[ti] + 1 if choice[ti] >= 0 else 0] += weight
+            for row, c in zip(acc, choice):
+                row[c] += weight
             return
-        choice[i] = -1
+        choice[i] = 0
         recurse(i + 1, weight * w_miss)
         for j in range(m):
-            if feas[i, j] and not used[j]:
+            if feas[i][j] and not used[j]:
                 used[j] = True
-                choice[i] = j
-                recurse(i + 1, weight * w_pair[i, j])
+                choice[i] = j + 1
+                recurse(i + 1, weight * w_pair[i][j])
                 used[j] = False
-        choice[i] = -1
+        choice[i] = 0
 
     recurse(0, 1.0)
     if total <= 0.0:
         beta[:, 0] = 1.0
         return beta
-    beta = acc / total
+    beta = np.array(acc) / total
     # Enforce exact row normalization against accumulation error.
     beta[:, 0] = 1.0 - beta[:, 1:].sum(axis=1)
     np.clip(beta, 0.0, 1.0, out=beta)

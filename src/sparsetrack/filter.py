@@ -1,116 +1,138 @@
-"""Constant-velocity Kalman sub-filters and the IMM cycle.
+"""Constant-velocity Kalman sub-filters and the IMM cycle, batched over tracks.
 
 State is 6-dimensional [position, velocity] in the global frame; the
 measurement is position only. The IMM runs three constant-velocity models
 that differ only in process-noise intensity (hover / cruise / evasive).
 
-The model bank is held as arrays, x (M, 6), P (M, 6, 6) and mu (M,), and
-each IMM stage is one batched operation over the models. Hungarian and JPDA
-tracking share one measurement update, `imm_correct_pda`. `KState`,
-`kf_predict` and `kf_update` are the single Kalman filter that the IMM
-reduces to with one model, kept as its reference. All functions return new
-states and leave their inputs unchanged.
+The model banks of T tracks are one set of arrays, x (T, M, 6),
+P (T, M, 6, 6) and mu (T, M), and each IMM stage is one batched operation
+over all tracks and models. Hungarian and JPDA tracking share one
+measurement update, `imm_correct_pda`. All functions return new banks and
+leave their inputs unchanged. An overflow inside a stage surfaces as a
+`NumericalError` from the result check; callers that do not want numpy's
+warnings as well run the stages under `np.errstate`, as `Tracker.step` does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, as_point, as_points
+from .core import NumericalError, ValidationError, as_points
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _I6 = np.eye(6)
 _H = np.eye(3, 6)            # position-only measurement matrix
-_HIT = np.array([0.0, 1.0])  # beta row of one certain detection
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
-@dataclass(frozen=True)
-class KState:
-    """Gaussian state: mean (6,) and covariance (6, 6)."""
-
-    x: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).reshape(6)
-        P = np.asarray(self.P, dtype=float).reshape(6, 6)
-        # summing propagates NaN/inf, so this is a cheap finiteness check
-        if not np.isfinite(x.sum() + P.sum()):
-            raise ValidationError("non-finite filter state")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "P", _sym(P))
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.x[:3]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.x[3:]
-
-
 def _moments(w: np.ndarray, x: np.ndarray, P: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Moment-matched mean and covariance of a mixture of the M models.
+    """Moment-matched means and covariances of mixtures of each track's models.
 
-    `w` holds mixture weights over the models: shape (M,) for one Gaussian,
-    (J, M) for J of them. `x` is (M, 6) and `P` is (M, 6, 6). The
-    covariance is left unsymmetrised; every caller symmetrises it later.
+    `w` (T, J, M) holds J sets of mixture weights over the M models of each
+    of T tracks; `x` is (T, M, 6) and `P` (T, M, 6, 6). Returns (T, J, 6)
+    and (T, J, 6, 6). The covariances are left unsymmetrised; every caller
+    symmetrises them later.
     """
+    t, m = x.shape[:2]
     xm = w @ x
-    d = x - xm[..., None, :]
-    Pm = (w @ P.reshape(len(x), 36)).reshape(xm.shape[:-1] + (6, 6))
+    d = x[:, None] - xm[:, :, None]                     # (T, J, M, 6)
+    Pm = (w @ P.reshape(t, m, 36)).reshape(xm.shape + (6,))
     return xm, Pm + (d * w[..., None]).swapaxes(-1, -2) @ d
 
 
-@dataclass(frozen=True)
 class IMMState:
-    """Model bank x (M, 6), P (M, 6, 6) with probabilities mu (M,).
+    """Model banks of T tracks: x (T, M, 6), P (T, M, 6, 6), mu (T, M).
 
-    The bank is validated and symmetrised once, here; `fused` is its
-    moment-matched fusion.
+    Row i of every array belongs to track i. A bank built from outside
+    arrays is validated and symmetrised once, here; `fused_x` (T, 6) and
+    `fused_P` (T, 6, 6) are each track's moment-matched fusion. Banks are
+    treated as immutable values.
     """
 
-    x: np.ndarray
-    P: np.ndarray
-    mu: np.ndarray
-    fused: KState = field(init=False)
+    __slots__ = ("x", "P", "mu", "fused_x", "fused_P")
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        P = np.asarray(self.P, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        m = len(mu) if mu.ndim == 1 else -1
-        if x.shape != (m, 6) or P.shape != (m, 6, 6):
-            raise ValidationError(
-                "model bank must be x (M, 6), P (M, 6, 6) and mu (M,)")
-        if (mu < -1e-12).any() or abs(mu.sum() - 1.0) > 1e-9:
+    def __init__(self, x, P, mu):
+        x = np.asarray(x, dtype=float)
+        P = np.asarray(P, dtype=float)
+        mu = np.asarray(mu, dtype=float)
+        if mu.ndim != 2 or x.shape != mu.shape + (6,) \
+                or P.shape != mu.shape + (6, 6):
+            raise ValidationError("model banks must be x (T, M, 6), "
+                                  "P (T, M, 6, 6) and mu (T, M)")
+        # each test is written so that NaN fails it
+        if not (np.minimum.reduce(mu, axis=None, initial=0.0) >= -1e-12
+                and np.maximum.reduce(np.abs(np.add.reduce(mu, 1) - 1.0),
+                                      initial=0.0) <= 1e-9):
             raise ValidationError("model probabilities must be a distribution")
-        if not np.isfinite(x.sum() + P.sum()):
+        # summing propagates NaN/inf, so this is a cheap finiteness check
+        if not np.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)):
             raise ValidationError("non-finite filter state")
-        mu = np.maximum(mu, 0.0)
+        self._fuse(x, P, np.maximum(mu, 0.0))
+
+    def _fuse(self, x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> None:
+        """Set the bank from checked arrays: symmetrise P and fuse."""
         P = _sym(P)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "fused", KState(*_moments(mu, x, P)))
+        fx, fP = _moments(mu[:, None], x, P)
+        self._set(x, P, mu, fx[:, 0], _sym(fP[:, 0]))
+
+    def _set(self, *arrays: np.ndarray) -> None:
+        for name, a in zip(self.__slots__, arrays):
+            setattr(self, name, a)
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.x, self.P, self.mu, self.fused_x, self.fused_P
+
+    @classmethod
+    def _of(cls, arrays) -> IMMState:
+        """A bank from the five arrays of valid banks, not checked again."""
+        s = object.__new__(cls)
+        s._set(*arrays)
+        return s
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def rows(self, idx) -> IMMState:
+        """The banks of tracks `idx`, a sorted list of distinct row indices."""
+        if len(idx) == len(self):
+            return self
+        return IMMState._of(a[idx] for a in self._arrays())
+
+    def with_rows(self, idx, sub: IMMState) -> IMMState:
+        """This bank with rows `idx` (sorted, distinct) replaced by `sub`."""
+        if len(idx) == len(self):
+            return sub
+        out = [a.copy() for a in self._arrays()]
+        for a, b in zip(out, sub._arrays()):
+            a[idx] = b
+        return IMMState._of(out)
+
+    def append(self, other: IMMState) -> IMMState:
+        """This bank followed by the rows of `other`."""
+        return IMMState._of(np.concatenate(pair) for pair in
+                            zip(self._arrays(), other._arrays()))
 
 
 def _stepped(x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> IMMState:
-    """Bank computed by a filter step from a valid bank.
+    """Banks computed by a filter step from valid banks.
 
-    The step's inputs were validated, so a result that fails validation
-    (a non-finite state after an overflow, say) is a numeric failure.
+    The step's inputs were validated, so a non-finite result (after an
+    overflow, say) is a numeric failure. Every step forms mu as
+    non-negative weights divided by their sum, so a finite mu is a
+    distribution and this one finiteness check covers x, P and mu.
     """
-    try:
-        return IMMState(x=x, P=P, mu=mu)
-    except ValidationError as exc:
-        raise NumericalError(f"filter step failed: {exc}") from exc
+    if not np.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)
+                       + np.add.reduce(mu, None)):
+        raise NumericalError("filter step failed: non-finite filter state")
+    s = object.__new__(IMMState)
+    s._fuse(x, P, mu)
+    return s
 
 
 @dataclass(frozen=True)
@@ -164,93 +186,66 @@ def process_noise(dt: float, q: float) -> np.ndarray:
     return (q * q) * (G @ G.T)
 
 
-def kf_predict(s: KState, dt: float, q: float) -> KState:
-    """Constant-velocity time update."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    F = transition_matrix(dt)
-    x = F @ s.x
-    P = _sym(F @ s.P @ F.T + process_noise(dt, q))
-    return KState(x=x, P=P)
+@lru_cache(maxsize=64)
+def _cv_model(dt: float, q_levels: tuple[float, ...]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """F and the per-model Q (M, 6, 6) for one dt.
 
-
-def gaussian_loglik(y: np.ndarray, S: np.ndarray) -> float:
-    """Log density of N(y; 0, S); raises on a singular S."""
-    sign, logdet = np.linalg.slogdet(S)
-    if sign <= 0:
-        raise NumericalError("singular innovation covariance "
-                             f"(slogdet sign={sign}, logdet={logdet:.3e})")
-    try:
-        q = float(y @ np.linalg.solve(S, y))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular innovation covariance ({exc})") from exc
-    return -0.5 * (len(y) * _LOG_2PI + logdet + q)
-
-
-def kf_update(s: KState, z, R: np.ndarray
-              ) -> tuple[KState, np.ndarray, np.ndarray, float]:
-    """Position-measurement update; returns (state, innovation, S, likelihood).
-
-    Uses the Joseph-form covariance update and symmetrizes the result.
+    A stream's frame intervals take a handful of distinct values, so each
+    pair is built once per dt and shared, read-only, by every later call.
     """
-    z = as_point(z)
-    R = np.asarray(R, dtype=float)
-    y = z - s.x[:3]
-    S = _sym(s.P[:3, :3] + R)
-    loglik = gaussian_loglik(y, S)
-    K = np.linalg.solve(S, s.P[:3, :]).T          # (6, 3)
-    x = s.x + K @ y
-    IKH = np.eye(6)
-    IKH[:, :3] -= K
-    # Joseph form is PSD by construction; symmetrization is enough here.
-    P = _sym(IKH @ s.P @ IKH.T + K @ R @ K.T)
-    return KState(x=x, P=P), y, S, float(np.exp(loglik))
+    F = transition_matrix(dt)
+    Q = np.square(q_levels)[:, None, None] * process_noise(dt, 1.0)
+    F.flags.writeable = Q.flags.writeable = False
+    return F, Q
 
 
 def imm_mix(s: IMMState, cfg: FilterConfig
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interaction step: mixed initial conditions and predicted mu.
 
-    Returns (x (M, 6), P (M, 6, 6), mu_pred). A model whose predicted
-    probability is zero gets uniform mixing weights.
+    Returns (x (T, M, 6), P (T, M, 6, 6), mu_pred (T, M)). A model whose
+    predicted probability is zero gets uniform mixing weights.
     """
     m = cfg.n_models
-    mu_pred = cfg.Pi.T @ s.mu
-    # w[j, i] = Pi[i, j] * mu[i] / mu_pred[j]
-    w = np.divide(cfg.Pi.T * s.mu, mu_pred[:, None],
-                  out=np.full((m, m), 1.0 / m), where=mu_pred[:, None] > 0.0)
+    mu_pred = s.mu @ cfg.Pi
+    # w[t, j, i] = Pi[i, j] * mu[t, i] / mu_pred[t, j]
+    w = np.divide(cfg.Pi.T * s.mu[:, None, :], mu_pred[:, :, None],
+                  out=np.full((len(s), m, m), 1.0 / m),
+                  where=mu_pred[:, :, None] > 0.0)
     x, P = _moments(w, s.x, s.P)
     return x, P, mu_pred
 
 
-def imm_init(position, cfg: FilterConfig) -> IMMState:
-    """Fresh track state at a measured position with zero velocity."""
-    m = cfg.n_models
-    x = np.zeros((m, 6))
-    x[:, :3] = as_point(position)
-    return IMMState(x=x, P=np.broadcast_to(cfg.P0, (m, 6, 6)),
-                    mu=cfg.mu0.copy())
+def imm_init(positions, cfg: FilterConfig) -> IMMState:
+    """Fresh banks at measured positions (T, 3), with zero velocity."""
+    pos = as_points(positions)
+    t, m = len(pos), cfg.n_models
+    x = np.zeros((t, m, 6))
+    x[:, :, :3] = pos[:, None]
+    return IMMState(x=x, P=np.broadcast_to(cfg.P0, (t, m, 6, 6)),
+                    mu=np.broadcast_to(cfg.mu0, (t, m)))
 
 
-@np.errstate(all="ignore")  # a non-finite result raises NumericalError
 def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
-    """Mix and time-update every model; mu becomes the predicted mu."""
+    """Mix and time-update every model of every track; mu becomes the
+    predicted mu. F and Q are built once per dt for all tracks."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     x, P, mu_pred = imm_mix(s, cfg)
-    F = transition_matrix(dt)
-    Q = np.square(cfg.q_levels)[:, None, None] * process_noise(dt, 1.0)
-    return _stepped(x @ F.T, F @ P @ F.T + Q, mu_pred / mu_pred.sum())
+    F, Q = _cv_model(dt, tuple(cfg.q_levels))
+    return _stepped(x @ F.T, F @ P @ F.T + Q,
+                    mu_pred / np.add.reduce(mu_pred, 1)[:, None])
 
 
-@np.errstate(all="ignore")  # log(0) = -inf is intended
-def imm_correct_pda(pred: IMMState, dets, beta_row, cfg: FilterConfig
+def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
                     ) -> IMMState:
-    """PDA measurement update of every model with one shared beta row.
+    """PDA measurement update of every model of every track.
 
-    `beta_row` is the miss probability beta0 followed by one association
-    probability per row of `dets` (n, 3), and must sum to 1. Each model
-    takes the combined innovation and the PDA covariance
+    Row t of `beta` (T, n + 1) is track t's miss probability beta0 followed
+    by one association probability per row of `dets` (n, 3), and sums to 1.
+    A track with beta0 >= 1 - 1e-12 keeps its predicted bank exactly. Each
+    other track's models take the combined innovation and the PDA covariance
     beta0 * P_pred + (1 - beta0) * P_upd + the spread of the innovations.
     Model probabilities are reweighted by each model's beta-weighted
     detection likelihood, normalised over the models; the miss mass is
@@ -258,51 +253,75 @@ def imm_correct_pda(pred: IMMState, dets, beta_row, cfg: FilterConfig
     likelihood that underflows in linear space still ranks the models.
     """
     dets = as_points(dets)
-    beta = np.asarray(beta_row, dtype=float)
-    if beta.shape != (len(dets) + 1,) or abs(beta.sum() - 1.0) > 1e-9:
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (len(pred), len(dets) + 1) or not (
+            np.abs(np.add.reduce(beta, 1) - 1.0) <= 1e-9).all():
         raise ValidationError(
-            "beta row must be one miss plus one entry per detection, "
-            "summing to 1")
-    beta0, b = float(beta[0]), beta[1:]
-    if beta0 >= 1.0 - 1e-15:
+            "beta must hold one row per track: one miss plus one entry per "
+            "detection, summing to 1")
+    miss = beta[:, 0] >= 1.0 - 1e-12
+    if miss.all():
         return pred
-    S = pred.P[:, :3, :3] + cfg.R                   # (M, 3, 3)
+    mixed = miss.any()
+    if mixed:
+        # a hit row stands in for the misses; their results are discarded
+        beta = np.where(miss[:, None], beta[miss.argmin()], beta)
+    with np.errstate(divide="ignore"):              # log(0) = -inf is intended
+        log_beta = np.log(beta)[:, None]            # (T, 1, n + 1)
+        log_mu = np.log(pred.mu)
+    b0 = beta[:, 0, None]                           # (T, 1)
+    b = beta[:, None, 1:]                           # (T, 1, n)
+    S = pred.P[..., :3, :3] + cfg.R                 # (T, M, 3, 3)
     sign, logdet = np.linalg.slogdet(S)
     if (sign <= 0).any():
         raise NumericalError(
             f"singular innovation covariance (slogdet signs {sign})")
     Sinv = np.linalg.inv(S)
-    y = dets - pred.x[:, None, :3]                  # (M, n, 3)
-    quad = np.einsum("mki,mij,mkj->mk", y, Sinv, y)
-    # a[m, k] = log(b_k N(y_mk; 0, S_m)); -inf where b_k = 0
-    a = np.log(b) - 0.5 * (3 * _LOG_2PI + logdet[:, None] + quad)
-    # log-sum-exp over the detections, then normalised over the models
-    top = a.max(axis=1)
-    loglik = top + np.log(np.exp(a - top[:, None]).sum(axis=1))
-    loglik -= loglik.max() + np.log(np.exp(loglik - loglik.max()).sum())
-    log_w = np.log(pred.mu) + np.logaddexp(np.log(beta0),
-                                           np.log(1.0 - beta0) + loglik)
-    mu = np.exp(log_w - log_w.max())
+    y = dets - pred.x[..., None, :3]                # (T, M, n, 3)
+    quad = np.einsum("tmki,tmij,tmkj->tmk", y, Sinv, y)
+    # a[t, m, k] = log(b_tk N(y_tmk; 0, S_tm)); -inf where b_tk = 0
+    a = log_beta[..., 1:] - 0.5 * ((3 * _LOG_2PI + logdet)[..., None] + quad)
+    # log-sum-exp over the detections (exactly a itself for one
+    # detection), then normalised over the models
+    loglik = top = np.maximum.reduce(a, axis=2)
+    if a.shape[2] > 1:
+        loglik = top + np.log(np.add.reduce(np.exp(a - top[..., None]), 2))
+    top = np.maximum.reduce(loglik, axis=1)[:, None]
+    loglik -= top + np.log(np.add.reduce(np.exp(loglik - top), 1))[:, None]
+    log_w = log_mu + np.logaddexp(log_beta[:, :, 0],
+                                  np.log(1.0 - b0) + loglik)
+    mu = np.exp(log_w - np.maximum.reduce(log_w, axis=1)[:, None])
 
-    nu = b @ y                                      # (M, 3) combined innovation
-    K = pred.P[:, :, :3] @ Sinv                     # (M, 6, 3)
-    Kt = K.swapaxes(1, 2)
+    nu = (b[:, :, None] @ y)[..., 0, :]             # (T, M, 3) innovation
+    K = pred.P[..., :3] @ Sinv                      # (T, M, 6, 3)
     IKH = _I6 - K @ _H
-    P_upd = IKH @ pred.P @ IKH.swapaxes(1, 2) + K @ cfg.R @ Kt
-    spread = (y.swapaxes(1, 2) * b) @ y - nu[:, :, None] * nu[:, None, :]
-    P = beta0 * pred.P + (1.0 - beta0) * P_upd + K @ spread @ Kt
-    x = pred.x + (K @ nu[:, :, None])[:, :, 0]
-    return _stepped(x, P, mu / mu.sum())
+    # The Joseph-form P_upd's K R K' and the spread share one K (.) K'.
+    spread = (y.swapaxes(-1, -2) * b[..., None, :]) @ y \
+        - nu[..., None] * nu[..., None, :]
+    w0 = b0[..., None, None]
+    joseph = IKH @ pred.P @ IKH.swapaxes(-1, -2)
+    P = joseph + w0 * (pred.P - joseph) \
+        + K @ ((1.0 - w0) * cfg.R + spread) @ K.swapaxes(-1, -2)
+    x = pred.x + (K @ nu[..., None])[..., 0]
+    mu /= np.add.reduce(mu, 1)[:, None]
+    if mixed:
+        x = np.where(miss[:, None, None], pred.x, x)
+        P = np.where(miss[:, None, None, None], pred.P, P)
+        mu = np.where(miss[:, None], pred.mu, mu)
+    return _stepped(x, P, mu)
 
 
-def imm_correct(pred: IMMState, z, cfg: FilterConfig) -> IMMState:
-    """Single-measurement update: `imm_correct_pda` with beta row [0, 1]."""
-    return imm_correct_pda(pred, as_point(z)[None], _HIT, cfg)
-
-
-def imm_step(s: IMMState, dt: float, z, cfg: FilterConfig) -> IMMState:
-    """Full IMM cycle; z=None is a missed-detection (predict-only) step."""
-    pred = imm_predict(s, dt, cfg)
-    if z is None:
-        return pred
-    return imm_correct(pred, z, cfg)
+def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig
+                ) -> IMMState:
+    """Hungarian update: track t takes detection `dets[assigned[t]]` with
+    certainty, and a track with `assigned[t] = -1` keeps its predicted bank.
+    This is `imm_correct_pda` with one-hot beta rows."""
+    dets = as_points(dets)
+    assigned = np.asarray(assigned)
+    if assigned.shape != (len(pred),) or assigned.dtype.kind != "i" \
+            or not ((assigned >= -1) & (assigned < len(dets))).all():
+        raise ValidationError(
+            "assigned must hold one detection index or -1 per track")
+    beta = np.zeros((len(assigned), len(dets) + 1))
+    beta[np.arange(len(assigned)), assigned + 1] = 1.0
+    return imm_correct_pda(pred, dets, beta, cfg)

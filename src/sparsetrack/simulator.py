@@ -67,6 +67,12 @@ KINDS = tuple(SCENARIOS)
 DEFAULT_FRAMES = {kind: row.frames for kind, row in SCENARIOS.items()}
 
 
+# Largest accepted clutter_rate (expected clutter returns per scan). At
+# 1e8 returns a single scan already takes gigabytes, and numpy's Poisson
+# sampler rejects rates near 1e19 with its own error.
+MAX_CLUTTER_RATE = 1e8
+
+
 @dataclass(frozen=True)
 class SensorModel:
     p_hit: float = 0.85
@@ -85,8 +91,17 @@ class SensorModel:
             raise ValidationError("p_hit must be in [0, 1]")
         if not (0.0 < self.sigma_meas < math.inf):
             raise ValidationError("sigma_meas must be finite and positive")
-        if not (0.0 <= self.clutter_rate < math.inf):
-            raise ValidationError("clutter_rate must be finite and >= 0")
+        if not (0.0 <= self.clutter_rate <= MAX_CLUTTER_RATE):
+            raise ValidationError(
+                f"clutter_rate must be in [0, {MAX_CLUTTER_RATE:g}] per scan")
+        try:
+            vol = np.asarray(self.clutter_volume, dtype=float)
+        except (TypeError, ValueError):
+            vol = None
+        if vol is None or vol.shape != (3, 2) or not (
+                np.isfinite(vol).all() and (vol[:, 0] <= vol[:, 1]).all()):
+            raise ValidationError("clutter_volume must be three finite "
+                                  "(lo, hi) pairs with lo <= hi")
         probs = np.array(list(self.n_return_dist.values()), dtype=float)
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValidationError("n_return_dist must be a distribution")

@@ -1,9 +1,11 @@
 """Track lifecycle and the per-frame tracker step.
 
 Composes gating, Hungarian/JPDA association, and IMM filtering into a
-sequential state machine over one measurement stream. Dormant tracks are
-frozen at their last fused state and can be resurrected by a nearby
-unassigned measurement, keeping their original id.
+sequential state machine over one measurement stream. The filter state of
+all tracks is one track-batched model bank, so each stage runs once per
+frame whatever the track count. Dormant tracks are frozen at their last
+fused state and can be resurrected by a nearby unassigned measurement,
+keeping their original id.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .core import Measurement, ValidationError
 from . import association as assoc
 from .association import JpdaParams, TrackView
 from .filter import (FilterConfig, IMMState, imm_init, imm_predict,
-                     imm_correct, imm_correct_pda, _sym)
+                     imm_correct, imm_correct_pda)
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -51,20 +53,14 @@ class TrackerConfig:
 
 @dataclass
 class Track:
+    """Lifecycle state of one track; its filter state is its row of
+    `Tracker.bank`."""
+
     id: int
-    imm: IMMState
     status: str
     misses: int = 0
     consec_hits: int = 0
     last_confident: tuple[np.ndarray, float] | None = None
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.imm.fused.x[:3]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.imm.fused.x[3:]
 
 
 @dataclass
@@ -103,37 +99,43 @@ def lifecycle_advance(track: Track, hit: bool, cfg: TrackerConfig) -> str:
 
 
 class Tracker:
-    """Sequential multi-target tracker over one measurement stream."""
+    """Sequential multi-target tracker over one measurement stream.
+
+    `bank` holds the IMM model banks of all tracks, row i for `tracks[i]`,
+    so each filter stage runs once per frame for every track.
+    """
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
         self.tracks: list[Track] = []
+        m = cfg.filter.n_models
+        self.bank = IMMState(np.zeros((0, m, 6)), np.zeros((0, m, 6, 6)),
+                             np.zeros((0, m)))
         self._next_id = 0
         self._last_t: float | None = None
 
     # -- internals ---------------------------------------------------------
 
-    def _new_track(self, position: np.ndarray) -> Track:
-        tr = Track(id=self._next_id, imm=imm_init(position, self.cfg.filter),
-                   status=TENTATIVE)
-        self._next_id += 1
-        return tr
-
-    def _views(self, tracks: list[Track]) -> list[TrackView]:
-        R = self.cfg.filter.R
-        views = []
-        for tr in tracks:
-            f = tr.imm.fused
-            views.append(TrackView(
-                z_pred=f.x[:3], S=_sym(f.P[:3, :3] + R),
-                velocity=f.x[3:], last_confident=tr.last_confident,
-                dormant=(tr.status == DORMANT)))
-        return views
+    def _view(self, tracks: list[Track], bank: IMMState) -> TrackView:
+        """The association snapshot of `tracks`, whose banks are `bank`;
+        Hungarian costs also need each track's last confident detection."""
+        anchor = anchor_t = None
+        if self.cfg.association_mode == HUNGARIAN:
+            anchor = np.full((len(tracks), 3), np.nan)
+            anchor_t = np.full(len(tracks), np.nan)
+            for i, tr in enumerate(tracks):
+                if tr.last_confident is not None:
+                    anchor[i], anchor_t[i] = tr.last_confident
+        return TrackView(
+            z_pred=bank.fused_x[:, :3],
+            S=bank.fused_P[:, :3, :3] + self.cfg.filter.R,
+            velocity=bank.fused_x[:, 3:], anchor=anchor, anchor_t=anchor_t)
 
     def _imm_correct_pda(self, pred: IMMState, dets: np.ndarray,
-                         beta_row: np.ndarray) -> IMMState:
-        """JPDA update of one track; perfbench times it under this name."""
-        return imm_correct_pda(pred, dets, beta_row, self.cfg.filter)
+                         beta: np.ndarray) -> IMMState:
+        """JPDA update of the tracks in `pred`, one call per frame;
+        perfbench times it under this name."""
+        return imm_correct_pda(pred, dets, beta, self.cfg.filter)
 
     # -- public API --------------------------------------------------------
 
@@ -145,81 +147,93 @@ class Tracker:
         dt = None if self._last_t is None else t - self._last_t
         self._last_t = t
 
-        dets = (np.stack([m.position for m in measurements])
+        dets = (np.array([m.position for m in measurements])
                 if measurements else np.zeros((0, 3)))
 
-        active = [tr for tr in self.tracks if tr.status in (TENTATIVE, CONFIRMED)]
-        dormant = [tr for tr in self.tracks if tr.status == DORMANT]
+        tracks = self.tracks
+        act = [i for i, tr in enumerate(tracks)
+               if tr.status in (TENTATIVE, CONFIRMED)]
+        dorm = [i for i, tr in enumerate(tracks) if tr.status == DORMANT]
+        active = [tracks[i] for i in act]
+        # the active tracks' banks; dormant rows stay frozen
+        pred = self.bank.rows(act)
 
-        # 1. predict active tracks (dormant tracks stay frozen)
-        if dt is not None:
-            for tr in active:
-                tr.imm = imm_predict(tr.imm, dt, cfg.filter)
-
-        # 2-4. gate, associate, update
         assignments: list[tuple[int, int]] = []
         beta_summary: list[dict] | None = None
-        hit_flags = {tr.id: False for tr in active}
-        used_dets: set[int] = set()
+        hits = np.zeros(len(act), dtype=bool)
+        # detections assigned to, or (JPDA) inside the gate of, an active track
+        taken = np.zeros(len(dets), dtype=bool)
 
-        if active and len(dets):
-            views = self._views(active)
-            g = assoc.gate(views, dets, cfg.jpda)
-            if cfg.association_mode == HUNGARIAN:
-                cost = assoc.build_cost(views, dets, g, cfg.cost_weights, t_now=t)
-                pairs, _, _ = assoc.hungarian(cost)
-                for i, j in pairs:
-                    tr = active[i]
-                    tr.imm = imm_correct(tr.imm, dets[j], cfg.filter)
-                    tr.last_confident = (dets[j].copy(), t)
-                    hit_flags[tr.id] = True
-                    assignments.append((tr.id, j))
-                    used_dets.add(j)
-            else:
-                beta = assoc.jpda(views, dets, g, cfg.jpda)
-                beta_summary = []
-                for i, tr in enumerate(active):
-                    row = beta[i]
-                    if row[0] < 1.0 - 1e-12:
-                        tr.imm = self._imm_correct_pda(tr.imm, dets, row)
-                    hit = row[0] <= cfg.jpda_miss_threshold
-                    hit_flags[tr.id] = hit
-                    j_best = int(np.argmax(row[1:])) if len(dets) else -1
-                    if hit and j_best >= 0:
-                        tr.last_confident = (dets[j_best].copy(), t)
-                        assignments.append((tr.id, j_best))
-                    beta_summary.append({"id": tr.id, "beta0": float(row[0]),
-                                         "best": j_best if hit else -1})
-                # detections inside any active gate are not initiation sources
-                for j in range(len(dets)):
-                    if np.any(g.feasible[:, j]):
-                        used_dets.add(j)
+        # a non-finite filter result raises NumericalError, so numpy's
+        # overflow warnings would only repeat it
+        with np.errstate(all="ignore"):
+            # 1. predict active tracks
+            if dt is not None and act:
+                pred = imm_predict(pred, dt, cfg.filter)
+
+            # 2-4. gate, associate, update
+            if act and len(dets):
+                view = self._view(active, pred)
+                g = assoc.gate(view, dets, cfg.jpda)
+                if cfg.association_mode == HUNGARIAN:
+                    cost = assoc.build_cost(view, dets, g, cfg.cost_weights,
+                                            t_now=t)
+                    pairs, _, _ = assoc.hungarian(cost)
+                    if pairs:
+                        assigned = np.full(len(act), -1)
+                        rows, js = zip(*pairs)
+                        assigned[list(rows)] = js
+                        pred = imm_correct(pred, dets, assigned, cfg.filter)
+                        hits = assigned >= 0
+                        taken[assigned[hits]] = True
+                    for i, j in pairs:
+                        active[i].last_confident = (dets[j].copy(), t)
+                        assignments.append((active[i].id, j))
+                else:
+                    beta = assoc.jpda(view, dets, g, cfg.jpda)
+                    pred = self._imm_correct_pda(pred, dets, beta)
+                    hits = beta[:, 0] <= cfg.jpda_miss_threshold
+                    best = beta[:, 1:].argmax(axis=1)
+                    beta_summary = []
+                    for tr, hit, j, b0 in zip(active, hits.tolist(),
+                                              best.tolist(),
+                                              beta[:, 0].tolist()):
+                        if hit:
+                            tr.last_confident = (dets[j].copy(), t)
+                            assignments.append((tr.id, j))
+                        beta_summary.append({"id": tr.id, "beta0": b0,
+                                             "best": j if hit else -1})
+                    # detections inside any active gate are not initiation
+                    # sources
+                    taken = g.feasible.any(axis=0)
+        bank = self.bank.with_rows(act, pred) if act else self.bank
 
         # 5. lifecycle
         deleted: list[int] = []
-        for tr in active:
-            before = tr.status
-            after = lifecycle_advance(tr, hit_flags[tr.id], cfg)
-            if after == DELETED and before != DELETED:
+        for tr, hit in zip(active, hits.tolist()):
+            if lifecycle_advance(tr, hit, cfg) == DELETED:
                 deleted.append(tr.id)
-        for tr in dormant:
-            if lifecycle_advance(tr, False, cfg) == DELETED:
-                deleted.append(tr.id)
+        for i in dorm:
+            if lifecycle_advance(tracks[i], False, cfg) == DELETED:
+                deleted.append(tracks[i].id)
 
-        leftover = [j for j in range(len(dets)) if j not in used_dets]
+        leftover = [j for j, used in enumerate(taken.tolist()) if not used]
+        positions = bank.fused_x[:, :3].copy()
 
         # 7. resurrection of dormant tracks near leftover measurements
         resurrected: list[int] = []
-        for tr in dormant:
+        reinit: list[int] = []           # rows of the resurrected tracks
+        init_js: list[int] = []          # their detections, then the spawns'
+        for i in dorm:
+            tr = tracks[i]
             if tr.status != DORMANT:
                 continue
             best_j, best_d = -1, cfg.resurrect_radius
             for j in leftover:
-                d = float(np.linalg.norm(dets[j] - tr.position))
+                d = float(np.linalg.norm(dets[j] - positions[i]))
                 if d <= best_d:
                     best_j, best_d = j, d
             if best_j >= 0:
-                tr.imm = imm_init(dets[best_j], cfg.filter)
                 tr.status = CONFIRMED
                 tr.misses = 0
                 tr.consec_hits = 1
@@ -227,28 +241,43 @@ class Tracker:
                 resurrected.append(tr.id)
                 assignments.append((tr.id, best_j))
                 leftover.remove(best_j)
+                reinit.append(i)
+                init_js.append(best_j)
+                positions[i] = dets[best_j]
 
         # 6. initiation with the minimum-separation constraint
         spawned: list[int] = []
-        live_positions = [tr.position for tr in self.tracks
+        live_positions = [p for tr, p in zip(tracks, positions)
                           if tr.status != DELETED]
         for j in leftover:
             p = dets[j]
             if any(np.linalg.norm(p - q) < cfg.init_min_separation
                    for q in live_positions):
                 continue
-            tr = self._new_track(p)
-            self.tracks.append(tr)
-            live_positions.append(tr.position)
-            spawned.append(tr.id)
+            live_positions.append(p)
+            init_js.append(j)
+            spawned.append(self._next_id)
+            tracks.append(Track(id=self._next_id, status=TENTATIVE))
+            self._next_id += 1
 
-        self.tracks = [tr for tr in self.tracks if tr.status != DELETED]
+        if init_js:
+            fresh = imm_init(dets[init_js], cfg.filter)
+            k = len(reinit)
+            if k:
+                bank = bank.with_rows(reinit, fresh.rows(list(range(k))))
+            if spawned:
+                bank = bank.append(fresh.rows(list(range(k, len(fresh)))))
+        if deleted:
+            keep = [i for i, tr in enumerate(tracks) if tr.status != DELETED]
+            self.tracks = [tracks[i] for i in keep]
+            bank = bank.rows(keep)
+        self.bank = bank
 
+        fused = bank.fused_x.copy()
         snapshot = [{
             "id": tr.id, "status": tr.status,
-            "position": tr.position.copy(), "velocity": tr.velocity.copy(),
-            "mu": tr.imm.mu.copy(),
-        } for tr in self.tracks]
+            "position": x[:3], "velocity": x[3:], "mu": mu,
+        } for tr, x, mu in zip(self.tracks, fused, bank.mu.copy())]
         return FrameRecord(t=t, tracks=snapshot, assignments=assignments,
                            beta_summary=beta_summary, spawned=spawned,
                            deleted=deleted, resurrected=resurrected)

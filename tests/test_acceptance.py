@@ -15,13 +15,13 @@ from sparsetrack.association import (JpdaParams, TrackView, gate, hungarian,
                                      jpda)
 from sparsetrack.cli import main as cli_main
 from sparsetrack.detector import Detector, DetectorConfig, dbscan, get_preset
-from sparsetrack.filter import (FilterConfig, KState, imm_init, imm_step,
-                                kf_predict, kf_update)
+from sparsetrack.filter import FilterConfig, imm_init
 from sparsetrack.metrics import DetectionReport, eval_detection, eval_mot
 from sparsetrack.simulator import (Scenario, SensorModel, TRACKING_SENSOR,
                                    run_scenario)
 from sparsetrack.trackman import Tracker, TrackerConfig
 
+from reference_filter import KState, imm_step, kf_predict, kf_update
 from test_detector import partition, reference_dbscan
 from test_metrics import frame, make_gt
 
@@ -76,8 +76,8 @@ def test_criterion_03_jpda_normalization():
     params = JpdaParams()
     for _ in range(1000):
         n, m = rng.integers(1, 5, size=2)
-        tracks = [TrackView(z_pred=rng.uniform(-3, 3, 3), S=np.eye(3))
-                  for _ in range(n)]
+        tracks = TrackView(z_pred=rng.uniform(-3, 3, (n, 3)),
+                           S=np.broadcast_to(np.eye(3), (n, 3, 3)))
         dets = rng.uniform(-3, 3, size=(m, 3))
         g = gate(tracks, dets, params)
         beta = jpda(tracks, dets, g, params)
@@ -85,8 +85,9 @@ def test_criterion_03_jpda_normalization():
     # single-feasible-event cases: Pd = 1 with disjoint gates
     hard = JpdaParams(Pd=1.0)
     for n in (1, 2, 3):
-        tracks = [TrackView(z_pred=np.array([30.0 * i, 0, 0]), S=np.eye(3))
-                  for i in range(n)]
+        tracks = TrackView(z_pred=np.array([[30.0 * i, 0, 0]
+                                            for i in range(n)]),
+                           S=np.broadcast_to(np.eye(3), (n, 3, 3)))
         dets = np.array([[30.0 * i + 0.2, 0, 0] for i in range(n)])
         g = gate(tracks, dets, hard)
         beta = jpda(tracks, dets, g, hard)
@@ -105,17 +106,17 @@ def test_criterion_04_imm_degeneracy():
         mu0 = np.zeros(cfg_base.n_models)
         mu0[model] = 1.0
         cfg = FilterConfig(Pi=np.eye(cfg_base.n_models), mu0=mu0)
-        s = imm_init((1.0, -2.0, 3.0), cfg)
-        ref = KState(x=s.x[model], P=s.P[model])
+        s = imm_init([(1.0, -2.0, 3.0)], cfg)
+        ref = KState(x=s.x[0, model], P=s.P[0, model])
         q = cfg.q_levels[model]
         for _ in range(1000):
             z = rng.normal(scale=2.0, size=3) + (1.0, -2.0, 3.0)
             s = imm_step(s, 0.1, z, cfg)
             ref = kf_predict(ref, 0.1, q)
             ref, _, _, _ = kf_update(ref, z, cfg.R)
-            assert np.allclose(s.fused.x, ref.x, atol=1e-10)
-            assert np.allclose(s.fused.P, ref.P, atol=1e-10)
-            assert s.mu[model] == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(s.fused_x[0], ref.x, atol=1e-10)
+            assert np.allclose(s.fused_P[0], ref.P, atol=1e-10)
+            assert s.mu[0, model] == pytest.approx(1.0, abs=1e-12)
     report(True, "criterion 4: IMM with Pi=I and one-hot mu0 matches the "
                  "single Kalman filter to 1e-10 over 1000 steps")
 
@@ -125,15 +126,15 @@ def test_criterion_05_covariance_hygiene():
     cfg = FilterConfig()
     steps = 0
     while steps < 10_000:
-        s = imm_init(rng.uniform(-10, 10, 3), cfg)
+        s = imm_init(rng.uniform(-10, 10, (1, 3)), cfg)
         for _ in range(25):
             if rng.random() < 0.25:
                 z = None
             else:
-                z = s.fused.x[:3] + rng.normal(scale=1.0, size=3)
+                z = s.fused_x[0, :3] + rng.normal(scale=1.0, size=3)
             s = imm_step(s, float(rng.uniform(0.05, 0.3)), z, cfg)
             steps += 1
-            for P in [*s.P, s.fused.P]:
+            for P in [*s.P[0], s.fused_P[0]]:
                 assert np.allclose(P, P.T, atol=1e-9)
                 assert np.linalg.eigvalsh(P).min() >= -1e-9
     report(True, "criterion 5: covariances symmetric PSD (eig >= -1e-9) "

@@ -5,15 +5,23 @@ import numpy as np
 import pytest
 
 from sparsetrack.core import ValidationError
-from sparsetrack.association import (JpdaParams, TrackView, build_cost, gate,
-                                     hungarian, jpda)
-from sparsetrack.filter import (FilterConfig, IMMState, KState,
-                                imm_correct_pda, kf_update)
+from sparsetrack.association import (SENTINEL_COST, JpdaParams, TrackView,
+                                     build_cost, gate, hungarian, jpda)
+from sparsetrack.filter import FilterConfig, IMMState, imm_correct_pda
+
+from reference_filter import KState, kf_update
 
 
-def view(z_pred=(0, 0, 0), S=None, **kw):
-    return TrackView(z_pred=np.asarray(z_pred, float),
-                     S=np.eye(3) if S is None else np.asarray(S, float), **kw)
+def views(*z_preds, S=None, dormant=None):
+    """A TrackView of one track per predicted position, all with S (or I)."""
+    z = np.asarray(z_preds, float).reshape(-1, 3)
+    S = np.eye(3) if S is None else np.asarray(S, float)
+    return TrackView(z_pred=z, S=np.broadcast_to(S, (len(z), 3, 3)),
+                     dormant=None if dormant is None else np.array(dormant))
+
+
+def view(z_pred=(0, 0, 0), S=None, dormant=False):
+    return views(z_pred, S=S, dormant=[dormant])
 
 
 def brute_force_min(cost: np.ndarray) -> float:
@@ -31,24 +39,24 @@ class TestGate:
     params = JpdaParams()
 
     def test_exact_prediction(self):
-        g = gate([view()], np.zeros((1, 3)), self.params)
+        g = gate(view(), np.zeros((1, 3)), self.params)
         assert g.d2[0, 0] == pytest.approx(0.0)
         assert g.feasible[0, 0]
 
     def test_unit_offset_d2(self):
-        g = gate([view()], np.ones((1, 3)), self.params)
+        g = gate(view(), np.ones((1, 3)), self.params)
         assert g.d2[0, 0] == pytest.approx(3.0)
         assert g.feasible[0, 0]
 
     def test_tight_gamma_infeasible(self):
         params = JpdaParams(gamma=2.0)
-        g = gate([view()], np.ones((1, 3)), params)
+        g = gate(view(), np.ones((1, 3)), params)
         assert not g.feasible[0, 0]
 
     def test_dormant_gate_widened(self):
         z = np.sqrt(10.0) * np.array([[1.0, 0, 0]])  # d2 = 10 > 7.815
-        g_active = gate([view()], z, self.params)
-        g_dormant = gate([view(dormant=True)], z, self.params)
+        g_active = gate(view(), z, self.params)
+        g_dormant = gate(view(dormant=True), z, self.params)
         assert not g_active.feasible[0, 0]
         assert g_dormant.feasible[0, 0]
 
@@ -59,29 +67,51 @@ class TestGate:
             S = A @ A.T + 0.5 * np.eye(3)
             y = rng.normal(size=3)
             Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            g1 = gate([view(S=S)], y.reshape(1, 3), self.params)
-            g2 = gate([view(S=Q @ S @ Q.T)], (Q @ y).reshape(1, 3),
+            g1 = gate(view(S=S), y.reshape(1, 3), self.params)
+            g2 = gate(view(S=Q @ S @ Q.T), (Q @ y).reshape(1, 3),
                       self.params)
             assert g1.d2[0, 0] == pytest.approx(g2.d2[0, 0], abs=1e-9)
 
     def test_singular_s_row_infeasible(self):
-        g = gate([view(S=np.zeros((3, 3)))], np.zeros((1, 3)), self.params)
+        g = gate(view(S=np.zeros((3, 3))), np.zeros((1, 3)), self.params)
         assert not g.feasible.any()
         assert g.notes
+
+    def test_one_singular_s_among_three_tracks(self):
+        # Only the singular row is infeasible and noted; the other rows equal
+        # the single-track gate.
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(3, 3, 3))
+        S = A @ A.swapaxes(1, 2) + 0.5 * np.eye(3)
+        S[1] = np.diag([1.0, 1.0, 0.0])
+        z = rng.normal(size=(3, 3))
+        dets = z[[0, 2]] + rng.normal(scale=0.5, size=(2, 3))
+        g = gate(TrackView(z_pred=z, S=S), dets, self.params)
+        assert not g.feasible[1].any() and np.isinf(g.d2[1]).all()
+        assert len(g.notes) == 1 and g.notes[0].startswith("track 1:")
+        for i in (0, 2):
+            one = gate(TrackView(z_pred=z[i:i + 1], S=S[i:i + 1]), dets,
+                       self.params)
+            assert one.notes == []
+            for a in ("d2", "loglik"):
+                np.testing.assert_allclose(getattr(g, a)[i],
+                                           getattr(one, a)[0],
+                                           rtol=1e-12, atol=1e-12)
+            assert np.array_equal(g.feasible[i], one.feasible[0])
 
 
 class TestBuildCost:
     params = JpdaParams()
 
     def test_pure_mahalanobis_weights(self):
-        tracks = [view()]
+        tracks = view()
         dets = np.array([[0.5, 0, 0]])
         g = gate(tracks, dets, self.params)
         cost = build_cost(tracks, dets, g, (1.0, 0.0, 0.0))
         assert cost[0, 0] == pytest.approx(g.d2[0, 0])
 
     def test_anchor_vanishes_without_history(self):
-        tracks = [view()]  # last_confident is None
+        tracks = view()  # no anchor
         dets = np.array([[0.5, 0, 0]])
         g = gate(tracks, dets, self.params)
         c_full = build_cost(tracks, dets, g, (1.0, 10.0, 10.0), t_now=1.0)
@@ -89,12 +119,44 @@ class TestBuildCost:
         assert np.allclose(c_full, c_bare)
 
     def test_infeasible_all_unassigned(self):
-        tracks = [view()]
+        tracks = view()
         dets = np.array([[100.0, 0, 0]])
         g = gate(tracks, dets, self.params)
         cost = build_cost(tracks, dets, g, (1.0, 0.3, 0.3))
         pairs, un_rows, un_cols = hungarian(cost)
         assert pairs == [] and un_rows == [0] and un_cols == [0]
+
+    def test_equals_per_pair_loop(self):
+        # The array cost equals the per-pair definition, with tracks that
+        # lack an anchor or whose anchor is not older than t_now.
+        rng = np.random.default_rng(13)
+        weights = (1.0, 0.3, 0.3)
+        for _ in range(50):
+            n, m = rng.integers(1, 5, size=2)
+            z = rng.uniform(-2, 2, size=(n, 3))
+            dets = rng.uniform(-2, 2, size=(m, 3))
+            anchor = rng.uniform(-2, 2, size=(n, 3))
+            anchor_t = rng.choice([np.nan, 0.5, 1.0], size=n)
+            anchor[np.isnan(anchor_t)] = np.nan
+            vel = rng.normal(size=(n, 3))
+            tracks = TrackView(z_pred=z, S=np.broadcast_to(np.eye(3),
+                                                            (n, 3, 3)),
+                               velocity=vel, anchor=anchor, anchor_t=anchor_t)
+            g = gate(tracks, dets, self.params)
+            cost = build_cost(tracks, dets, g, weights, t_now=1.0)
+            for i in range(n):
+                for j in range(m):
+                    want = SENTINEL_COST
+                    if g.feasible[i, j]:
+                        c = weights[0] * g.d2[i, j]
+                        if not np.isnan(anchor_t[i]):
+                            c += weights[1] * np.linalg.norm(dets[j]
+                                                             - anchor[i])
+                            if anchor_t[i] < 1.0:
+                                v = (dets[j] - anchor[i]) / (1.0 - anchor_t[i])
+                                c += weights[2] * np.linalg.norm(v - vel[i])
+                        want = min(c, SENTINEL_COST - 1.0)
+                    assert cost[i, j] == pytest.approx(want, rel=1e-12)
 
 
 class TestHungarian:
@@ -134,7 +196,7 @@ class TestHungarian:
 class TestJpda:
     def test_two_event_formula(self):
         params = JpdaParams(Pd=0.7, lambda_c=1e-4)
-        tracks = [view()]
+        tracks = view()
         dets = np.array([[0.5, 0.2, -0.1]])
         g = gate(tracks, dets, params)
         beta = jpda(tracks, dets, g, params)
@@ -145,7 +207,7 @@ class TestJpda:
         assert beta[0, 0] == pytest.approx(1 - expected, abs=1e-12)
 
     def test_symmetric_split(self):
-        tracks = [view((-1, 0, 0)), view((1, 0, 0))]
+        tracks = views((-1, 0, 0), (1, 0, 0))
         dets = np.zeros((1, 3))
         params = JpdaParams()
         g = gate(tracks, dets, params)
@@ -153,7 +215,7 @@ class TestJpda:
         assert beta[0, 1] == pytest.approx(beta[1, 1], abs=1e-12)
 
     def test_no_gated_detections(self):
-        tracks = [view(), view((5, 5, 5))]
+        tracks = views((0, 0, 0), (5, 5, 5))
         dets = np.array([[100.0, 0, 0]])
         params = JpdaParams()
         g = gate(tracks, dets, params)
@@ -164,7 +226,7 @@ class TestJpda:
         # Pd = 1 and disjoint gates: the only surviving event is the
         # diagonal assignment; beta must be exactly 0/1.
         params = JpdaParams(Pd=1.0)
-        tracks = [view((0, 0, 0)), view((50, 0, 0))]
+        tracks = views((0, 0, 0), (50, 0, 0))
         dets = np.array([[0.1, 0, 0], [50.1, 0, 0]])
         g = gate(tracks, dets, params)
         beta = jpda(tracks, dets, g, params)
@@ -176,7 +238,7 @@ class TestJpda:
         params = JpdaParams()
         for _ in range(100):
             n, m = rng.integers(1, 5, size=2)
-            tracks = [view(rng.uniform(-2, 2, 3)) for _ in range(n)]
+            tracks = views(*[rng.uniform(-2, 2, 3) for _ in range(n)])
             dets = rng.uniform(-2, 2, size=(m, 3))
             g = gate(tracks, dets, params)
             beta = jpda(tracks, dets, g, params)
@@ -200,8 +262,10 @@ class TestJpdaUpdate:
         return KState(x=np.zeros(6), P=np.diag([1, 1, 1, 4, 4, 4]))
 
     def update(self, s, dets, beta_row):
-        bank = IMMState(x=s.x[None], P=s.P[None], mu=np.ones(1))
-        return imm_correct_pda(bank, dets, beta_row, self.cfg).fused
+        bank = IMMState(x=s.x[None, None], P=s.P[None, None],
+                        mu=np.ones((1, 1)))
+        out = imm_correct_pda(bank, dets, np.asarray(beta_row)[None], self.cfg)
+        return KState(x=out.fused_x[0], P=out.fused_P[0])
 
     def test_concentrated_beta_equals_kf_update(self):
         s = self.state()
@@ -251,8 +315,8 @@ class TestJpdaUpdate:
         # not. With Pi = I the other models can never gain probability.
         cfg = FilterConfig(Pi=np.eye(3), mu0=(1.0, 0.0, 0.0), R=self.R)
         P = np.stack([1e-6 * np.eye(6), 100.0 * np.eye(6), np.eye(6)])
-        bank = IMMState(x=np.zeros((3, 6)), P=P, mu=cfg.mu0)
+        bank = IMMState(x=np.zeros((1, 3, 6)), P=P[None], mu=cfg.mu0[None])
         out = imm_correct_pda(bank, np.array([[10.0, 0, 0]]),
-                              np.array([0.0, 1.0]), cfg)
-        assert np.array_equal(out.mu, [1.0, 0.0, 0.0])
+                              np.array([[0.0, 1.0]]), cfg)
+        assert np.array_equal(out.mu, [[1.0, 0.0, 0.0]])
         assert np.all(np.isfinite(out.x)) and np.all(np.isfinite(out.P))

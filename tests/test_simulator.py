@@ -149,9 +149,19 @@ class TestSampleScan:
         for key in (1.5, "1", True):
             with pytest.raises(ValidationError, match="return counts"):
                 SensorModel(n_return_dist={key: 1.0})
-        for bad in (-1.0, float("nan"), float("inf")):
+        for bad in (-1.0, float("nan"), float("inf"), 1e19, 1.0001e8):
             with pytest.raises(ValidationError, match="clutter_rate"):
                 SensorModel(clutter_rate=bad)
+        assert SensorModel(clutter_rate=1e8).clutter_rate == 1e8
+        nan = float("nan")
+        for vol in (((nan, 1.0), (0, 1), (0, 1)), ((1.0, 0.0), (0, 1), (0, 1)),
+                    ((0, 1), (0, 1)), ((0, 1), (0, 1), (0, float("inf"))),
+                    ((0, 1, 2), (0, 1, 2), (0, 1, 2)), ((0, 1), (0, 1), (0,)),
+                    ((0, 1), (0, 1), ("a", 1))):
+            with pytest.raises(ValidationError, match="clutter_volume"):
+                SensorModel(clutter_volume=vol)
+        flat = ((0.0, 1.0), (2.0, 2.0), (-1.0, 0.0))
+        assert SensorModel(clutter_volume=flat).clutter_volume == flat
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="sigma_meas"):
                 SensorModel(sigma_meas=bad)

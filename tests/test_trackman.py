@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsetrack import association
+from sparsetrack import association, trackman
 from sparsetrack.association import AssociationComplexityError, jpda
 from sparsetrack.core import Measurement, NumericalError, ValidationError
-from sparsetrack.filter import imm_init, FilterConfig
 from sparsetrack.trackman import (CONFIRMED, DELETED, DORMANT, TENTATIVE,
                                   Track, Tracker, TrackerConfig,
                                   lifecycle_advance, run_tracker)
@@ -18,8 +17,8 @@ def meas(pos, t):
     return Measurement(t=t, position=np.asarray(pos, float), support=1)
 
 
-def make_track(status=TENTATIVE, pos=(0.0, 0.0, 0.0)):
-    return Track(id=0, imm=imm_init(pos, FilterConfig()), status=status)
+def make_track(status=TENTATIVE):
+    return Track(id=0, status=status)
 
 
 class TestLifecycle:
@@ -184,11 +183,53 @@ class TestDormancyAndResurrection:
         for _ in range(cfg.max_misses_active + 1):
             tracker.step([], t)
             t += 0.1
-        frozen = tracker.tracks[0].position.copy()
+        frozen = tracker.bank.fused_x[0].copy()
         for _ in range(5):
             tracker.step([], t)
             t += 0.1
-        assert np.array_equal(tracker.tracks[0].position, frozen)
+        assert np.array_equal(tracker.bank.fused_x[0], frozen)
+
+
+class TestBatchedStages:
+    """Each filter stage runs once per frame for all tracks."""
+
+    @pytest.mark.parametrize("mode", ["hungarian", "jpda"])
+    def test_filter_stages_run_at_most_once_per_frame(self, mode):
+        # Six targets 20 m apart, each seen on every frame with a small
+        # jitter, give six confirmed tracks.
+        rng = np.random.default_rng(14)
+        starts = np.array([[20.0 * i, 0.0, 10.0] for i in range(6)])
+        v = np.array([1.0, 0.5, 0.0])
+        frames = []
+        for k in range(40):
+            t = 0.1 * k
+            pos = starts + v * t + rng.normal(scale=0.02, size=(6, 3))
+            frames.append((t, [meas(p, t) for p in pos]))
+        counts = {"imm_predict": 0, "imm_correct": 0, "pda": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        tracker = Tracker(TrackerConfig(association_mode=mode))
+        with mock.patch.object(trackman, "imm_predict", counting(
+                "imm_predict", trackman.imm_predict)), \
+            mock.patch.object(trackman, "imm_correct", counting(
+                "imm_correct", trackman.imm_correct)), \
+            mock.patch.object(Tracker, "_imm_correct_pda", counting(
+                "pda", Tracker._imm_correct_pda)):
+            for t, ms in frames:
+                before = dict(counts)
+                rec = tracker.step(ms, t)
+                for name in counts:
+                    assert counts[name] - before[name] <= 1, (name, t)
+        assert len(rec.tracks) == 6
+        assert all(tr["status"] == CONFIRMED for tr in rec.tracks)
+        assert counts["imm_predict"] == len(frames) - 1
+        updates = counts["imm_correct" if mode == "hungarian" else "pda"]
+        assert updates == len(frames) - 1
 
 
 class TestConfig:
@@ -248,11 +289,14 @@ class TestTrackerStreams:
                 assert not deleted & (set(ids) | set(rec.resurrected))
                 deleted |= set(rec.deleted)
                 assert not deleted & set(ids)
-                for tr in tracker.tracks:
-                    for P in (*tr.imm.P, tr.imm.fused.P):
-                        assert np.array_equal(P, P.T)
-                        assert np.linalg.eigvalsh(P).min() >= -1e-9 * max(
-                            1.0, np.abs(P).max())
+                bank = tracker.bank
+                assert len(bank) == len(tracker.tracks)
+                assert np.array_equal(bank.fused_x[:, :3], np.reshape(
+                    [tr["position"] for tr in rec.tracks], (-1, 3)))
+                for P in (*bank.P.reshape(-1, 6, 6), *bank.fused_P):
+                    assert np.array_equal(P, P.T)
+                    assert np.linalg.eigvalsh(P).min() >= -1e-9 * max(
+                        1.0, np.abs(P).max())
         for beta in betas:
             assert (beta >= 0).all()
             assert np.allclose(beta.sum(axis=1), 1.0, rtol=0, atol=1e-9)
