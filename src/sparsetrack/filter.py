@@ -15,7 +15,6 @@ warnings as well run the stages under `np.errstate`, as `Tracker.step` does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +23,11 @@ from .core import NumericalError, ValidationError, as_points
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _I6 = np.eye(6)
 _H = np.eye(3, 6)            # position-only measurement matrix
+_FV = np.eye(6, k=3)         # velocity-to-position block of F
+# position, cross and velocity blocks of G G'
+_PP = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+_PV = np.eye(6, k=3) + np.eye(6, k=-3)
+_VV = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
@@ -174,30 +178,13 @@ class FilterConfig:
 
 
 def transition_matrix(dt: float) -> np.ndarray:
-    F = np.eye(6)
-    F[:3, 3:] = dt * np.eye(3)
-    return F
+    return _I6 + dt * _FV
 
 
 def process_noise(dt: float, q: float) -> np.ndarray:
-    G = np.zeros((6, 3))
-    G[:3, :] = 0.5 * dt * dt * np.eye(3)
-    G[3:, :] = dt * np.eye(3)
-    return (q * q) * (G @ G.T)
-
-
-@lru_cache(maxsize=64)
-def _cv_model(dt: float, q_levels: tuple[float, ...]
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """F and the per-model Q (M, 6, 6) for one dt.
-
-    A stream's frame intervals take a handful of distinct values, so each
-    pair is built once per dt and shared, read-only, by every later call.
-    """
-    F = transition_matrix(dt)
-    Q = np.square(q_levels)[:, None, None] * process_noise(dt, 1.0)
-    F.flags.writeable = Q.flags.writeable = False
-    return F, Q
+    """(q^2) G G' for G = [dt^2/2 I; dt I], from its three blocks."""
+    h = 0.5 * dt * dt
+    return (q * q) * (h * h * _PP + h * dt * _PV + dt * dt * _VV)
 
 
 def imm_mix(s: IMMState, cfg: FilterConfig
@@ -229,11 +216,12 @@ def imm_init(positions, cfg: FilterConfig) -> IMMState:
 
 def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     """Mix and time-update every model of every track; mu becomes the
-    predicted mu. F and Q are built once per dt for all tracks."""
+    predicted mu. F and Q are built once per call for all tracks."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     x, P, mu_pred = imm_mix(s, cfg)
-    F, Q = _cv_model(dt, tuple(cfg.q_levels))
+    F = transition_matrix(dt)
+    Q = np.square(cfg.q_levels)[:, None, None] * process_noise(dt, 1.0)
     return _stepped(x @ F.T, F @ P @ F.T + Q,
                     mu_pred / np.add.reduce(mu_pred, 1)[:, None])
 

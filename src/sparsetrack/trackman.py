@@ -145,7 +145,6 @@ class Tracker:
             raise ValidationError(
                 f"out-of-order frame: t={t} after t={self._last_t}")
         dt = None if self._last_t is None else t - self._last_t
-        self._last_t = t
 
         dets = (np.array([m.position for m in measurements])
                 if measurements else np.zeros((0, 3)))
@@ -246,7 +245,8 @@ class Tracker:
                 positions[i] = dets[best_j]
 
         # 6. initiation with the minimum-separation constraint
-        spawned: list[int] = []
+        spawned: list[Track] = []
+        next_id = self._next_id
         live_positions = [p for tr, p in zip(tracks, positions)
                           if tr.status != DELETED]
         for j in leftover:
@@ -256,9 +256,8 @@ class Tracker:
                 continue
             live_positions.append(p)
             init_js.append(j)
-            spawned.append(self._next_id)
-            tracks.append(Track(id=self._next_id, status=TENTATIVE))
-            self._next_id += 1
+            spawned.append(Track(id=next_id, status=TENTATIVE))
+            next_id += 1
 
         if init_js:
             fresh = imm_init(dets[init_js], cfg.filter)
@@ -267,11 +266,16 @@ class Tracker:
                 bank = bank.with_rows(reinit, fresh.rows(list(range(k))))
             if spawned:
                 bank = bank.append(fresh.rows(list(range(k, len(fresh)))))
+        tracks = tracks + spawned
         if deleted:
             keep = [i for i, tr in enumerate(tracks) if tr.status != DELETED]
-            self.tracks = [tracks[i] for i in keep]
+            tracks = [tracks[i] for i in keep]
             bank = bank.rows(keep)
-        self.bank = bank
+        # commit the frame: the tracks and their banks are replaced together,
+        # and a filter or association failure, which is raised before any
+        # track is touched, leaves the clock and every track as they were
+        self.tracks, self.bank = tracks, bank
+        self._next_id, self._last_t = next_id, t
 
         fused = bank.fused_x.copy()
         snapshot = [{
@@ -279,7 +283,8 @@ class Tracker:
             "position": x[:3], "velocity": x[3:], "mu": mu,
         } for tr, x, mu in zip(self.tracks, fused, bank.mu.copy())]
         return FrameRecord(t=t, tracks=snapshot, assignments=assignments,
-                           beta_summary=beta_summary, spawned=spawned,
+                           beta_summary=beta_summary,
+                           spawned=[tr.id for tr in spawned],
                            deleted=deleted, resurrected=resurrected)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sparsetrack import association, trackman
 from sparsetrack.association import AssociationComplexityError, jpda
 from sparsetrack.core import Measurement, NumericalError, ValidationError
+from sparsetrack.filter import imm_predict
 from sparsetrack.trackman import (CONFIRMED, DELETED, DORMANT, TENTATIVE,
                                   Track, Tracker, TrackerConfig,
                                   lifecycle_advance, run_tracker)
@@ -98,6 +99,37 @@ class TestTrackerStep:
         tracker.step([], 1.0)
         with pytest.raises(ValidationError):
             tracker.step([], 0.5)
+
+    @pytest.mark.parametrize("mode, target, name, error", [
+        ("jpda", association, "jpda", AssociationComplexityError),
+        ("hungarian", trackman, "imm_correct", NumericalError),
+    ])
+    def test_failed_frame_changes_nothing(self, mode, target, name, error):
+        cfg = TrackerConfig(association_mode=mode)
+        tracker = Tracker(cfg)
+        for t, ms in cv_stream(5):
+            tracker.step(ms, t)
+        t_ok = t
+        bank, tracks = tracker.bank, list(tracker.tracks)
+        statuses = [(tr.id, tr.status, tr.misses, tr.consec_hits)
+                    for tr in tracks]
+
+        def failing(*args, **kwargs):
+            raise error("forced failure")
+
+        with mock.patch.object(target, name, failing):
+            with pytest.raises(error):
+                tracker.step([meas((0.5, 0, 5), 0.5),
+                              meas((9.0, 0, 5), 0.5)], 0.5)
+        assert tracker.bank is bank and tracker.tracks == tracks
+        assert [(tr.id, tr.status, tr.misses, tr.consec_hits)
+                for tr in tracker.tracks] == statuses
+        # the next frame predicts over the whole interval since the last
+        # frame that went through
+        tracker.step([], 0.6)
+        expected = imm_predict(bank, 0.6 - t_ok, cfg.filter)
+        assert np.array_equal(tracker.bank.fused_x, expected.fused_x)
+        assert np.array_equal(tracker.bank.P, expected.P)
 
     def test_hungarian_one_to_one(self):
         frames = [
