@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ValidationError
+from .core import ValidationError, check_field_types
 from .filter import _sym
 
 SENTINEL_COST = 1e9
@@ -29,13 +29,13 @@ class JpdaParams:
     Pd: float = 0.7                 # detection probability
     lambda_c: float = 1e-4          # clutter spatial density (1/m^3)
     gamma: float = 7.815            # chi-squared(3) gate at 95%
-    dormant_gate_factor: float = 4.0
     max_events: int = 1_000_000
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0.0 < self.Pd <= 1.0):
             raise ValidationError("Pd must be in (0, 1]")
-        if self.lambda_c <= 0 or self.gamma <= 0 or self.dormant_gate_factor <= 1:
+        if not (self.lambda_c > 0 and self.gamma > 0 and self.max_events >= 1):
             raise ValidationError("invalid JPDA parameters")
 
 
@@ -48,7 +48,6 @@ class TrackView:
     velocity: np.ndarray | None = None  # (T, 3)
     anchor: np.ndarray | None = None    # (T, 3) last confident position
     anchor_t: np.ndarray | None = None  # (T,) its time; NaN: no anchor
-    dormant: np.ndarray | None = None   # (T,) bool: widened gate
 
     def __len__(self) -> int:
         return len(self.z_pred)
@@ -64,8 +63,7 @@ class GateResult:
 
 def gate(tracks: TrackView, detections: np.ndarray,
          params: JpdaParams) -> GateResult:
-    """Chi-squared gating of every track at once; dormant tracks use the
-    widened gate.
+    """Chi-squared gating of every track at once.
 
     A track whose S is not positive definite (slogdet sign <= 0, or a
     non-finite log-determinant) gets an infeasible row and one note. Such
@@ -89,15 +87,13 @@ def gate(tracks: TrackView, detections: np.ndarray,
     if notes:
         d2[~ok] = np.inf
         loglik[~ok] = -np.inf
-    limit = params.gamma if tracks.dormant is None else params.gamma * \
-        np.where(tracks.dormant, params.dormant_gate_factor, 1.0)[:, None]
-    return GateResult(d2=d2, feasible=d2 <= limit, loglik=loglik,
+    return GateResult(d2=d2, feasible=d2 <= params.gamma, loglik=loglik,
                       notes=notes)
 
 
 def build_cost(tracks: TrackView, detections: np.ndarray,
                gate_result: GateResult, weights: tuple[float, float, float],
-               t_now: float | None = None) -> np.ndarray:
+               t_now: float) -> np.ndarray:
     """Cost = w_m * d2 + w_a * identity-anchor + w_v * velocity penalty.
 
     Anchor and velocity terms vanish for a track with no confident history.
@@ -111,37 +107,30 @@ def build_cost(tracks: TrackView, detections: np.ndarray,
         anchor_t = np.asarray(tracks.anchor_t, dtype=float)
         has = ~np.isnan(anchor_t)[:, None]
         diff = dets - np.asarray(tracks.anchor, dtype=float)[:, None]
-        cost = cost + np.where(has, w_a * np.linalg.norm(diff, axis=2), 0.0)
-        if tracks.velocity is not None and t_now is not None:
-            lag = t_now - anchor_t
-            moving = lag > 0                            # False where NaN
-            implied = diff / np.where(moving, lag, 1.0)[:, None, None]
-            miss = np.linalg.norm(implied - tracks.velocity[:, None], axis=2)
-            cost = cost + np.where(moving[:, None], w_v * miss, 0.0)
+        lag = t_now - anchor_t
+        moving = lag > 0                                # False where NaN
+        implied = diff / np.where(moving, lag, 1.0)[:, None, None]
+        miss = np.linalg.norm(implied - tracks.velocity[:, None], axis=2)
+        cost = cost + np.where(has, w_a * np.linalg.norm(diff, axis=2), 0.0) \
+            + np.where(moving[:, None], w_v * miss, 0.0)
     return np.where(feasible, np.minimum(cost, SENTINEL_COST - 1.0),
                     SENTINEL_COST)
 
 
-def hungarian(cost: np.ndarray
-              ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+def hungarian(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost one-to-one assignment.
 
-    Returns (pairs, unassigned_rows, unassigned_cols); pairs at the
-    sentinel cost are dropped to unassigned.
+    Returns `assigned`, one entry per row: the column given to that row, or
+    -1 where the row is left over or its only pair is at the sentinel cost.
     """
     cost = np.asarray(cost, dtype=float)
-    if cost.size == 0:
-        return [], list(range(cost.shape[0])), list(range(cost.shape[1]))
     if not np.all(np.isfinite(cost)):
         raise ValidationError("cost matrix must be finite")
     rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols)
-             if cost[r, c] < SENTINEL_COST - 0.5]
-    assigned_r = {r for r, _ in pairs}
-    assigned_c = {c for _, c in pairs}
-    un_rows = [r for r in range(cost.shape[0]) if r not in assigned_r]
-    un_cols = [c for c in range(cost.shape[1]) if c not in assigned_c]
-    return pairs, un_rows, un_cols
+    keep = cost[rows, cols] < SENTINEL_COST - 0.5
+    assigned = np.full(len(cost), -1)
+    assigned[rows[keep]] = cols[keep]
+    return assigned
 
 
 class AssociationComplexityError(RuntimeError):

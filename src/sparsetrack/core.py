@@ -6,7 +6,8 @@ as immutable values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +20,24 @@ class ValidationError(ValueError):
 
 class NumericalError(ArithmeticError):
     """A numeric operation failed (singular matrix, indefinite covariance)."""
+
+
+# A bool is only a bool, so a JSON `true` is never read as 1; the bounds
+# keep out NaN, infinities and integers too large for numpy or a C size.
+_FIELD_TYPES = {"int": (int, "a 64-bit integer", 2**63 - 1),
+                "float": ((int, float), "a finite number", sys.float_info.max),
+                "bool": (bool, "true or false", 1)}
+
+
+def check_field_types(obj) -> None:
+    """Reject a dataclass whose int, float or bool field holds another type
+    or a value out of that type's range."""
+    for f in fields(obj):
+        kind, what, top = _FIELD_TYPES.get(f.type, (None, "", 0))
+        v = getattr(obj, f.name)
+        if kind is not None and not (isinstance(v, kind) and isinstance(
+                v, bool) == (kind is bool) and -top <= v <= top):
+            raise ValidationError(f"{f.name} must be {what}, got {v!r}")
 
 
 def as_point(p) -> np.ndarray:

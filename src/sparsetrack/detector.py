@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Measurement, Scan, ValidationError, to_global
+from .core import (Measurement, Scan, ValidationError, check_field_types,
+                   to_global)
 
 
 @dataclass(frozen=True)
@@ -41,19 +42,16 @@ class DetectorConfig:
     T_cons: float = 1.0         # layer 3: temporal consistency horizon (s)
 
     def __post_init__(self):
-        if self.eps0 <= 0:
-            raise ValidationError("eps0 must be positive")
-        if self.min_pts < 1:
-            raise ValidationError("min_pts must be >= 1")
-        if self.alpha < 0:
+        check_field_types(self)
+        if not self.alpha >= 0:
             raise ValidationError("alpha must be >= 0")
-        if self.n_min > self.n_max:
+        if not self.n_min <= self.n_max:
             raise ValidationError("n_min must be <= n_max")
-        if self.M > self.K:
+        if not self.M <= self.K:
             raise ValidationError("M must be <= K")
-        for name in ("voxel", "e_max", "tau_min", "d_cons", "T_cons",
-                     "r_max", "r_excl", "d_new_source"):
-            if getattr(self, name) <= 0:
+        for name in ("eps0", "min_pts", "voxel", "e_max", "tau_min", "d_cons",
+                     "T_cons", "r_max", "r_excl", "d_new_source"):
+            if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
 
 

@@ -61,7 +61,6 @@ def _greedy_match(dets: np.ndarray, truths: np.ndarray, radius: float
     if len(dets) == 0 or len(truths) == 0:
         return pairs
     d = np.linalg.norm(dets[:, None, :] - truths[None, :, :], axis=-1)
-    d = d.copy()
     while True:
         i, j = np.unravel_index(np.argmin(d), d.shape)
         if d[i, j] > radius:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Measurement, ValidationError
+from .core import Measurement, ValidationError, check_field_types
 from . import association as assoc
 from .association import JpdaParams, TrackView
 from .filter import (FilterConfig, IMMState, imm_init, imm_predict,
@@ -42,10 +42,17 @@ class TrackerConfig:
     jpda_miss_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.confirm_hits < 1:
-            raise ValidationError("confirm_hits must be >= 1")
-        if self.init_min_separation <= 0 or self.resurrect_radius <= 0:
+        check_field_types(self)
+        if not (self.confirm_hits >= 1 and self.max_misses_active >= 0
+                and self.max_misses_dormant >= 0):
+            raise ValidationError("confirm_hits must be >= 1, miss limits >= 0")
+        if not (self.init_min_separation > 0 and self.resurrect_radius > 0):
             raise ValidationError("separations must be positive")
+        if not 0.0 <= self.jpda_miss_threshold < 1.0:
+            raise ValidationError("jpda_miss_threshold must be in [0, 1)")
+        if not (len(self.cost_weights) == 3
+                and all(0 <= w < np.inf for w in self.cost_weights)):
+            raise ValidationError("cost_weights must be 3 finite weights >= 0")
         if self.association_mode not in (HUNGARIAN, JPDA):
             raise ValidationError(
                 f"unknown association mode {self.association_mode!r}")
@@ -157,9 +164,9 @@ class Tracker:
         # the active tracks' banks; dormant rows stay frozen
         pred = self.bank.rows(act)
 
-        assignments: list[tuple[int, int]] = []
+        # the detection each active track takes, or -1
+        assigned = np.full(len(act), -1)
         beta_summary: list[dict] | None = None
-        hits = np.zeros(len(act), dtype=bool)
         # detections assigned to, or (JPDA) inside the gate of, an active track
         taken = np.zeros(len(dets), dtype=bool)
 
@@ -175,57 +182,43 @@ class Tracker:
                 view = self._view(active, pred)
                 g = assoc.gate(view, dets, cfg.jpda)
                 if cfg.association_mode == HUNGARIAN:
-                    cost = assoc.build_cost(view, dets, g, cfg.cost_weights,
-                                            t_now=t)
-                    pairs, _, _ = assoc.hungarian(cost)
-                    if pairs:
-                        assigned = np.full(len(act), -1)
-                        rows, js = zip(*pairs)
-                        assigned[list(rows)] = js
-                        pred = imm_correct(pred, dets, assigned, cfg.filter)
-                        hits = assigned >= 0
-                        taken[assigned[hits]] = True
-                    for i, j in pairs:
-                        active[i].last_confident = (dets[j].copy(), t)
-                        assignments.append((active[i].id, j))
+                    cost = assoc.build_cost(view, dets, g, cfg.cost_weights, t)
+                    assigned = assoc.hungarian(cost)
+                    pred = imm_correct(pred, dets, assigned, cfg.filter)
+                    taken[assigned[assigned >= 0]] = True
                 else:
                     beta = assoc.jpda(view, dets, g, cfg.jpda)
                     pred = self._imm_correct_pda(pred, dets, beta)
-                    hits = beta[:, 0] <= cfg.jpda_miss_threshold
-                    best = beta[:, 1:].argmax(axis=1)
-                    beta_summary = []
-                    for tr, hit, j, b0 in zip(active, hits.tolist(),
-                                              best.tolist(),
-                                              beta[:, 0].tolist()):
-                        if hit:
-                            tr.last_confident = (dets[j].copy(), t)
-                            assignments.append((tr.id, j))
-                        beta_summary.append({"id": tr.id, "beta0": b0,
-                                             "best": j if hit else -1})
+                    assigned = np.where(beta[:, 0] <= cfg.jpda_miss_threshold,
+                                        beta[:, 1:].argmax(axis=1), -1)
+                    beta_summary = [
+                        {"id": tr.id, "beta0": b0, "best": j} for tr, b0, j
+                        in zip(active, beta[:, 0].tolist(), assigned.tolist())]
                     # detections inside any active gate are not initiation
                     # sources
                     taken = g.feasible.any(axis=0)
         bank = self.bank.with_rows(act, pred) if act else self.bank
 
-        # 5. lifecycle
+        # 5. hits and lifecycle
+        assignments: list[tuple[int, int]] = []
         deleted: list[int] = []
-        for tr, hit in zip(active, hits.tolist()):
-            if lifecycle_advance(tr, hit, cfg) == DELETED:
+        for tr, j in zip(active, assigned.tolist()):
+            if j >= 0:
+                tr.last_confident = (dets[j].copy(), t)
+                assignments.append((tr.id, j))
+            if lifecycle_advance(tr, j >= 0, cfg) == DELETED:
                 deleted.append(tr.id)
-        for i in dorm:
-            if lifecycle_advance(tracks[i], False, cfg) == DELETED:
-                deleted.append(tracks[i].id)
 
         leftover = [j for j, used in enumerate(taken.tolist()) if not used]
         positions = bank.fused_x[:, :3].copy()
 
-        # 7. resurrection of dormant tracks near leftover measurements
-        resurrected: list[int] = []
+        # 7. dormant tracks miss, or come back at a nearby leftover detection
         reinit: list[int] = []           # rows of the resurrected tracks
         init_js: list[int] = []          # their detections, then the spawns'
         for i in dorm:
             tr = tracks[i]
-            if tr.status != DORMANT:
+            if lifecycle_advance(tr, False, cfg) == DELETED:
+                deleted.append(tr.id)
                 continue
             best_j, best_d = -1, cfg.resurrect_radius
             for j in leftover:
@@ -237,12 +230,12 @@ class Tracker:
                 tr.misses = 0
                 tr.consec_hits = 1
                 tr.last_confident = (dets[best_j].copy(), t)
-                resurrected.append(tr.id)
                 assignments.append((tr.id, best_j))
                 leftover.remove(best_j)
                 reinit.append(i)
                 init_js.append(best_j)
                 positions[i] = dets[best_j]
+        resurrected = [tracks[i].id for i in reinit]
 
         # 6. initiation with the minimum-separation constraint
         spawned: list[Track] = []

@@ -12,16 +12,15 @@ from sparsetrack.filter import FilterConfig, IMMState, imm_correct_pda
 from reference_filter import KState, kf_update
 
 
-def views(*z_preds, S=None, dormant=None):
+def views(*z_preds, S=None):
     """A TrackView of one track per predicted position, all with S (or I)."""
     z = np.asarray(z_preds, float).reshape(-1, 3)
     S = np.eye(3) if S is None else np.asarray(S, float)
-    return TrackView(z_pred=z, S=np.broadcast_to(S, (len(z), 3, 3)),
-                     dormant=None if dormant is None else np.array(dormant))
+    return TrackView(z_pred=z, S=np.broadcast_to(S, (len(z), 3, 3)))
 
 
-def view(z_pred=(0, 0, 0), S=None, dormant=False):
-    return views(z_pred, S=S, dormant=[dormant])
+def view(z_pred=(0, 0, 0), S=None):
+    return views(z_pred, S=S)
 
 
 def brute_force_min(cost: np.ndarray) -> float:
@@ -52,13 +51,6 @@ class TestGate:
         params = JpdaParams(gamma=2.0)
         g = gate(view(), np.ones((1, 3)), params)
         assert not g.feasible[0, 0]
-
-    def test_dormant_gate_widened(self):
-        z = np.sqrt(10.0) * np.array([[1.0, 0, 0]])  # d2 = 10 > 7.815
-        g_active = gate(view(), z, self.params)
-        g_dormant = gate(view(dormant=True), z, self.params)
-        assert not g_active.feasible[0, 0]
-        assert g_dormant.feasible[0, 0]
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(5)
@@ -107,7 +99,7 @@ class TestBuildCost:
         tracks = view()
         dets = np.array([[0.5, 0, 0]])
         g = gate(tracks, dets, self.params)
-        cost = build_cost(tracks, dets, g, (1.0, 0.0, 0.0))
+        cost = build_cost(tracks, dets, g, (1.0, 0.0, 0.0), t_now=1.0)
         assert cost[0, 0] == pytest.approx(g.d2[0, 0])
 
     def test_anchor_vanishes_without_history(self):
@@ -122,9 +114,8 @@ class TestBuildCost:
         tracks = view()
         dets = np.array([[100.0, 0, 0]])
         g = gate(tracks, dets, self.params)
-        cost = build_cost(tracks, dets, g, (1.0, 0.3, 0.3))
-        pairs, un_rows, un_cols = hungarian(cost)
-        assert pairs == [] and un_rows == [0] and un_cols == [0]
+        cost = build_cost(tracks, dets, g, (1.0, 0.3, 0.3), t_now=1.0)
+        assert hungarian(cost).tolist() == [-1]
 
     def test_equals_per_pair_loop(self):
         # The array cost equals the per-pair definition, with tracks that
@@ -161,36 +152,49 @@ class TestBuildCost:
 
 class TestHungarian:
     def test_two_by_two(self):
-        pairs, _, _ = hungarian(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert sorted(pairs) == [(0, 1), (1, 0)]
+        assigned = hungarian(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        assert assigned.tolist() == [1, 0]
 
     def test_diagonal_dominant(self):
         cost = np.full((3, 3), 9.0)
         np.fill_diagonal(cost, 0.0)
-        pairs, _, _ = hungarian(cost)
-        assert sorted(pairs) == [(0, 0), (1, 1), (2, 2)]
+        assert hungarian(cost).tolist() == [0, 1, 2]
 
     def test_one_by_three(self):
-        pairs, un_rows, un_cols = hungarian(np.array([[5.0, 1.0, 7.0]]))
-        assert pairs == [(0, 1)]
-        assert un_rows == [] and sorted(un_cols) == [0, 2]
+        # the one row takes column 1; columns 0 and 2 stay free
+        assert hungarian(np.array([[5.0, 1.0, 7.0]])).tolist() == [1]
 
     def test_empty(self):
-        pairs, un_rows, un_cols = hungarian(np.zeros((0, 3)))
-        assert pairs == [] and un_rows == [] and un_cols == [0, 1, 2]
+        assert hungarian(np.zeros((0, 3))).shape == (0,)
+        assert hungarian(np.zeros((2, 0))).tolist() == [-1, -1]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             hungarian(np.array([[np.inf]]))
 
     def test_matches_brute_force_small(self):
+        # square and rectangular matrices: every row of the shorter side is
+        # assigned, each column at most once, at the brute-force minimum
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            n, m = rng.integers(1, 6, size=2)
+        shapes = [tuple(rng.integers(1, 6, size=2)) for _ in range(100)]
+        shapes += [(2, 5), (5, 2), (1, 4), (4, 1)]
+        for n, m in shapes:
             cost = rng.uniform(0, 10, size=(n, m))
-            pairs, _, _ = hungarian(cost)
-            total = sum(cost[i, j] for i, j in pairs)
+            assigned = hungarian(cost)
+            assert assigned.shape == (n,)
+            cols = assigned[assigned >= 0]
+            assert len(cols) == min(n, m)
+            assert len(set(cols.tolist())) == len(cols)
+            total = cost[np.flatnonzero(assigned >= 0), cols].sum()
             assert total == pytest.approx(brute_force_min(cost), abs=1e-9)
+
+    def test_sentinel_row_unassigned(self):
+        # a row with no feasible column comes back -1, and the other rows
+        # keep their optimal columns
+        cost = np.array([[1.0, 5.0, 9.0],
+                         [SENTINEL_COST] * 3,
+                         [6.0, 2.0, 9.0]])
+        assert hungarian(cost).tolist() == [0, -1, 1]
 
 
 class TestJpda:
@@ -250,6 +254,17 @@ class TestJpda:
             JpdaParams(Pd=0.0)
         with pytest.raises(ValidationError):
             JpdaParams(lambda_c=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("Pd", True), ("lambda_c", math.nan),
+        ("gamma", math.nan), ("gamma", math.inf), ("max_events", 0),
+        ("max_events", 2.5), ("max_events", True),
+    ])
+    def test_non_finite_or_mistyped_params_rejected(self, field, value):
+        # NaN would otherwise pass every range test and, for gamma, put
+        # every pair outside the gate
+        with pytest.raises(ValidationError):
+            JpdaParams(**{field: value})
 
 
 class TestJpdaUpdate:

@@ -148,6 +148,34 @@ class TestDetect:
                                    "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("fields", [
+        # NaN passes a `<= 0` test, and gave 0 detections with exit 0
+        {"eps0": float("nan")}, {"voxel": float("nan")},
+        {"r_max": float("nan")}, {"h_min": float("nan")},
+        # a float, a bool or a truthy string must not be read as a count or
+        # a flag
+        {"min_pts": 2.5}, {"min_pts": True}, {"layer3_enabled": "no"},
+        {"K": 2.5, "M": 1},
+        # numbers too large for a float or a 64-bit count
+        {"r_max": 10**400}, {"K": 10**30, "layer3_enabled": True},
+    ])
+    @pytest.mark.parametrize("command", ["detect", "track", "sweep"])
+    def test_mistyped_or_nan_config_data_error(self, runner, tmp_path,
+                                               fields, command):
+        scans, truth = simulate(runner, tmp_path, frames=10)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        args = [command, "--scans", str(scans), "--config", str(cfg),
+                "--out", str(tmp_path / "o.jsonl")]
+        if command != "detect":
+            args += ["--truth", str(truth)]
+        if command == "sweep":
+            args += ["--min-pts", "1,2"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert "invalid detector config" in res.output
+        assert isinstance(res.exception, SystemExit)
+
 
 class TestTrack:
     def test_both_modes_share_gt_total(self, runner, tmp_path):

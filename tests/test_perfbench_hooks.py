@@ -1,10 +1,14 @@
-"""perfbench's trace hooks must all attach to the package under src/.
+"""perfbench's trace hooks must all attach to the package under src/, and
+the tracker must call the ones it uses.
 
 perfbench finds each per-layer span by module and attribute name, so a
-rename in io, detector, filter or trackman would silently drop a metric.
+rename in io, detector, filter or trackman would silently drop a metric,
+and so would a call that bypasses the hooked name.
 """
 import dataclasses
 from pathlib import Path
+
+import pytest
 
 import sparsetrack
 
@@ -48,3 +52,29 @@ def test_tracer_counts_detector_layers(monkeypatch):
                     "measurements"):
             assert tracer.counts[f"detector.{key}"] == want[key], key
         assert {"detector.validate", "detector.centroid"} <= set(tracer.names)
+
+
+@pytest.mark.parametrize("mode, hooks", [
+    ("hungarian", {"association.build_cost", "association.hungarian",
+                   "filter.imm_correct"}),
+    ("jpda", {"association.jpda", "trackman.pda_update"}),
+])
+def test_tracker_hooks_are_called(monkeypatch, mode, hooks):
+    # each tracker hook a mode uses records a span on a short crossings run
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import Tracer
+    from sparsetrack.detector import Detector, get_preset
+    from sparsetrack.simulator import Scenario, run_scenario
+    from sparsetrack.trackman import Tracker, TrackerConfig
+
+    scans, _ = run_scenario(Scenario(kind="crossings", n_frames=60, seed=0))
+    det = Detector(get_preset("A_s"))
+    frames = [(s.t, det.detect(s)) for s in scans]
+    tracker = Tracker(TrackerConfig(association_mode=mode))
+    tracer = Tracer()
+    with tracer.installed():
+        for t, ms in frames:
+            tracker.step(ms, t)
+    shared = {"filter.imm_predict", "filter.imm_init", "association.gate",
+              "trackman.lifecycle", "trackman.step"}
+    assert shared | hooks <= set(tracer.names)

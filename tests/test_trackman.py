@@ -275,6 +275,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             TrackerConfig(init_min_separation=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("jpda_miss_threshold", np.nan), ("jpda_miss_threshold", 2.0),
+        ("jpda_miss_threshold", -0.1), ("resurrect_radius", np.nan),
+        ("init_min_separation", np.nan), ("init_min_separation", np.inf),
+        ("cost_weights", (1.0, np.nan, 0.3)), ("cost_weights", (1.0, -0.3, 0.3)),
+        ("cost_weights", (1.0, 0.3)), ("max_misses_active", -1),
+        ("max_misses_dormant", -1), ("max_misses_dormant", 2.0),
+        ("confirm_hits", 1.5), ("confirm_hits", True),
+    ])
+    def test_rejects_non_finite_or_mistyped(self, field, value):
+        with pytest.raises(ValidationError):
+            TrackerConfig(**{field: value})
+
 
 # Measurement streams: points either anywhere in a 40 m box or on a coarse
 # grid, so gates overlap, tracks share detections and JPDA splits beta.
@@ -321,6 +334,17 @@ class TestTrackerStreams:
                 assert not deleted & (set(ids) | set(rec.resurrected))
                 deleted |= set(rec.deleted)
                 assert not deleted & set(ids)
+                # one hit path: every assignment names a live track, and the
+                # non-resurrection ones are JPDA's confident argmax detections
+                assert {i for i, _ in rec.assignments} <= set(ids)
+                if mode == "hungarian":
+                    dets_used = [j for _, j in rec.assignments]
+                    assert len(set(dets_used)) == len(dets_used)
+                else:
+                    assert [a for a in rec.assignments
+                            if a[0] not in rec.resurrected] == [
+                        (b["id"], b["best"]) for b in rec.beta_summary or []
+                        if b["best"] >= 0]
                 bank = tracker.bank
                 assert len(bank) == len(tracker.tracks)
                 assert np.array_equal(bank.fused_x[:, :3], np.reshape(
