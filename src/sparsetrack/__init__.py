@@ -2,11 +2,10 @@
 
 from .core import (Measurement, NumericalError, Pose, Scan, ValidationError,
                    to_global)
-from .detector import (Cluster, Detector, DetectorConfig, PRESETS,
-                       TemporalHistory, adaptive_epsilon, dbscan,
-                       estimate_centroid, get_preset, roi_filter,
-                       validate_geometric, validate_jump, validate_temporal,
-                       voxel_downsample)
+from .detector import (Detector, DetectorConfig, PRESETS, TemporalHistory,
+                       adaptive_epsilon, dbscan, estimate_centroid,
+                       get_preset, roi_filter, validate_geometric,
+                       validate_jump, validate_temporal, voxel_downsample)
 from .filter import FilterConfig, IMMState, imm_correct_pda, imm_init, imm_mix
 from .association import (GateResult, JpdaParams, TrackView, build_cost, gate,
                           hungarian, jpda)

@@ -47,8 +47,8 @@ class DetectorConfig:
             raise ValidationError("alpha must be >= 0")
         if not self.n_min <= self.n_max:
             raise ValidationError("n_min must be <= n_max")
-        if not self.M <= self.K:
-            raise ValidationError("M must be <= K")
+        if not 1 <= self.M <= self.K:
+            raise ValidationError("M and K must satisfy 1 <= M <= K")
         for name in ("eps0", "min_pts", "voxel", "e_max", "tau_min", "d_cons",
                      "T_cons", "r_max", "r_excl", "d_new_source"):
             if not getattr(self, name) > 0:
@@ -89,69 +89,54 @@ def get_preset(name: str) -> DetectorConfig:
             f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """A DBSCAN cluster in the local frame."""
-
-    points: np.ndarray          # (n, 3)
-    extents: tuple[float, float, float]
-    count: int
-
-    @staticmethod
-    def from_points(points: np.ndarray) -> "Cluster":
-        pts = np.asarray(points, dtype=float)
-        ext = pts.max(axis=0) - pts.min(axis=0)
-        return Cluster(points=pts, extents=tuple(float(e) for e in ext),
-                       count=pts.shape[0])
-
-
 class TemporalHistory:
-    """Ring buffer of the last K accepted candidates (global position, time)."""
+    """The last K layer-1/2 survivors, oldest first: global positions
+    `pos` (k, 3) and their scan times `t` (k,)."""
 
     def __init__(self, K: int):
-        self._buf: deque[tuple[np.ndarray, float]] = deque(maxlen=K)
-        self._pos: np.ndarray | None = None   # stacked positions, built lazily
+        if K < 1:
+            raise ValidationError("history length K must be >= 1")
+        self.K = K
+        self.pos = np.zeros((0, 3))
+        self.t = np.zeros(0)
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return len(self.t)
 
-    def entries(self) -> list[tuple[np.ndarray, float]]:
-        return list(self._buf)
-
-    def push(self, position: np.ndarray, t: float) -> None:
-        if self._buf and t < self._buf[-1][1]:
+    def push(self, positions: np.ndarray, t: float) -> None:
+        """Append one scan's candidates (n, 3) at time t; keep the last K."""
+        if len(self.t) and t < self.t[-1]:
             raise ValidationError("history timestamps must be monotone")
-        self._buf.append((np.asarray(position, dtype=float), t))
-        self._pos = None
+        self.pos = np.concatenate([self.pos, positions])[-self.K:]
+        self.t = np.concatenate([self.t, np.full(len(positions), t)])[-self.K:]
+
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        """(N, k) distances from each row of `points` (N, 3) to each entry."""
+        d = np.asarray(points, dtype=float)[:, None, :] - self.pos
+        # (1, 3) @ (3, 1) is the dot product np.linalg.norm takes of one
+        # vector, so distances round exactly as a per-entry norm would.
+        return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
     def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each row of `points` (N, 3): the index into `entries()` of
-        the spatially closest entry and its distance, or -1 and inf when
-        the history is empty.
+        """For each row of `points` (N, 3): the row of the spatially closest
+        entry and its distance, or -1 and inf when the history is empty.
 
         Ties go to the earliest entry.
         """
-        pts = np.asarray(points, dtype=float)
-        if not self._buf:
-            return np.full(len(pts), -1), np.full(len(pts), np.inf)
-        if self._pos is None:
-            self._pos = np.array([e[0] for e in self._buf])
-        d = pts[:, None, :] - self._pos
-        # (1, 3) @ (3, 1) is the dot product np.linalg.norm takes of one
-        # vector, so distances round exactly as a per-entry norm would.
-        dists = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
-        return dists.argmin(axis=1), dists.min(axis=1)
+        if not len(self.t):
+            return np.full(len(points), -1), np.full(len(points), np.inf)
+        d = self.distances(points)
+        return d.argmin(axis=1), d.min(axis=1)
 
 
-def roi_filter(scan: Scan, cfg: DetectorConfig) -> Scan:
-    """Keep points above h_min, within r_max, outside the exclusion cylinder."""
+def roi_filter(scan: Scan, cfg: DetectorConfig) -> np.ndarray:
+    """The scan's points (n, 3) above h_min, within r_max and outside the
+    exclusion cylinder."""
     pts = scan.points
-    if len(scan) == 0:
-        return scan
     r = np.linalg.norm(pts, axis=1)
     rho = np.linalg.norm(pts[:, :2], axis=1)
     keep = (pts[:, 2] >= cfg.h_min) & (r <= cfg.r_max) & (rho > cfg.r_excl)
-    return Scan(t=scan.t, points=pts[keep], pose=scan.pose)
+    return pts[keep]
 
 
 def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
@@ -185,8 +170,9 @@ def adaptive_epsilon(r: float, cfg: DetectorConfig) -> float:
     return cfg.eps0 + cfg.alpha * max(r - cfg.r_ref, 0.0)
 
 
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> list[Cluster]:
-    """Euclidean DBSCAN; noise points are discarded.
+def dbscan(points: np.ndarray, eps: float, min_pts: int) -> list[np.ndarray]:
+    """Euclidean DBSCAN: one (k, 3) point array per cluster; noise points
+    are discarded.
 
     Neighborhood counts include the query point, so min_pts=1 makes every
     point a core point. Border points join the first core cluster that
@@ -220,29 +206,25 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> list[Cluster]:
     if next_label == 0:
         return []
     # Group points by label in one stable sort. Noise (-1) sorts first;
-    # cluster k is grouped[bounds[k]:bounds[k + 1]].
+    # cluster k is grouped[b[k]:b[k + 1]].
     lab = np.array(labels)
     grouped = pts[np.argsort(lab, kind="stable")]
-    bounds = np.cumsum(np.bincount(lab + 1, minlength=next_label + 1))
-    ext = (np.maximum.reduceat(grouped, bounds[:-1])
-           - np.minimum.reduceat(grouped, bounds[:-1]))
-    b = bounds.tolist()
-    return [Cluster(points=grouped[b[k]:b[k + 1]], extents=tuple(e),
-                    count=b[k + 1] - b[k])
-            for k, e in enumerate(ext.tolist())]
+    b = np.cumsum(np.bincount(lab + 1, minlength=next_label + 1)).tolist()
+    return [grouped[b[k]:b[k + 1]] for k in range(next_label)]
 
 
-def validate_geometric(c: Cluster, cfg: DetectorConfig) -> bool:
-    """Layer 1: point-count band and strict extent bound."""
-    return (cfg.n_min <= c.count <= cfg.n_max
-            and max(c.extents) < cfg.e_max)
+def validate_geometric(points: np.ndarray, cfg: DetectorConfig) -> bool:
+    """Layer 1: point-count band and strict axis-aligned extent bound."""
+    n = len(points)
+    # a single point has extent 0; most clusters of a sparse scan are one
+    return cfg.n_min <= n <= cfg.n_max and (
+        n == 1 or float((points.max(axis=0) - points.min(axis=0)).max())
+        < cfg.e_max)
 
 
-def validate_jump(z_now: np.ndarray, z_prev: np.ndarray | None, dt: float,
+def validate_jump(z_now: np.ndarray, z_prev: np.ndarray, dt: float,
                   cfg: DetectorConfig) -> bool:
     """Layer 2: reject displacements beyond max(tau_min, v_max * dt)."""
-    if z_prev is None:
-        return True
     if dt <= 0:
         raise ValidationError("dt must be positive when a previous candidate exists")
     bound = max(cfg.tau_min, cfg.v_max * dt)
@@ -252,19 +234,15 @@ def validate_jump(z_now: np.ndarray, z_prev: np.ndarray | None, dt: float,
 def validate_temporal(z: np.ndarray, t: float, hist: TemporalHistory,
                       cfg: DetectorConfig) -> bool:
     """Layer 3: at least M of the last K candidates near z and recent."""
-    z = np.asarray(z, dtype=float)
-    hits = 0
-    for pos, tp in hist.entries():
-        if (np.linalg.norm(z - pos) < cfg.d_cons) and (t - tp < cfg.T_cons):
-            hits += 1
-    return hits >= cfg.M
+    near = hist.distances(np.reshape(z, (1, 3)))[0] < cfg.d_cons
+    return int(np.count_nonzero(near & (t - hist.t < cfg.T_cons))) >= cfg.M
 
 
-def estimate_centroid(c: Cluster) -> np.ndarray:
-    """Component-wise median for count >= 3, arithmetic mean otherwise."""
-    if c.count >= 3:
-        return np.median(c.points, axis=0)
-    return c.points.mean(axis=0)
+def estimate_centroid(points: np.ndarray) -> np.ndarray:
+    """Component-wise median for 3 or more points, arithmetic mean otherwise."""
+    if len(points) >= 3:
+        return np.median(points, axis=0)
+    return points.mean(axis=0)
 
 
 class Detector:
@@ -288,7 +266,7 @@ class Detector:
         roi = roi_filter(scan, cfg)
         if len(roi) == 0:
             return []
-        down = voxel_downsample(roi.points, cfg.voxel)
+        down = voxel_downsample(roi, cfg.voxel)
         r = float(np.linalg.norm(down, axis=1).mean())
         eps = adaptive_epsilon(r, cfg)
         clusters = dbscan(down, eps, cfg.min_pts)
@@ -298,33 +276,31 @@ class Detector:
             return []
         # Centroids of all survivors in one (N, 3) array: a 1-point
         # cluster's point as it is, estimate_centroid for larger ones.
-        local = np.concatenate([c.points[:1] for c in kept])
+        local = np.concatenate([c[:1] for c in kept])
         for i, c in enumerate(kept):
-            if c.count > 1:
+            if len(c) > 1:
                 local[i] = estimate_centroid(c)
         zs = to_global(local, scan.pose)
 
-        idx, dist = self.history.nearest(zs)
-        entries = self.history.entries()
+        hist = self.history
+        idx, dist = hist.nearest(zs)
         measurements: list[Measurement] = []
-        accepted: list[np.ndarray] = []
-        for z, c, j, d in zip(zs, kept, idx.tolist(), dist.tolist()):
+        accepted: list[int] = []
+        for i, (z, j, d) in enumerate(zip(zs, idx.tolist(), dist.tolist())):
             # Layer 2 is checked against the spatially nearest prior
             # candidate; candidates farther than d_new_source from
             # everything in the window are new sources, not implausible
             # jumps.
-            if j >= 0 and d <= cfg.d_new_source:
-                prev, tp = entries[j]
-                if not validate_jump(z, prev, scan.t - tp, cfg):
-                    continue
-            accepted.append(z)  # layer-3 rejects stay future candidates
-            if cfg.layer3_enabled and not validate_temporal(z, scan.t,
-                                                            self.history, cfg):
+            if j >= 0 and d <= cfg.d_new_source and not validate_jump(
+                    z, hist.pos[j], scan.t - hist.t[j], cfg):
+                continue
+            accepted.append(i)  # layer-3 rejects stay future candidates
+            if cfg.layer3_enabled and not validate_temporal(z, scan.t, hist,
+                                                            cfg):
                 continue
             measurements.append(Measurement(t=scan.t, position=z,
-                                            support=c.count))
+                                            support=len(kept[i])))
         # History gets this frame's layer-1/2 survivors only after the whole
         # frame is processed, so same-frame candidates do not interact.
-        for z in accepted:
-            self.history.push(z, scan.t)
+        hist.push(zs[accepted], scan.t)
         return measurements

@@ -152,24 +152,41 @@ class FilterConfig:
     mu0: np.ndarray | None = None
 
     def __post_init__(self):
+        if not (len(self.q_levels) > 0 and all(
+                isinstance(q, (int, float)) and not isinstance(q, bool)
+                and 0.0 <= q < np.inf for q in self.q_levels)):
+            raise ValidationError("q_levels must be one or more finite "
+                                  "numbers >= 0")
         Pi = np.asarray(self.Pi, dtype=float)
         m = len(self.q_levels)
         if Pi.shape != (m, m):
             raise ValidationError("Pi must be square, one row per model")
-        if np.any(Pi < 0) or np.any(np.abs(Pi.sum(axis=1) - 1.0) > 1e-12):
+        # each test is written so that NaN fails it
+        if not (np.all(Pi >= 0)
+                and np.all(np.abs(Pi.sum(axis=1) - 1.0) <= 1e-12)):
             raise ValidationError("Pi rows must sum to 1 with entries >= 0")
         R = _sym(np.asarray(self.R, dtype=float))
-        if np.linalg.eigvalsh(R).min() <= 0:
-            raise ValidationError("R must be symmetric positive definite")
+        if not (R.shape == (3, 3) and np.isfinite(R).all()
+                and np.linalg.eigvalsh(R).min() > 0):
+            raise ValidationError("R must be a finite symmetric positive "
+                                  "definite 3x3 matrix")
         mu0 = self.mu0
         if mu0 is None:
             mu0 = np.full(m, 1.0 / m)
         mu0 = np.asarray(mu0, dtype=float)
-        if len(mu0) != m or abs(mu0.sum() - 1.0) > 1e-9 or np.any(mu0 < 0):
+        if not (len(mu0) == m and abs(mu0.sum() - 1.0) <= 1e-9
+                and np.all(mu0 >= 0)):
             raise ValidationError("mu0 must be a distribution over models")
+        P0 = np.asarray(self.P0, dtype=float)
+        if P0.shape != (6, 6) or not (np.isfinite(P0).all()
+                                      and np.allclose(P0, P0.T)):
+            raise ValidationError("P0 must be a finite symmetric 6x6 matrix")
+        w = np.linalg.eigvalsh(P0)  # ascending
+        if w[0] < -1e-12 * w[-1]:
+            raise ValidationError("P0 must be positive semi-definite")
         object.__setattr__(self, "Pi", Pi)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "P0", _sym(np.asarray(self.P0, dtype=float)))
+        object.__setattr__(self, "P0", _sym(P0))
         object.__setattr__(self, "mu0", mu0)
 
     @property

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Pose, Scan, ValidationError
+from .core import Pose, Scan, ValidationError, check_field_types
 
 OCCLUSION = "occlusion"
 CROSSINGS = "crossings"
@@ -86,6 +86,7 @@ class SensorModel:
     occlusion_windows: tuple[tuple[float, float, int], ...] = ()
 
     def __post_init__(self):
+        check_field_types(self)
         # each test is written so that NaN fails it
         if not (0.0 <= self.p_hit <= 1.0):
             raise ValidationError("p_hit must be in [0, 1]")
@@ -129,8 +130,11 @@ class Scenario:
     sensor: SensorModel = TRACKING_SENSOR
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in SCENARIOS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         n = SCENARIOS[self.kind].frames if self.n_frames is None else self.n_frames
         if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
             raise ValidationError(f"n_frames must be a positive integer, got {n!r}")

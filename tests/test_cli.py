@@ -51,6 +51,12 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "dt" in res.output
 
+    def test_negative_seed_usage_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["simulate", "--kind", "separated",
+                                   "--seed", "-1", "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "seed" in res.output
+
 
 class TestDetect:
     def test_preset_with_report(self, runner, tmp_path):
@@ -158,6 +164,8 @@ class TestDetect:
         {"K": 2.5, "M": 1},
         # numbers too large for a float or a 64-bit count
         {"r_max": 10**400}, {"K": 10**30, "layer3_enabled": True},
+        # a negative history length, and a layer 3 that can reject nothing
+        {"K": -1, "M": -2}, {"K": 0, "M": 0, "layer3_enabled": True},
     ])
     @pytest.mark.parametrize("command", ["detect", "track", "sweep"])
     def test_mistyped_or_nan_config_data_error(self, runner, tmp_path,

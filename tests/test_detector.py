@@ -1,6 +1,6 @@
 import itertools
 import time
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from sparsetrack.core import Measurement, Pose, Scan, ValidationError
-from sparsetrack.detector import (Cluster, Detector, DetectorConfig, PRESETS,
+from sparsetrack.detector import (Detector, DetectorConfig, PRESETS,
                                   REAL_PRESETS, SIM_PRESETS, TemporalHistory,
                                   adaptive_epsilon, dbscan, estimate_centroid,
                                   get_preset, roi_filter, validate_geometric,
@@ -25,7 +25,7 @@ def scan_of(points, t=0.0):
 def partition(clusters):
     """Order-independent view of a clustering result."""
     return frozenset(
-        frozenset(map(tuple, np.round(c.points, 9))) for c in clusters)
+        frozenset(map(tuple, np.round(c, 9))) for c in clusters)
 
 
 def reference_dbscan(points, eps, min_pts):
@@ -68,19 +68,30 @@ def reference_dbscan(points, eps, min_pts):
                    if any(adj[p, c] for c in comp)]
         if choices:
             members[min(choices, key=lambda k: min(ordered[k]))].add(p)
-    return [Cluster.from_points(pts[sorted(m)]) for m in members]
+    return [pts[sorted(m)] for m in members]
+
+
+def reference_temporal(z, t, entries, cfg: DetectorConfig) -> bool:
+    """Layer 3 as a loop over (position, time) entries, oldest first."""
+    hits = 0
+    for pos, tp in entries:
+        if (np.linalg.norm(z - pos) < cfg.d_cons) and (t - tp < cfg.T_cons):
+            hits += 1
+    return hits >= cfg.M
 
 
 def reference_detect(cfg: DetectorConfig, scans):
     """The per-cluster `Detector.detect` loop the batched one replaced.
 
-    Every layer-1 survivor gets its own centroid, `R @ z + t` transform and
-    history lookup; the nearest entry is the first with the least per-entry
-    `np.linalg.norm`. Returns, for each scan, its measurements and the
-    history entries after it, plus a Counter of what perfbench counts and
-    of how often a decision fell exactly on a boundary.
+    Every cluster gets its own extent check, and every layer-1 survivor its
+    own centroid, `R @ z + t` transform and history lookup; the nearest
+    entry is the first with the least per-entry `np.linalg.norm`. The
+    history is a deque of the last K (position, time) entries. Returns, for
+    each scan, its measurements and the history entries after it, plus a
+    Counter of what perfbench counts and of how often a decision fell
+    exactly on a boundary.
     """
-    history = TemporalHistory(cfg.K)   # only push and entries are used
+    history = deque(maxlen=cfg.K)
     counts = Counter()
     frames = []
     for scan in scans:
@@ -88,23 +99,23 @@ def reference_detect(cfg: DetectorConfig, scans):
         roi = roi_filter(scan, cfg)
         clusters = []
         if len(roi):
-            down = voxel_downsample(roi.points, cfg.voxel)
+            down = voxel_downsample(roi, cfg.voxel)
             r = float(np.linalg.norm(down, axis=1).mean())
             clusters = dbscan(down, adaptive_epsilon(r, cfg), cfg.min_pts)
         counts["clusters"] += len(clusters)
         accepted: list[np.ndarray] = []
         for c in clusters:
-            if not validate_geometric(c, cfg):
+            if not (cfg.n_min <= len(c) <= cfg.n_max
+                    and np.ptp(c, axis=0).max() < cfg.e_max):
                 counts["layer1_reject"] += 1
                 continue
             z_local = estimate_centroid(c)
             z = scan.pose.rotation @ z_local + scan.pose.translation
-            entries = history.entries()
             prev = None
-            if entries:
-                dists = [np.linalg.norm(z - pos) for pos, _ in entries]
+            if history:
+                dists = [np.linalg.norm(z - pos) for pos, _ in history]
                 counts["nearest_tie"] += dists.count(min(dists)) > 1
-                prev = entries[int(np.argmin(dists))]
+                prev = history[int(np.argmin(dists))]
             if prev is not None:
                 dist = float(np.linalg.norm(z - prev[0]))
                 counts["at_new_source"] += dist == cfg.d_new_source
@@ -115,18 +126,17 @@ def reference_detect(cfg: DetectorConfig, scans):
                     if dt <= 0 or not validate_jump(z, prev[0], dt, cfg):
                         counts["layer2_reject"] += 1
                         continue
-            if cfg.layer3_enabled and not validate_temporal(z, scan.t,
-                                                            history, cfg):
+            if cfg.layer3_enabled and not reference_temporal(z, scan.t,
+                                                             history, cfg):
                 counts["layer3_reject"] += 1
                 accepted.append(z)  # still a candidate for future frames
                 continue
             accepted.append(z)
             measurements.append(Measurement(t=scan.t, position=z,
-                                            support=c.count))
-        for z in accepted:
-            history.push(z, scan.t)
+                                            support=len(c)))
+        history.extend((z, scan.t) for z in accepted)
         counts["measurements"] += len(measurements)
-        frames.append((measurements, history.entries()))
+        frames.append((measurements, list(history)))
     return frames, counts
 
 
@@ -199,13 +209,13 @@ class TestDbscan:
     def test_density_chaining(self):
         pts = np.array([[0, 0, 0], [0.3, 0, 0], [0.6, 0, 0]])
         clusters = dbscan(pts, eps=0.4, min_pts=2)
-        assert len(clusters) == 1 and clusters[0].count == 3
+        assert len(clusters) == 1 and len(clusters[0]) == 3
 
     def test_isolated_cores_minpts1(self):
         pts = np.array([[0, 0, 0], [10.0, 0, 0]])
         clusters = dbscan(pts, eps=0.5, min_pts=1)
         assert len(clusters) == 2
-        assert all(c.count == 1 for c in clusters)
+        assert all(len(c) == 1 for c in clusters)
 
     def test_all_noise_minpts2(self):
         pts = np.array([[0, 0, 0], [10.0, 0, 0]])
@@ -229,13 +239,12 @@ class TestDbscan:
             # same clusters in the same order, points in the same order
             assert len(got) == len(want)
             for g, w in zip(got, want):
-                assert np.array_equal(g.points, w.points)
-                assert (g.extents, g.count) == (w.extents, w.count)
+                assert np.array_equal(g, w)
 
     def test_exact_eps_boundary_included(self):
         pts = np.array([[0, 0, 0], [0.5, 0, 0], [0.5, 0, 0], [1.0, 0, 0]])
         clusters = dbscan(pts, eps=0.5, min_pts=4)
-        assert [c.count for c in clusters] == [4]
+        assert [len(c) for c in clusters] == [4]
 
     def test_large_scan_is_fast(self):
         # 10^4 points; a dense n x n distance matrix would need ~2.4 GB
@@ -244,7 +253,7 @@ class TestDbscan:
         clusters = dbscan(pts, eps=0.6, min_pts=1)
         assert time.perf_counter() - t0 < 2.0
         # min_pts=1: every point is a core point of exactly one cluster
-        out = np.vstack([c.points for c in clusters])
+        out = np.vstack(clusters)
         assert np.array_equal(np.unique(out, axis=0), np.unique(pts, axis=0))
         assert len(out) == len(pts)
 
@@ -267,7 +276,7 @@ class TestTemporalHistory:
     @staticmethod
     def brute_nearest(hist, pos):
         """Index of the first entry with the least per-entry norm, and it."""
-        dists = [np.linalg.norm(pos - e[0]) for e in hist.entries()]
+        dists = [np.linalg.norm(pos - e) for e in hist.pos]
         k = int(np.argmin(dists))
         return k, dists[k]
 
@@ -288,45 +297,63 @@ class TestTemporalHistory:
             t = 0.0
             for _ in range(int(rng.integers(1, 3 * K + 2))):
                 t += float(rng.uniform(0.0, 0.2))
-                hist.push(rng.uniform(-5, 5, 3), t)  # evicts once full
+                # 0 to 3 rows a scan; evicts once full
+                hist.push(rng.uniform(-5, 5, (rng.integers(0, 4), 3)), t)
                 assert len(hist) <= K
-                self.assert_matches_brute(hist, rng.uniform(-6, 6, size=(3, 3)))
+                if len(hist):
+                    self.assert_matches_brute(
+                        hist, rng.uniform(-6, 6, size=(3, 3)))
         # offsets that permute one vector are equally far in exact
         # arithmetic, so the choice rests on how each distance rounds
         for _ in range(40):
             q, v = rng.uniform(-5, 5, size=(2, 3))
             hist = TemporalHistory(6)
-            for perm in itertools.permutations(range(3)):
-                hist.push(q + v[list(perm)], 0.0)
+            hist.push(np.array([q + v[list(perm)] for perm
+                                in itertools.permutations(range(3))]), 0.0)
             self.assert_matches_brute(hist, np.stack([q, q + 1e-3 * v]))
 
     def test_tie_returns_earliest(self):
         hist = TemporalHistory(4)
         for x, t in ((9.0, 0.0), (1.0, 0.1), (-1.0, 0.2), (1.0, 0.3), (9.0, 0.4)):
-            hist.push(np.array([x, 0.0, 0.0]), t)
+            hist.push(np.array([[x, 0.0, 0.0]]), t)
         # (9, 0, 0) at t=0 was evicted; three entries are 1 m from the origin
         idx, dist = hist.nearest(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        assert [hist.entries()[k][1] for k in idx] == [0.1, 0.1]
+        assert hist.t[idx].tolist() == [0.1, 0.1]
         assert dist.tolist() == [1.0, 0.0]
+
+    def test_push_keeps_last_k_rows(self):
+        hist = TemporalHistory(3)
+        rows = np.arange(15.0).reshape(5, 3)
+        hist.push(rows, 1.0)             # one push of more than K rows
+        assert np.array_equal(hist.pos, rows[2:])
+        assert hist.t.tolist() == [1.0, 1.0, 1.0]
+        hist.push(rows[:1] + 100.0, 2.0)
+        hist.push(np.zeros((0, 3)), 2.5)
+        assert np.array_equal(hist.pos, np.vstack([rows[3:], rows[:1] + 100]))
+        assert hist.t.tolist() == [1.0, 1.0, 2.0]
+        hist.push(-rows[:2], 3.0)        # evicts the two oldest rows
+        assert np.array_equal(hist.pos, np.vstack([rows[:1] + 100, -rows[:2]]))
+        assert hist.t.tolist() == [2.0, 3.0, 3.0]
+        with pytest.raises(ValidationError, match="monotone"):
+            hist.push(rows[:1], 2.0)
+        with pytest.raises(ValidationError):
+            TemporalHistory(0)
 
 
 class TestValidationLayers:
     cfg = DetectorConfig(n_min=2, n_max=10, e_max=1.0)
 
     def test_count_above_nmax_rejected(self):
-        c = Cluster.from_points(np.zeros((self.cfg.n_max + 1, 3)))
-        assert not validate_geometric(c, self.cfg)
+        pts = np.zeros((self.cfg.n_max + 1, 3))
+        assert not validate_geometric(pts, self.cfg)
 
     def test_extent_at_emax_rejected(self):
         pts = np.array([[0, 0, 0], [self.cfg.e_max, 0, 0]])
-        assert not validate_geometric(Cluster.from_points(pts), self.cfg)
+        assert not validate_geometric(pts, self.cfg)
 
     def test_minimal_cluster_accepted(self):
         pts = np.zeros((self.cfg.n_min, 3))
-        assert validate_geometric(Cluster.from_points(pts), self.cfg)
-
-    def test_jump_no_history_accepts(self):
-        assert validate_jump(np.zeros(3), None, 0.1, self.cfg)
+        assert validate_geometric(pts, self.cfg)
 
     def test_jump_bound(self):
         cfg = DetectorConfig(tau_min=0.5, v_max=10.0)
@@ -337,8 +364,8 @@ class TestValidationLayers:
     def test_temporal_m_of_k(self):
         cfg = DetectorConfig(K=3, M=2, d_cons=1.0, T_cons=1.0)
         hist = TemporalHistory(cfg.K)
-        hist.push(np.array([0.1, 0, 0]), 0.0)
-        hist.push(np.array([0.0, 0.1, 0]), 0.1)
+        hist.push(np.array([[0.1, 0, 0]]), 0.0)
+        hist.push(np.array([[0.0, 0.1, 0]]), 0.1)
         assert validate_temporal(np.zeros(3), 0.2, hist, cfg)
 
     def test_temporal_empty_history_rejects(self):
@@ -349,25 +376,58 @@ class TestValidationLayers:
     def test_temporal_stale_entries_reject(self):
         cfg = DetectorConfig(K=3, M=2, d_cons=1.0, T_cons=1.0)
         hist = TemporalHistory(cfg.K)
-        hist.push(np.zeros(3), 0.0)
-        hist.push(np.zeros(3), 0.1)
+        hist.push(np.zeros((1, 3)), 0.0)
+        hist.push(np.zeros((1, 3)), 0.1)
         assert not validate_temporal(np.zeros(3), 5.0, hist, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_temporal_matches_reference_loop(self, data):
+        # Entries sit 0, d/2, d, -d or 3d/2 from z along an axis and are 0,
+        # T/2, T or 3T/2 old, all exact on a dyadic grid, so the strict
+        # bounds d_cons and T_cons are hit exactly; others sit at random
+        # offsets.
+        K = data.draw(st.integers(1, 6))
+        cfg = DetectorConfig(
+            K=K, M=data.draw(st.integers(1, K)),
+            d_cons=data.draw(st.sampled_from((0.5, 1.0, 1.25))),
+            T_cons=data.draw(st.sampled_from((0.25, 0.5, 1.0))))
+        z = 0.5 * np.array(data.draw(st.tuples(*[st.integers(-8, 8)] * 3)),
+                           dtype=float)
+        t = 4.0
+        entries = []
+        for _ in range(data.draw(st.integers(0, 2 * K))):
+            if data.draw(st.booleans()):
+                off = np.zeros(3)
+                off[data.draw(st.integers(0, 2))] = cfg.d_cons * data.draw(
+                    st.sampled_from((0.0, 0.5, 1.0, 1.5, -1.0)))
+            else:
+                off = np.array(data.draw(st.tuples(
+                    *[st.floats(-2.0, 2.0, allow_nan=False)] * 3)))
+            age = cfg.T_cons * data.draw(st.sampled_from((0.0, 0.5, 1.0, 1.5)))
+            entries.append((z + off, t - age))
+        entries.sort(key=lambda e: e[1])
+        hist = TemporalHistory(K)
+        for tp, group in itertools.groupby(entries, key=lambda e: e[1]):
+            hist.push(np.array([p for p, _ in group]), tp)
+        want = reference_temporal(z, t, deque(entries, maxlen=K), cfg)
+        assert validate_temporal(z, t, hist, cfg) == want
 
 
 class TestCentroid:
     def test_median_robust(self):
         pts = np.array([[0, 0, 0], [1.0, 0, 0], [100.0, 0, 0]])
-        c = estimate_centroid(Cluster.from_points(pts))
+        c = estimate_centroid(pts)
         assert c[0] == pytest.approx(1.0)
 
     def test_mean_branch(self):
         pts = np.array([[0, 0, 0], [2.0, 0, 0]])
-        c = estimate_centroid(Cluster.from_points(pts))
+        c = estimate_centroid(pts)
         assert np.allclose(c, (1.0, 0, 0))
 
     def test_single_point(self):
         pts = np.array([[3.0, 1.0, 2.0]])
-        assert np.allclose(estimate_centroid(Cluster.from_points(pts)), pts[0])
+        assert np.allclose(estimate_centroid(pts), pts[0])
 
 
 class TestPresets:
@@ -556,7 +616,8 @@ def assert_detect_matches_reference(cfg, scans):
         got = det.detect(scan)
         assert [(m.t, m.support, m.position.tobytes()) for m in got] == [
             (m.t, m.support, m.position.tobytes()) for m in want_ms]
-        assert [(t, p.tobytes()) for p, t in det.history.entries()] == [
+        assert [(t, p.tobytes()) for p, t in zip(det.history.pos,
+                                                  det.history.t)] == [
             (t, p.tobytes()) for p, t in want_hist]
     return counts
 

@@ -104,6 +104,24 @@ class TestFilterConfig:
         with pytest.raises(ValidationError):
             FilterConfig(R=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("q_levels", (np.nan, 2.0, 8.0)), ("q_levels", (-1.0, 2.0, 8.0)),
+        ("q_levels", (0.5, 2.0, "x")), ("q_levels", (0.5, 2.0, np.inf)),
+        ("q_levels", (0.5, True, 8.0)),
+        ("P0", np.full((6, 6), np.nan)), ("P0", np.eye(3)),
+        ("P0", np.eye(6) + np.eye(6, k=1)), ("P0", -np.eye(6)),
+        ("P0", np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e-3])),
+        ("Pi", np.full((3, 3), np.nan)), ("mu0", (np.nan,) * 3),
+        ("R", np.full((3, 3), np.nan)), ("R", np.eye(2)),
+    ])
+    def test_rejects_non_finite_or_malformed(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            FilterConfig(**{field: value})
+
+    def test_accepts_zero_noise_and_singular_p0(self):
+        cfg = FilterConfig(q_levels=(0.0, 2, 8.0), P0=np.zeros((6, 6)))
+        assert cfg.n_models == 3 and not cfg.P0.any()
+
 
 class TestImm:
     def test_identity_mixing_is_noop(self):

@@ -28,8 +28,9 @@ def test_every_perfbench_hook_resolves_in_src(monkeypatch):
 
 
 def test_tracer_counts_detector_layers(monkeypatch):
-    # A dense stream where layers 1 and 2 both reject clusters: the counts
-    # perfbench takes from its hooks must equal the per-cluster reference's.
+    # A dense stream where layers 1 and 2 both reject clusters, and layer 3
+    # too where it is on: the counts perfbench takes from its hooks must
+    # equal the per-cluster reference's.
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.tracing import Tracer
     from sparsetrack.detector import Detector, get_preset
@@ -39,17 +40,20 @@ def test_tracer_counts_detector_layers(monkeypatch):
     sensor = dataclasses.replace(TRACKING_SENSOR, clutter_rate=300.0)
     scans, _ = run_scenario(Scenario(kind="separated", n_frames=8, seed=2,
                                      sensor=sensor))
-    for min_pts in (1, 2):
-        cfg = dataclasses.replace(get_preset("O"), min_pts=min_pts, e_max=0.3)
+    configs = [dataclasses.replace(get_preset("O"), min_pts=min_pts,
+                                   e_max=0.3) for min_pts in (1, 2)]
+    configs.append(dataclasses.replace(configs[0], layer3_enabled=True))
+    for cfg in configs:
         _, want = reference_detect(cfg, scans)
         assert want["layer1_reject"] > 0 and want["layer2_reject"] > 0
+        assert (want["layer3_reject"] > 0) == cfg.layer3_enabled
         tracer = Tracer()
         det = Detector(cfg)
         with tracer.installed():
             for scan in scans:
                 det.detect(scan)
         for key in ("clusters", "layer1_reject", "layer2_reject",
-                    "measurements"):
+                    "layer3_reject", "measurements"):
             assert tracer.counts[f"detector.{key}"] == want[key], key
         assert {"detector.validate", "detector.centroid"} <= set(tracer.names)
 

@@ -31,6 +31,7 @@ class TestScenarioDefaults:
         ("dt", 0.0), ("dt", float("nan")), ("dt", float("inf")),
         ("dt", 1e308), ("n_frames", 0), ("n_frames", 1.5),
         ("n_frames", True), ("n_frames", "10"),
+        ("dt", True), ("seed", -1), ("seed", 2.5), ("seed", True),
     ])
     def test_bad_field(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -170,6 +171,10 @@ class TestSampleScan:
             with pytest.raises(ValidationError, match="n_return_dist"):
                 SensorModel(n_return_dist=dist)
         assert SensorModel(clutter_rate=500.0).clutter_rate == 500.0
+        # a bool is not a number, so True is not read as 1
+        for name in ("p_hit", "sigma_meas", "clutter_rate"):
+            with pytest.raises(ValidationError, match=name):
+                SensorModel(**{name: True})
 
 
 class TestRunScenario:
