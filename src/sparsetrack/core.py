@@ -125,6 +125,20 @@ class Measurement:
         if self.support < 1:
             raise ValidationError("measurement support must be >= 1")
 
+    @classmethod
+    def trusted(cls, t: float, position: np.ndarray,
+                support: int) -> "Measurement":
+        """A Measurement built without `__post_init__`'s checks, for a caller
+        that has checked a whole batch at once: `position` is a finite
+        float64 (3,) array and `support >= 1`."""
+        m = object.__new__(cls)
+        # one attribute at a time, as __init__ sets them: a dict update
+        # would unshare the instance dict's keys and double its size
+        object.__setattr__(m, "t", t)
+        object.__setattr__(m, "position", position)
+        object.__setattr__(m, "support", support)
+        return m
+
 
 def to_global(p, pose: Pose) -> np.ndarray:
     """Transform a local-frame point (3,) or point set (N, 3) to the global frame.

@@ -133,9 +133,15 @@ def roi_filter(scan: Scan, cfg: DetectorConfig) -> np.ndarray:
     """The scan's points (n, 3) above h_min, within r_max and outside the
     exclusion cylinder."""
     pts = scan.points
-    r = np.linalg.norm(pts, axis=1)
-    rho = np.linalg.norm(pts[:, :2], axis=1)
-    keep = (pts[:, 2] >= cfg.h_min) & (r <= cfg.r_max) & (rho > cfg.r_excl)
+    # Squares summed left to right round as np.linalg.norm's do. A square
+    # beyond the float range is inf, a range above any r_max, and is no
+    # cause for a warning.
+    with np.errstate(over="ignore"):
+        sq = pts * pts
+        rho2 = sq[:, 0] + sq[:, 1]
+        r = np.sqrt(rho2 + sq[:, 2])
+    keep = (pts[:, 2] >= cfg.h_min) & (r <= cfg.r_max) & (
+        np.sqrt(rho2) > cfg.r_excl)
     return pts[keep]
 
 
@@ -143,24 +149,34 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
     """Replace each occupied voxel by the centroid of its points.
 
     Voxels are half-open cubes [i*v, (i+1)*v) anchored at the origin; output
-    order follows first occurrence of each voxel in the input.
+    order follows first occurrence of each voxel in the input. A voxel index
+    beyond the int64 range is a ValidationError.
     """
     if v <= 0:
         raise ValidationError("voxel size must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if pts.shape[0] == 0:
         return pts
-    idx = np.floor(pts / v).astype(np.int64)
-    _, first, inverse = np.unique(idx, axis=0, return_index=True,
-                                  return_inverse=True)
-    n_vox = first.shape[0]
-    sums = np.zeros((n_vox, 3))
-    counts = np.zeros(n_vox)
-    np.add.at(sums, inverse, pts)
-    np.add.at(counts, inverse, 1.0)
-    centroids = sums / counts[:, None]
-    order = np.argsort(first, kind="stable")
-    return centroids[order]
+    with np.errstate(over="ignore"):
+        f = np.floor(pts / v)
+    # floats in [-2**63, 2**63) convert exactly; others (inf too) would wrap
+    if not ((f >= -2.0**63) & (f < 2.0**63)).all():
+        raise ValidationError(
+            f"voxel index out of the int64 range at voxel size {v}")
+    idx = f.astype(np.int64)
+    # Group equal index rows with one stable sort: a voxel's rows are
+    # consecutive in `order`, its first input row first.
+    order = np.lexsort(idx.T)
+    grouped = idx[order]
+    new = np.concatenate(([True], (grouped[1:] != grouped[:-1]).any(axis=1)))
+    if new.all():
+        return pts + 0.0  # each point is its voxel's sum, 0.0 + p, over 1
+    label = np.empty(len(idx), dtype=np.intp)
+    label[order] = np.cumsum(new) - 1
+    # bincount adds each voxel's points to 0.0 in input order
+    sums = np.stack([np.bincount(label, weights=c) for c in pts.T], axis=1)
+    centroids = sums / np.bincount(label)[:, None]
+    return centroids[np.argsort(order[new])]
 
 
 def adaptive_epsilon(r: float, cfg: DetectorConfig) -> float:
@@ -170,9 +186,21 @@ def adaptive_epsilon(r: float, cfg: DetectorConfig) -> float:
     return cfg.eps0 + cfg.alpha * max(r - cfg.r_ref, 0.0)
 
 
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> list[np.ndarray]:
-    """Euclidean DBSCAN: one (k, 3) point array per cluster; noise points
-    are discarded.
+class Clusters(list):
+    """`dbscan`'s result: one (k, 3) point array per cluster, each a block
+    of consecutive rows of `rows` (n, 3), the clustered points grouped by
+    cluster; `sizes` (N,) holds the blocks' row counts."""
+
+    def __init__(self, rows: np.ndarray, sizes: np.ndarray):
+        ends = np.cumsum(sizes).tolist()
+        super().__init__(rows[e - k:e] for k, e in zip(sizes.tolist(), ends))
+        self.rows = rows
+        self.sizes = sizes
+
+
+def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
+    """Euclidean DBSCAN: a `Clusters` list of one (k, 3) point array per
+    cluster; noise points are discarded.
 
     Neighborhood counts include the query point, so min_pts=1 makes every
     point a core point. Border points join the first core cluster that
@@ -185,8 +213,6 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> list[np.ndarray]:
         raise ValidationError("dbscan requires eps > 0 and min_pts >= 1")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
-    if n == 0:
-        return []
     nbrs = cKDTree(pts).query_ball_point(pts, eps, return_sorted=True)
     core = [len(nb) >= min_pts for nb in nbrs]
     labels = [-1] * n
@@ -204,13 +230,12 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> list[np.ndarray]:
                         frontier.append(k)
         next_label += 1
     if next_label == 0:
-        return []
-    # Group points by label in one stable sort. Noise (-1) sorts first;
-    # cluster k is grouped[b[k]:b[k + 1]].
-    lab = np.array(labels)
-    grouped = pts[np.argsort(lab, kind="stable")]
-    b = np.cumsum(np.bincount(lab + 1, minlength=next_label + 1)).tolist()
-    return [grouped[b[k]:b[k + 1]] for k in range(next_label)]
+        return Clusters(pts[:0], np.zeros(0, dtype=np.intp))
+    # Group points by label in one stable sort; noise (-1) sorts first.
+    lab = np.array(labels, dtype=np.intp)
+    counts = np.bincount(lab + 1, minlength=next_label + 1)
+    return Clusters(pts[np.argsort(lab, kind="stable")][counts[0]:],
+                    counts[1:])
 
 
 def validate_geometric(points: np.ndarray, cfg: DetectorConfig) -> bool:
@@ -238,11 +263,34 @@ def validate_temporal(z: np.ndarray, t: float, hist: TemporalHistory,
     return int(np.count_nonzero(near & (t - hist.t < cfg.T_cons))) >= cfg.M
 
 
-def estimate_centroid(points: np.ndarray) -> np.ndarray:
-    """Component-wise median for 3 or more points, arithmetic mean otherwise."""
-    if len(points) >= 3:
-        return np.median(points, axis=0)
-    return points.mean(axis=0)
+_AXES = np.arange(3)
+
+
+def estimate_centroid(points: np.ndarray, sizes) -> np.ndarray:
+    """Component-wise median of each of N clusters: (N, 3).
+
+    `points` (n, 3) holds the clusters' rows one cluster after another,
+    `sizes[k]` rows for cluster k. The value is np.median's, bit for bit: the
+    middle value of an odd cluster, the mean of the middle pair of an even
+    one (for one or two points, the point or the mean).
+    """
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    # each column sorted within each cluster: by value, then stably by
+    # cluster id, in the smallest integer type, which numpy radix-sorts
+    order = points.argsort(axis=0)
+    cluster = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(
+        len(sizes))), sizes)
+    order = order[cluster[order].argsort(axis=0, kind="stable"), _AXES]
+    ranked = points[order, _AXES]
+    lo = ranked[ends - sizes // 2 - 1]
+    hi = ranked[ends - (sizes + 1) // 2]
+    odd = (sizes % 2 == 1)[:, None]
+    # np.median sums the middle value or pair from +0.0 and divides by the
+    # count. A 1-point cluster is its point as it is: its sum starts at
+    # -0.0, which changes no value, not even the sign of a zero.
+    start = np.where(sizes > 1, 0.0, -0.0)[:, None]
+    return (start + lo + np.where(odd, -0.0, hi)) / (2 - odd)
 
 
 class Detector:
@@ -271,35 +319,34 @@ class Detector:
         eps = adaptive_epsilon(r, cfg)
         clusters = dbscan(down, eps, cfg.min_pts)
 
-        kept = [c for c in clusters if validate_geometric(c, cfg)]
-        if not kept:
+        keep = [validate_geometric(c, cfg) for c in clusters]
+        if not any(keep):
             return []
-        # Centroids of all survivors in one (N, 3) array: a 1-point
-        # cluster's point as it is, estimate_centroid for larger ones.
-        local = np.concatenate([c[:1] for c in kept])
-        for i, c in enumerate(kept):
-            if len(c) > 1:
-                local[i] = estimate_centroid(c)
-        zs = to_global(local, scan.pose)
+        rows, sizes = clusters.rows, clusters.sizes
+        if not all(keep):
+            rows, sizes = rows[np.repeat(keep, sizes)], sizes[keep]
+        zs = to_global(estimate_centroid(rows, sizes), scan.pose)
+        # the check each Measurement would make, once for the whole scan
+        finite = np.isfinite(zs).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"non-finite point: {zs[finite.argmin()]}")
 
         hist = self.history
         idx, dist = hist.nearest(zs)
-        measurements: list[Measurement] = []
-        accepted: list[int] = []
-        for i, (z, j, d) in enumerate(zip(zs, idx.tolist(), dist.tolist())):
-            # Layer 2 is checked against the spatially nearest prior
-            # candidate; candidates farther than d_new_source from
-            # everything in the window are new sources, not implausible
-            # jumps.
-            if j >= 0 and d <= cfg.d_new_source and not validate_jump(
-                    z, hist.pos[j], scan.t - hist.t[j], cfg):
-                continue
-            accepted.append(i)  # layer-3 rejects stay future candidates
-            if cfg.layer3_enabled and not validate_temporal(z, scan.t, hist,
-                                                            cfg):
-                continue
-            measurements.append(Measurement(t=scan.t, position=z,
-                                            support=len(kept[i])))
+        # Layer 2 is checked against the spatially nearest prior candidate;
+        # candidates farther than d_new_source from everything in the window
+        # are new sources, not implausible jumps.
+        near = ((idx >= 0) & (dist <= cfg.d_new_source)).tolist()
+        accepted = [i for i, (j, n) in enumerate(zip(idx.tolist(), near))
+                    if not n or validate_jump(zs[i], hist.pos[j],
+                                              scan.t - hist.t[j], cfg)]
+        emitted = accepted  # layer-3 rejects stay future candidates
+        if cfg.layer3_enabled:
+            emitted = [i for i in accepted
+                       if validate_temporal(zs[i], scan.t, hist, cfg)]
+        support = sizes.tolist()
+        measurements = [Measurement.trusted(scan.t, zs[i], support[i])
+                        for i in emitted]
         # History gets this frame's layer-1/2 survivors only after the whole
         # frame is processed, so same-frame candidates do not interact.
         hist.push(zs[accepted], scan.t)

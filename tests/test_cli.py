@@ -58,6 +58,16 @@ class TestSimulate:
         assert "seed" in res.output
 
 
+def write_one_scan(tmp_path, points):
+    """A scans file of one scan at t=0 with an identity pose."""
+    pose = {"translation": [0.0, 0.0, 0.0],
+            "rotation": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}
+    scans = tmp_path / "scans.jsonl"
+    scans.write_text(json.dumps({"t": 0.0, "points": points, "pose": pose})
+                     + "\n")
+    return scans
+
+
 class TestDetect:
     def test_preset_with_report(self, runner, tmp_path):
         scans, truth = simulate(runner, tmp_path)
@@ -153,6 +163,34 @@ class TestDetect:
                                    "--config", str(cfg),
                                    "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 3
+
+    # Under pytest a warning never reaches res.output, so the marks turn
+    # any numpy RuntimeWarning into a failure.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_voxel_index_overflow_data_error(self, runner, tmp_path):
+        # floor(p / voxel) beyond int64 used to wrap, and the two points
+        # came out as one detection at their midpoint with exit 0
+        scans = write_one_scan(tmp_path, [[1e20, 1e20, 5.0],
+                                          [-3e20, 7e19, 5.0]])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r_max": 1e300, "min_pts": 1}))
+        out = tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["detect", "--scans", str(scans),
+                                   "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "int64" in res.output
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_range_dropped_quietly(self, runner, tmp_path):
+        scans = write_one_scan(tmp_path, [[1e200, 0.0, 5.0], [5.0, 0.0, 2.0]])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r_max": 1e300, "min_pts": 1}))
+        out = tmp_path / "o.jsonl"
+        res = runner.invoke(main, ["detect", "--scans", str(scans),
+                                   "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        [frame] = stio.read_measurement_frames(out)
+        assert [m.position.tolist() for m in frame[1]] == [[5.0, 0.0, 2.0]]
 
     @pytest.mark.parametrize("fields", [
         # NaN passes a `<= 0` test, and gave 0 detections with exit 0

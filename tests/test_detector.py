@@ -1,5 +1,6 @@
 import itertools
 import time
+import warnings
 from collections import Counter, deque
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from sparsetrack import detector as detector_module
 from sparsetrack.core import Measurement, Pose, Scan, ValidationError
 from sparsetrack.detector import (Detector, DetectorConfig, PRESETS,
                                   REAL_PRESETS, SIM_PRESETS, TemporalHistory,
@@ -71,6 +73,42 @@ def reference_dbscan(points, eps, min_pts):
     return [pts[sorted(m)] for m in members]
 
 
+def reference_roi(scan, cfg: DetectorConfig):
+    """ROI with a `np.linalg.norm` per row for the range and the radius."""
+    pts = scan.points
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(pts, axis=1)
+        rho = np.linalg.norm(pts[:, :2], axis=1)
+    keep = (pts[:, 2] >= cfg.h_min) & (r <= cfg.r_max) & (rho > cfg.r_excl)
+    return pts[keep]
+
+
+def reference_voxel(points, v):
+    """Voxel centroids from `np.unique(axis=0)` and `np.add.at`, in order of
+    each voxel's first point."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(pts) == 0:
+        return pts
+    idx = np.floor(pts / v).astype(np.int64)
+    _, first, inverse = np.unique(idx, axis=0, return_index=True,
+                                  return_inverse=True)
+    sums = np.zeros((len(first), 3))
+    counts = np.zeros(len(first))
+    np.add.at(sums, inverse, pts)
+    np.add.at(counts, inverse, 1.0)
+    return (sums / counts[:, None])[np.argsort(first, kind="stable")]
+
+
+def reference_centroid(points):
+    """One cluster's centroid: its point as it is, the mean of two points,
+    `np.median` of three or more."""
+    if len(points) == 1:
+        return points[0]
+    if len(points) == 2:
+        return points.mean(axis=0)
+    return np.median(points, axis=0)
+
+
 def reference_temporal(z, t, entries, cfg: DetectorConfig) -> bool:
     """Layer 3 as a loop over (position, time) entries, oldest first."""
     hits = 0
@@ -83,23 +121,26 @@ def reference_temporal(z, t, entries, cfg: DetectorConfig) -> bool:
 def reference_detect(cfg: DetectorConfig, scans):
     """The per-cluster `Detector.detect` loop the batched one replaced.
 
-    Every cluster gets its own extent check, and every layer-1 survivor its
-    own centroid, `R @ z + t` transform and history lookup; the nearest
-    entry is the first with the least per-entry `np.linalg.norm`. The
-    history is a deque of the last K (position, time) entries. Returns, for
-    each scan, its measurements and the history entries after it, plus a
-    Counter of what perfbench counts and of how often a decision fell
-    exactly on a boundary.
+    ROI, voxel grid and centroids come from the references above. Every
+    cluster gets its own extent check, and every layer-1 survivor its own
+    centroid, `R @ z + t` transform and history lookup; the nearest entry is
+    the first with the least per-entry `np.linalg.norm`. The history is a
+    deque of the last K (position, time) entries. Returns, for each scan,
+    its measurements and the history entries after it, plus a Counter of
+    what perfbench counts and of how often a decision fell exactly on a
+    boundary.
     """
     history = deque(maxlen=cfg.K)
     counts = Counter()
     frames = []
     for scan in scans:
         measurements: list[Measurement] = []
-        roi = roi_filter(scan, cfg)
+        roi = reference_roi(scan, cfg)
+        counts["points_roi"] += len(roi)
         clusters = []
         if len(roi):
-            down = voxel_downsample(roi, cfg.voxel)
+            down = reference_voxel(roi, cfg.voxel)
+            counts["voxels"] += len(down)
             r = float(np.linalg.norm(down, axis=1).mean())
             clusters = dbscan(down, adaptive_epsilon(r, cfg), cfg.min_pts)
         counts["clusters"] += len(clusters)
@@ -109,7 +150,7 @@ def reference_detect(cfg: DetectorConfig, scans):
                     and np.ptp(c, axis=0).max() < cfg.e_max):
                 counts["layer1_reject"] += 1
                 continue
-            z_local = estimate_centroid(c)
+            z_local = reference_centroid(c)
             z = scan.pose.rotation @ z_local + scan.pose.translation
             prev = None
             if history:
@@ -159,6 +200,38 @@ class TestRoiFilter:
         s = scan_of([[5.0, 0.0, 1.0]])
         assert len(roi_filter(s, self.cfg)) == 1
 
+    def test_overflowing_range_dropped_without_warning(self):
+        # 1e200 squared is beyond the float range: the range is inf
+        s = scan_of([[1e200, 0.0, 5.0], [5.0, 0.0, 1e200], [5.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = roi_filter(s, DetectorConfig(r_max=1e300))
+        assert kept.tolist() == [[5.0, 0.0, 1.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_norm_reference(self, data):
+        # r_max and r_excl are set to the norms of drawn points, so those
+        # points sit exactly on the bounds and a range that rounds other
+        # than np.linalg.norm's would flip them (random coordinates do in
+        # about 1 case of 16); some points lie beyond 1e154, where the
+        # squares overflow
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        near = rng.uniform(-20.0, 20.0, size=(data.draw(st.integers(1, 12)),
+                                              3)).tolist()
+        near += data.draw(st.lists(st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+                                   max_size=4))
+        far = data.draw(st.lists(st.tuples(*[st.floats(-1e200, 1e200)] * 3),
+                                 max_size=3))
+        pts = np.array(near + far)
+        pick = st.integers(0, len(near) - 1)
+        cfg = DetectorConfig(
+            h_min=-1e300,
+            r_max=float(np.linalg.norm(pts[data.draw(pick)])) or 1.0,
+            r_excl=float(np.linalg.norm(pts[data.draw(pick), :2])) or 1.0)
+        s = scan_of(pts)
+        assert roi_filter(s, cfg).tobytes() == reference_roi(s, cfg).tobytes()
+
 
 class TestVoxelDownsample:
     def test_same_voxel_centroid(self):
@@ -184,6 +257,48 @@ class TestVoxelDownsample:
     def test_invalid_voxel(self):
         with pytest.raises(ValidationError):
             voxel_downsample(np.zeros((1, 3)), 0.0)
+
+    def test_index_beyond_int64_rejected(self):
+        # floor(p / v) of 2e21 or more used to wrap in the int64 cast and
+        # merge these two points into one voxel
+        with pytest.raises(ValidationError, match="int64"):
+            voxel_downsample(np.array([[1e20, 1e20, 5.0],
+                                       [-3e20, 7e19, 5.0]]), 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="int64"):
+                voxel_downsample(np.array([[1e300, 0.0, 0.0]]), 1e-10)  # inf
+            with pytest.raises(ValidationError, match="int64"):
+                voxel_downsample(np.array([[2.0**63, 0.0, 0.0]]), 1.0)
+        lowest = np.array([[-2.0**63, 0.0, 0.0], [-2.0**63, 0.5, 0.0]])
+        assert voxel_downsample(lowest, 1.0).tolist() == [
+            [-2.0**63, 0.25, 0.0]]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        # Coordinates are quarter-voxel steps (on voxel faces every fourth
+        # step when v is dyadic), signed zeros, subnormals or random, and
+        # rows may repeat. Or the points are spread one per voxel, with
+        # zeros made -0.0, for the path that returns each point as it is.
+        v = data.draw(st.sampled_from((0.05, 0.25, 1.0, 0.3)))
+        coord = (st.integers(-12, 12).map(lambda k: k * v / 4)
+                 | st.sampled_from((0.0, -0.0, 5e-324, -5e-324))
+                 | st.floats(-3.0, 3.0))
+        rows = data.draw(st.lists(st.tuples(coord, coord, coord),
+                                  max_size=30))
+        pts = np.array(rows, dtype=float).reshape(-1, 3)
+        if len(pts) and data.draw(st.booleans()):
+            pts = np.vstack([pts, pts[data.draw(st.lists(
+                st.integers(0, len(pts) - 1), min_size=1, max_size=10))]])
+        elif len(pts) and data.draw(st.booleans()):
+            cells = data.draw(st.lists(st.tuples(*[st.integers(-5, 5)] * 3),
+                                       min_size=1, max_size=len(pts),
+                                       unique=True))
+            pts = pts[:len(cells)] % v + np.array(cells, dtype=float) * v
+            pts[pts == 0.0] = -0.0
+        got, want = voxel_downsample(pts, v), reference_voxel(pts, v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestAdaptiveEpsilon:
@@ -240,6 +355,10 @@ class TestDbscan:
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+            # each cluster is its block of the clustered rows
+            assert got.sizes.tolist() == [len(w) for w in want]
+            assert np.array_equal(got.rows, np.zeros((0, 3)) if not want
+                                  else np.vstack(want))
 
     def test_exact_eps_boundary_included(self):
         pts = np.array([[0, 0, 0], [0.5, 0, 0], [0.5, 0, 0], [1.0, 0, 0]])
@@ -417,17 +536,48 @@ class TestValidationLayers:
 class TestCentroid:
     def test_median_robust(self):
         pts = np.array([[0, 0, 0], [1.0, 0, 0], [100.0, 0, 0]])
-        c = estimate_centroid(pts)
-        assert c[0] == pytest.approx(1.0)
+        c = estimate_centroid(pts, [3])
+        assert c.shape == (1, 3)
+        assert c[0, 0] == pytest.approx(1.0)
 
     def test_mean_branch(self):
         pts = np.array([[0, 0, 0], [2.0, 0, 0]])
-        c = estimate_centroid(pts)
-        assert np.allclose(c, (1.0, 0, 0))
+        c = estimate_centroid(pts, [2])
+        assert np.allclose(c[0], (1.0, 0, 0))
 
     def test_single_point(self):
         pts = np.array([[3.0, 1.0, 2.0]])
-        assert np.allclose(estimate_centroid(pts), pts[0])
+        assert np.allclose(estimate_centroid(pts, [1])[0], pts[0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_reference_per_cluster(self, data):
+        # small integers tie often; signed zeros and subnormals test the
+        # sign np.median gives a zero
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=1,
+                                   max_size=8))
+        value = (st.integers(-3, 3).map(float)
+                 | st.sampled_from((0.0, -0.0, 5e-324, -5e-324))
+                 | st.floats(-1e3, 1e3))
+        pts = np.array(data.draw(st.lists(
+            st.tuples(value, value, value), min_size=sum(sizes),
+            max_size=sum(sizes))), dtype=float)
+        want = [reference_centroid(c)
+                for c in np.split(pts, np.cumsum(sizes)[:-1])]
+        got = estimate_centroid(pts, sizes)
+        assert got.shape == (len(sizes), 3)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_every_size_one_to_eight(self):
+        rng = np.random.default_rng(4)
+        sizes = np.repeat(np.arange(1, 9), 5)
+        rng.shuffle(sizes)
+        pts = rng.integers(-2, 3, size=(sizes.sum(), 3)) * rng.choice(
+            [1.0, 0.1, -0.0], size=(sizes.sum(), 3))
+        want = [reference_centroid(c)
+                for c in np.split(pts, np.cumsum(sizes)[:-1])]
+        assert estimate_centroid(pts, sizes).tobytes() == np.array(
+            want).tobytes()
 
 
 class TestPresets:
@@ -525,6 +675,37 @@ class TestDetectorPipeline:
         # 3 m in 0.1 s: inside d_new_source but above max(0.5, 1.0)
         out = det.detect(scan_of([[8.0, 0.0, 2.0]], t=0.1))
         assert out == []
+
+    def test_measurements_checked_once_per_scan(self):
+        # the detector builds its measurements without the per-object
+        # check, so they must come out as that check would have them
+        from sparsetrack.simulator import Scenario, run_scenario
+        scans, _ = run_scenario(Scenario(kind="crossings", n_frames=200,
+                                         seed=3))
+        for cfg in (get_preset("A_s"), get_preset("S1")):
+            det = Detector(cfg)
+            out = [m for s in scans for m in det.detect(s)]
+            assert len(out) > 50
+            for m in out:
+                assert type(m) is Measurement and type(m.support) is int
+                assert m.position.dtype == np.float64
+                assert m.position.shape == (3,)
+                assert np.isfinite(m.position).all() and m.support >= 1
+        for bad in (dict(position=np.array([np.nan, 0.0, 0.0]), support=1),
+                    dict(position=np.zeros(2), support=1),
+                    dict(position=np.zeros(3), support=0)):
+            with pytest.raises(ValidationError):
+                Measurement(t=0.0, **bad)
+
+    def test_non_finite_candidate_rejected(self, monkeypatch):
+        # a candidate that maps to a non-finite global point fails the scan
+        # before it reaches the history, as a Measurement of it would
+        monkeypatch.setattr(detector_module, "to_global",
+                            lambda p, pose: np.where(p > 4.0, np.inf, p))
+        det = Detector(DetectorConfig(min_pts=1))
+        with pytest.raises(ValidationError, match="non-finite point"):
+            det.detect(scan_of([[1.0, 1.0, 2.0], [5.0, 0.0, 2.0]]))
+        assert len(det.history) == 0
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

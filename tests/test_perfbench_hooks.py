@@ -43,8 +43,11 @@ def test_tracer_counts_detector_layers(monkeypatch):
     configs = [dataclasses.replace(get_preset("O"), min_pts=min_pts,
                                    e_max=0.3) for min_pts in (1, 2)]
     configs.append(dataclasses.replace(configs[0], layer3_enabled=True))
+    # 0.3 m voxels merge some points; every 0.05 m voxel holds one
+    configs.append(dataclasses.replace(configs[0], voxel=0.3))
     for cfg in configs:
         _, want = reference_detect(cfg, scans)
+        assert (want["voxels"] < want["points_roi"]) == (cfg.voxel == 0.3)
         assert want["layer1_reject"] > 0 and want["layer2_reject"] > 0
         assert (want["layer3_reject"] > 0) == cfg.layer3_enabled
         tracer = Tracer()
@@ -52,8 +55,8 @@ def test_tracer_counts_detector_layers(monkeypatch):
         with tracer.installed():
             for scan in scans:
                 det.detect(scan)
-        for key in ("clusters", "layer1_reject", "layer2_reject",
-                    "layer3_reject", "measurements"):
+        for key in ("points_roi", "voxels", "clusters", "layer1_reject",
+                    "layer2_reject", "layer3_reject", "measurements"):
             assert tracer.counts[f"detector.{key}"] == want[key], key
         assert {"detector.validate", "detector.centroid"} <= set(tracer.names)
 
