@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ValidationError, check_field_types
+from .core import NumericalError, ValidationError, check_field_types
 from .filter import _sym
 
 SENTINEL_COST = 1e9
@@ -142,7 +142,8 @@ def jpda(tracks: TrackView, detections: np.ndarray,
     """Marginal association probabilities by joint-event enumeration.
 
     Returns beta of shape (n_tracks, n_dets + 1); column 0 is the
-    missed-detection probability beta_{i,0}.
+    missed-detection probability beta_{i,0}. Event weights whose total
+    overflows raise `NumericalError`.
     """
     dets = np.asarray(detections, dtype=float).reshape(-1, 3)
     n, m = len(tracks), dets.shape[0]
@@ -194,6 +195,10 @@ def jpda(tracks: TrackView, detections: np.ndarray,
         choice[i] = 0
 
     recurse(0, 1.0)
+    # Python floats overflow to inf without a warning, and inf * 0 is NaN
+    if not math.isfinite(total):
+        raise NumericalError(
+            f"JPDA joint-event weights are not finite (total {total})")
     if total <= 0.0:
         beta[:, 0] = 1.0
         return beta

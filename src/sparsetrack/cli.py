@@ -161,6 +161,8 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
     """Track a measurement stream; write the frame log and a MOT report."""
     if (scans_path is None) == (meas_path is None):
         raise click.UsageError("exactly one of --scans or --measurements is required")
+    if meas_path is not None and (preset is not None or config is not None):
+        raise click.UsageError("--preset and --config apply only to --scans")
     if scans_path is not None:
         cfg = _detector_config(preset, config)
         frames = _run_detector(stio.read_scans(scans_path), cfg)
@@ -188,21 +190,24 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
 def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
           out_path):
     """Detection-report table over a minPts grid (Table-I-style columns)."""
-    base = _detector_config(preset, config)
     try:
         grid = [int(v) for v in min_pts_grid.split(",") if v.strip()]
     except ValueError:
         raise click.UsageError("--min-pts must be comma-separated integers")
     if not grid:
         raise click.UsageError("--min-pts grid is empty")
+    base = _detector_config(preset, config)
+    try:
+        configs = [dataclasses.replace(base, min_pts=mp) for mp in grid]
+    except ValidationError as exc:
+        raise click.UsageError(f"--min-pts: {exc}")
     scans = stio.read_scans(scans_path)
     gt = stio.read_ground_truth(truth_path)
     rows = []
-    for mp in grid:
-        cfg = dataclasses.replace(base, min_pts=mp)
+    for cfg in configs:
         rep = _score_detections(_run_detector(scans, cfg), gt, match_radius)
-        rows.append({"min_pts": mp, "eps0": cfg.eps0, "voxel": cfg.voxel,
-                     **rep.to_dict()})
+        rows.append({"min_pts": cfg.min_pts, "eps0": cfg.eps0,
+                     "voxel": cfg.voxel, **rep.to_dict()})
     Path(out_path).write_text(json.dumps(rows, indent=2) + "\n")
     for row in rows:
         click.echo(json.dumps(row))

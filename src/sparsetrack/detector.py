@@ -301,10 +301,6 @@ class Detector:
         self.history = TemporalHistory(cfg.K)
         self._last_t: float | None = None
 
-    def reset(self) -> None:
-        self.history = TemporalHistory(self.cfg.K)
-        self._last_t = None
-
     def detect(self, scan: Scan) -> list[Measurement]:
         cfg = self.cfg
         if self._last_t is not None and scan.t <= self._last_t:

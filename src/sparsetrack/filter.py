@@ -103,24 +103,17 @@ class IMMState:
         return len(self.mu)
 
     def rows(self, idx) -> IMMState:
-        """The banks of tracks `idx`, a sorted list of distinct row indices."""
-        if len(idx) == len(self):
+        """The banks of rows `idx`, a list of row indices, in that order;
+        this bank itself when `idx` is every row in order."""
+        if idx == list(range(len(self))):
             return self
-        return IMMState._of(a[idx] for a in self._arrays())
+        # take copies the rows as indexing does, with less per-call overhead
+        return IMMState._of(a.take(idx, axis=0) for a in self._arrays())
 
-    def with_rows(self, idx, sub: IMMState) -> IMMState:
-        """This bank with rows `idx` (sorted, distinct) replaced by `sub`."""
-        if len(idx) == len(self):
-            return sub
-        out = [a.copy() for a in self._arrays()]
-        for a, b in zip(out, sub._arrays()):
-            a[idx] = b
-        return IMMState._of(out)
-
-    def append(self, other: IMMState) -> IMMState:
-        """This bank followed by the rows of `other`."""
-        return IMMState._of(np.concatenate(pair) for pair in
-                            zip(self._arrays(), other._arrays()))
+    def append(self, *others: IMMState) -> IMMState:
+        """This bank followed by the rows of each of `others`."""
+        return IMMState._of(np.concatenate(arrays) for arrays in zip(
+            self._arrays(), *(o._arrays() for o in others)))
 
 
 def _stepped(x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> IMMState:

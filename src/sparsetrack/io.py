@@ -183,9 +183,12 @@ def read_frame_log(path) -> list[FrameRecord]:
 
     def decode(rec, prev) -> FrameRecord:
         betas = _get(rec, "beta_summary", type(None), list)
+        tracks = [track(tr) for tr in _get(rec, "tracks", list)]
+        ids = [tr["id"] for tr in tracks]
+        if len(set(ids)) < len(ids):  # metrics key positions by track id
+            raise ValueError(f"repeated track id in {reprlib.repr(ids)}")
         return FrameRecord(
-            t=float(_get(rec, "t", int, float)),
-            tracks=[track(tr) for tr in _get(rec, "tracks", list)],
+            t=float(_get(rec, "t", int, float)), tracks=tracks,
             assignments=[tuple(p) for p in _array(
                 rec, "assignments", (None, 2), int).tolist()],
             beta_summary=None if betas is None else [

@@ -118,8 +118,7 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
     fp = fn = idsw = 0
     gt_total = 0
     sq_err = []
-    corr: dict[int, int] = {}        # gt index -> track id (current)
-    last_match: dict[int, int] = {}  # gt index -> track id at last matched frame
+    corr: dict[int, int] = {}   # gt index -> track id at last matched frame
     for k in range(gt.n_frames):
         rec = frame_log[k]
         hyps = [(tr["id"], np.asarray(tr["position"]))
@@ -148,10 +147,9 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
                 matched_gt[rem_gt[j]] = tid
                 used_tracks.add(tid)
         for gi, tid in matched_gt.items():
-            prev = last_match.get(gi)
+            prev = corr.get(gi)
             if prev is not None and prev != tid:
                 idsw += 1
-            last_match[gi] = tid
             corr[gi] = tid
             sq_err.append(float(np.sum(
                 (pos_by_id[tid] - gt.positions[k][gi]) ** 2)))

@@ -64,7 +64,6 @@ SCENARIOS = {
     MODERATE: _Kind(1305, (6.0, 0.1), partial(_y_breathe, 4.5, 2.6, 0.1)),
 }
 KINDS = tuple(SCENARIOS)
-DEFAULT_FRAMES = {kind: row.frames for kind, row in SCENARIOS.items()}
 
 
 # Largest accepted clutter_rate (expected clutter returns per scan). At

@@ -197,7 +197,6 @@ class Tracker:
                     # detections inside any active gate are not initiation
                     # sources
                     taken = g.feasible.any(axis=0)
-        bank = self.bank.with_rows(act, pred) if act else self.bank
 
         # 5. hits and lifecycle
         assignments: list[tuple[int, int]] = []
@@ -210,19 +209,20 @@ class Tracker:
                 deleted.append(tr.id)
 
         leftover = [j for j, used in enumerate(taken.tolist()) if not used]
-        positions = bank.fused_x[:, :3].copy()
+        # where each live track is: updated, frozen, or where it came back
+        live = [p for tr, p in zip(active, pred.fused_x[:, :3])
+                if tr.status != DELETED]
+        born: dict[int, int] = {}  # id -> detection: resurrections, spawns
 
-        # 7. dormant tracks miss, or come back at a nearby leftover detection
-        reinit: list[int] = []           # rows of the resurrected tracks
-        init_js: list[int] = []          # their detections, then the spawns'
+        # 6. dormant tracks miss, or come back at a nearby leftover detection
         for i in dorm:
-            tr = tracks[i]
+            tr, pos = tracks[i], self.bank.fused_x[i, :3]
             if lifecycle_advance(tr, False, cfg) == DELETED:
                 deleted.append(tr.id)
                 continue
             best_j, best_d = -1, cfg.resurrect_radius
             for j in leftover:
-                d = float(np.linalg.norm(dets[j] - positions[i]))
+                d = float(np.linalg.norm(dets[j] - pos))
                 if d <= best_d:
                     best_j, best_d = j, d
             if best_j >= 0:
@@ -232,38 +232,37 @@ class Tracker:
                 tr.last_confident = (dets[best_j].copy(), t)
                 assignments.append((tr.id, best_j))
                 leftover.remove(best_j)
-                reinit.append(i)
-                init_js.append(best_j)
-                positions[i] = dets[best_j]
-        resurrected = [tracks[i].id for i in reinit]
+                born[tr.id] = best_j
+                pos = dets[best_j]
+            live.append(pos)
+        resurrected = list(born)
 
-        # 6. initiation with the minimum-separation constraint
+        # 7. initiation with the minimum-separation constraint
         spawned: list[Track] = []
         next_id = self._next_id
-        live_positions = [p for tr, p in zip(tracks, positions)
-                          if tr.status != DELETED]
         for j in leftover:
             p = dets[j]
             if any(np.linalg.norm(p - q) < cfg.init_min_separation
-                   for q in live_positions):
+                   for q in live):
                 continue
-            live_positions.append(p)
-            init_js.append(j)
+            live.append(p)
+            born[next_id] = j
             spawned.append(Track(id=next_id, status=TENTATIVE))
             next_id += 1
 
-        if init_js:
-            fresh = imm_init(dets[init_js], cfg.filter)
-            k = len(reinit)
-            if k:
-                bank = bank.with_rows(reinit, fresh.rows(list(range(k))))
-            if spawned:
-                bank = bank.append(fresh.rows(list(range(k, len(fresh)))))
-        tracks = tracks + spawned
-        if deleted:
-            keep = [i for i, tr in enumerate(tracks) if tr.status != DELETED]
-            tracks = [tracks[i] for i in keep]
-            bank = bank.rows(keep)
+        # 8. the next bank, gathered once in track order from the frozen
+        # bank, the active tracks' updated rows and one fresh row per birth;
+        # a track's later row replaces its earlier one
+        tracks = [tr for tr in tracks if tr.status != DELETED] + spawned
+        bank = pred
+        if dorm or born or deleted:
+            sources = [pred]
+            if born:
+                sources.append(imm_init(dets[list(born.values())], cfg.filter))
+            row = {tid: i for i, tid in enumerate(
+                [tr.id for tr in self.tracks + active] + list(born))}
+            bank = self.bank.append(*sources).rows(
+                [row[tr.id] for tr in tracks])
         # commit the frame: the tracks and their banks are replaced together,
         # and a filter or association failure, which is raised before any
         # track is touched, leaves the clock and every track as they were

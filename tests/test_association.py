@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsetrack.core import ValidationError
+from sparsetrack.core import NumericalError, ValidationError
 from sparsetrack.association import (SENTINEL_COST, JpdaParams, TrackView,
                                      build_cost, gate, hungarian, jpda)
 from sparsetrack.filter import FilterConfig, IMMState, imm_correct_pda
@@ -248,6 +248,18 @@ class TestJpda:
             beta = jpda(tracks, dets, g, params)
             assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(beta >= 0) and np.all(beta <= 1)
+
+    # the overflow must not reach numpy as a NaN division either
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weight_overflow_is_numeric(self):
+        # each pair weight is about 1e301, so a joint event of both
+        # overflows; it used to give NaN marginals
+        params = JpdaParams(lambda_c=1e-300)
+        tracks = views((0, 0, 10), (0.5, 0, 10), S=0.01 * np.eye(3))
+        dets = np.array([[0.01, 0, 10], [0.49, 0, 10]])
+        g = gate(tracks, dets, params)
+        with pytest.raises(NumericalError, match="not finite"):
+            jpda(tracks, dets, g, params)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):

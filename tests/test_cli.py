@@ -280,6 +280,18 @@ class TestTrack:
                                    "--out", str(tmp_path / "o.jsonl")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("option", [["--preset", "NOPE"],
+                                        ["--preset", "B_s"],
+                                        ["--config", "absent.json"]])
+    def test_detector_options_with_measurements_usage_error(
+            self, runner, tmp_path, option):
+        # the files do not exist: the usage error comes before any read
+        f = str(tmp_path / "absent.jsonl")
+        res = runner.invoke(main, ["track", "--measurements", f,
+                                   "--truth", f, *option, "--out", f])
+        assert res.exit_code == 2, res.output
+        assert "--scans" in res.output
+
     def test_misaligned_truth_data_error(self, runner, tmp_path):
         scans, truth = simulate(runner, tmp_path, frames=60)
         _, truth_other = simulate(runner, tmp_path / "other", frames=50)
@@ -377,6 +389,17 @@ class TestSweep:
         for key in ("tp", "fp", "fn", "det_pct"):
             assert row[key] == report[key]
 
+    @pytest.mark.parametrize("grid", ["0", "1,-2", "2,99999999999999999999"])
+    def test_invalid_grid_value_usage_error(self, runner, tmp_path, grid):
+        # the files do not exist: every grid config is checked before any
+        # file is read
+        f = str(tmp_path / "absent.jsonl")
+        res = runner.invoke(main, ["sweep", "--scans", f, "--truth", f,
+                                   "--preset", "O", "--min-pts", grid,
+                                   "--out", f])
+        assert res.exit_code == 2, res.output
+        assert "min_pts" in res.output
+
     def test_empty_grid_usage_error(self, runner, tmp_path):
         scans, truth = simulate(runner, tmp_path)
         res = runner.invoke(main, ["sweep", "--scans", str(scans),
@@ -432,6 +455,26 @@ class TestEvaluate:
                                    "--out", str(tmp_path / "e.json")])
         assert res.exit_code == 3, res.output
         assert "timestamp misalignment" in res.output
+
+    def test_repeated_track_id_data_error(self, runner, tmp_path):
+        # Two confirmed tracks sit on the two truths, both with id 7. Read
+        # as one track, they scored MOTA 0.025 with 20 FP and 19 FN.
+        from sparsetrack.trackman import CONFIRMED, FrameRecord
+        _, truth = simulate(runner, tmp_path, frames=20, seed=0)
+        gt = stio.read_ground_truth(truth)
+        log = tmp_path / "log.jsonl"
+        stio.write_frame_log([FrameRecord(
+            t=float(t), tracks=[{"id": 7, "status": CONFIRMED, "position": p,
+                                 "velocity": [0.0] * 3, "mu": [1.0]}
+                                for p in gt.positions[k]],
+            assignments=[], beta_summary=None, spawned=[], deleted=[],
+            resurrected=[]) for k, t in enumerate(gt.t)], log)
+        res = runner.invoke(main, ["evaluate", "--frame-log", str(log),
+                                   "--truth", str(truth),
+                                   "--out", str(tmp_path / "e.json")])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith(
+            f"error: {log}:1: invalid log (repeated track id")
 
     def test_exactly_one_input_required(self, runner, tmp_path):
         _, truth = simulate(runner, tmp_path)

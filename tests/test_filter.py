@@ -347,9 +347,17 @@ class TestBatchedBank:
         sub = bank.rows([0, 2])
         assert np.array_equal(sub.fused_P[1], bank.fused_P[2])
         new = imm_init([(5.0, 5.0, 5.0)], cfg)
-        swapped = bank.with_rows([1], new)
+        # a row replaced by a fresh one: gather from the bank and the new row
+        swapped = bank.append(new).rows([0, 3, 2])
         assert np.array_equal(swapped.x[1], new.x[0])
         assert np.array_equal(swapped.P[0], bank.P[0])
         both = sub.append(new)
         assert len(both) == 3
         assert np.array_equal(both.mu[2], new.mu[0])
+        # rows are gathered in the order given
+        back = bank.rows([2, 0])
+        for a in ("x", "P", "mu", "fused_x", "fused_P"):
+            assert np.array_equal(getattr(back, a),
+                                  getattr(bank, a)[[2, 0]])
+        assert bank.rows([0, 1, 2]) is bank
+        assert bank.rows([2, 1, 0]) is not bank

@@ -103,6 +103,25 @@ def test_frame_log_roundtrip(tmp_path):
             assert np.array_equal(np.asarray(ta["position"]), tb["position"])
 
 
+def test_repeated_track_id_in_a_frame_rejected(tmp_path):
+    def line(*ids):
+        return json.dumps({
+            "t": 0.0, "assignments": [], "beta_summary": None, "spawned": [],
+            "deleted": [], "resurrected": [], "tracks": [
+                {"id": i, "status": "confirmed", "position": [0.0, 0, 5],
+                 "velocity": [0.0, 0, 0], "mu": [1.0]} for i in ids]}) + "\n"
+
+    path = tmp_path / "log.jsonl"
+    # the same id on two lines is a track over time
+    path.write_text(line(7, 3) + line(7))
+    assert [[tr["id"] for tr in r.tracks]
+            for r in stio.read_frame_log(path)] == [[7, 3], [7]]
+    path.write_text(line(7) + line(3, 7, 3))
+    with pytest.raises(stio.DataError,
+                       match=r":2: invalid log \(repeated track id"):
+        stio.read_frame_log(path)
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 0.0, "measurements": []}\nnot json\n')
@@ -210,11 +229,11 @@ def measurement_frames(draw):
 def frame_logs(draw):
     def record():
         m = draw(st.integers(0, 3))
-        tracks = [{"id": draw(INTS), "status": draw(st.sampled_from(STATUSES)),
+        tracks = [{"id": i, "status": draw(st.sampled_from(STATUSES)),
                    "position": draw(floats_array(3)),
                    "velocity": draw(floats_array(3)),
                    "mu": draw(floats_array(m))}
-                  for _ in range(draw(st.integers(0, 3)))]
+                  for i in draw(st.lists(INTS, max_size=3, unique=True))]
         betas = draw(st.none() | st.lists(st.tuples(INTS, FLOATS, INTS).map(
             lambda v: dict(zip(("id", "beta0", "best"), v))), max_size=3))
         return FrameRecord(

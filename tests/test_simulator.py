@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sparsetrack.core import Pose, ValidationError
-from sparsetrack.simulator import (CROSSINGS, DEFAULT_FRAMES, KINDS, MODERATE,
-                                   OCCLUSION, SEPARATED, Scenario, SensorModel,
+from sparsetrack.simulator import (CROSSINGS, KINDS, MODERATE, OCCLUSION,
+                                   SCENARIOS, SEPARATED, Scenario, SensorModel,
                                    TRACKING_SENSOR, gen_trajectories,
                                    run_scenario, sample_scan)
 
@@ -17,7 +17,7 @@ class TestScenarioDefaults:
     ])
     def test_default_frame_counts(self, kind, frames):
         assert Scenario(kind=kind).n_frames == frames
-        assert DEFAULT_FRAMES[kind] == frames
+        assert SCENARIOS[kind].frames == frames
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):

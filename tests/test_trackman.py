@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsetrack import association, trackman
-from sparsetrack.association import AssociationComplexityError, jpda
+from sparsetrack.association import (AssociationComplexityError,
+                                     JpdaParams, jpda)
 from sparsetrack.core import Measurement, NumericalError, ValidationError
-from sparsetrack.filter import imm_predict
+from sparsetrack.filter import imm_init, imm_predict
 from sparsetrack.trackman import (CONFIRMED, DELETED, DORMANT, TENTATIVE,
                                   Track, Tracker, TrackerConfig,
                                   lifecycle_advance, run_tracker)
@@ -131,6 +132,25 @@ class TestTrackerStep:
         assert np.array_equal(tracker.bank.fused_x, expected.fused_x)
         assert np.array_equal(tracker.bank.P, expected.P)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jpda_weight_overflow_changes_nothing(self):
+        # two tracks, each with a pair weight near 1e300, overflow JPDA's
+        # event total on their first update
+        cfg = TrackerConfig(association_mode="jpda",
+                            jpda=JpdaParams(lambda_c=1e-300))
+        tracker = Tracker(cfg)
+        points = [(0.0, 0, 10), (5.0, 0, 10)]
+        tracker.step([meas(p, 0.0) for p in points], 0.0)
+        bank, tracks = tracker.bank, list(tracker.tracks)
+        statuses = [(tr.id, tr.status, tr.misses, tr.consec_hits)
+                    for tr in tracks]
+        with pytest.raises(NumericalError, match="JPDA"):
+            tracker.step([meas(p, 0.1) for p in points], 0.1)
+        assert tracker.bank is bank and tracker.tracks == tracks
+        assert [(tr.id, tr.status, tr.misses, tr.consec_hits)
+                for tr in tracker.tracks] == statuses
+        assert tracker._last_t == 0.0
+
     def test_hungarian_one_to_one(self):
         frames = [
             (0.1 * k,
@@ -221,6 +241,53 @@ class TestDormancyAndResurrection:
             t += 0.1
         assert np.array_equal(tracker.bank.fused_x[0], frozen)
 
+    @pytest.mark.parametrize("mode", ["hungarian", "jpda"])
+    def test_resurrection_spawn_and_deletion_in_one_frame(self, mode):
+        # Tracks 0 and 2 go dormant while track 1 keeps its hits; tentative
+        # track 3 is starved. On the last frame track 0 comes back, track 3
+        # is deleted and track 4 is spawned, while track 1 is updated and
+        # track 2 stays dormant.
+        cfg = TrackerConfig(association_mode=mode, max_misses_active=3)
+        tracker = Tracker(cfg)
+        a, b, c = (0.0, 0, 5), (20.0, 0, 5), (40.0, 0, 5)
+        frames = [[a, b, c]] * 5 + [[b]] * 4 + [[b, (60.0, 0, 5)]] \
+            + [[b]] * 3
+        for k, points in enumerate(frames):
+            tracker.step([meas(p, 0.1 * k) for p in points], 0.1 * k)
+        assert [(tr.id, tr.status) for tr in tracker.tracks] == [
+            (0, DORMANT), (1, CONFIRMED), (2, DORMANT), (3, TENTATIVE)]
+        before = tracker.bank
+        updated = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                updated.append(fn(*args, **kwargs))
+                return updated[-1]
+            return wrapped
+
+        t = 0.1 * len(frames)
+        back, new = (0.5, 0, 5), (-30.0, 0, 5)
+        with mock.patch.object(trackman, "imm_correct", recording(
+                trackman.imm_correct)), \
+            mock.patch.object(Tracker, "_imm_correct_pda", recording(
+                Tracker._imm_correct_pda)):
+            rec = tracker.step([meas(p, t) for p in (b, back, new)], t)
+        assert rec.resurrected == [0]
+        assert rec.spawned == [4]
+        assert rec.deleted == [3]
+        assert [(tr.id, tr.status) for tr in tracker.tracks] == [
+            (0, CONFIRMED), (1, CONFIRMED), (2, DORMANT), (4, TENTATIVE)]
+        assert [tr["id"] for tr in rec.tracks] == [0, 1, 2, 4]
+        # the active tracks were 1 and 3, in that order
+        assert len(updated) == 1 and len(updated[0]) == 2
+        want = [imm_init([back], cfg.filter), updated[0].rows([0]),
+                before.rows([2]), imm_init([new], cfg.filter)]
+        assert len(tracker.bank) == len(want)
+        for i, row in enumerate(want):
+            for name in ("x", "P", "mu", "fused_x", "fused_P"):
+                assert np.array_equal(getattr(tracker.bank, name)[i],
+                                      getattr(row, name)[0]), (i, name)
+
 
 class TestBatchedStages:
     """Each filter stage runs once per frame for all tracks."""
@@ -237,7 +304,8 @@ class TestBatchedStages:
             t = 0.1 * k
             pos = starts + v * t + rng.normal(scale=0.02, size=(6, 3))
             frames.append((t, [meas(p, t) for p in pos]))
-        counts = {"imm_predict": 0, "imm_correct": 0, "pda": 0}
+        counts = {"imm_predict": 0, "imm_correct": 0, "pda": 0,
+                  "imm_init": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -250,6 +318,8 @@ class TestBatchedStages:
                 "imm_predict", trackman.imm_predict)), \
             mock.patch.object(trackman, "imm_correct", counting(
                 "imm_correct", trackman.imm_correct)), \
+            mock.patch.object(trackman, "imm_init", counting(
+                "imm_init", trackman.imm_init)), \
             mock.patch.object(Tracker, "_imm_correct_pda", counting(
                 "pda", Tracker._imm_correct_pda)):
             for t, ms in frames:
@@ -260,6 +330,8 @@ class TestBatchedStages:
         assert len(rec.tracks) == 6
         assert all(tr["status"] == CONFIRMED for tr in rec.tracks)
         assert counts["imm_predict"] == len(frames) - 1
+        # the six tracks are born together on the first frame
+        assert counts["imm_init"] == 1
         updates = counts["imm_correct" if mode == "hungarian" else "pda"]
         assert updates == len(frames) - 1
 
