@@ -9,7 +9,6 @@ process one scan stream sequentially.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,13 @@ from scipy.spatial import cKDTree
 
 from .core import (Measurement, Scan, ValidationError, check_field_types,
                    to_global)
+
+
+def adaptive_epsilon(r: float, cfg: DetectorConfig) -> float:
+    """Range-adaptive DBSCAN radius: eps0 + alpha * max(r - r_ref, 0)."""
+    if r < 0:
+        raise ValidationError("range must be >= 0")
+    return cfg.eps0 + cfg.alpha * max(r - cfg.r_ref, 0.0)
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,10 @@ class DetectorConfig:
                      "T_cons", "r_max", "r_excl", "d_new_source"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
+        # the radius grows with range, so it is largest at r_max
+        if not np.isfinite(adaptive_epsilon(self.r_max, self)):
+            raise ValidationError(
+                "eps0 + alpha * (r_max - r_ref) must be finite")
 
 
 # Named configurations from the real-world evaluation. Only eps0, min_pts,
@@ -179,13 +189,6 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
     return centroids[np.argsort(order[new])]
 
 
-def adaptive_epsilon(r: float, cfg: DetectorConfig) -> float:
-    """Range-adaptive DBSCAN radius: eps0 + alpha * max(r - r_ref, 0)."""
-    if r < 0:
-        raise ValidationError("range must be >= 0")
-    return cfg.eps0 + cfg.alpha * max(r - cfg.r_ref, 0.0)
-
-
 class Clusters(list):
     """`dbscan`'s result: one (k, 3) point array per cluster, each a block
     of consecutive rows of `rows` (n, 3), the clustered points grouped by
@@ -203,39 +206,52 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
     cluster; noise points are discarded.
 
     Neighborhood counts include the query point, so min_pts=1 makes every
-    point a core point. Border points join the first core cluster that
-    reaches them in input order, making runs reproducible. Each point's
-    neighbors within eps (boundary included) come from one k-d tree query,
-    so memory is O(n + neighbor pairs) rather than O(n^2). Points inside a
-    cluster keep their input order.
+    point a core point. Clusters come in order of their smallest core index,
+    and a border point joins the first of them that reaches it, making runs
+    reproducible. Points inside a cluster keep their input order. The pairs
+    within eps (boundary included) come from one k-d tree query, so time and
+    memory grow with n plus the number of pairs, which is n^2 / 2 when all
+    points lie within eps of each other.
     """
-    if eps <= 0 or min_pts < 1:
-        raise ValidationError("dbscan requires eps > 0 and min_pts >= 1")
+    if not 0 < eps < np.inf or min_pts < 1:
+        raise ValidationError("dbscan requires 0 < eps < inf and min_pts >= 1")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
-    nbrs = cKDTree(pts).query_ball_point(pts, eps, return_sorted=True)
-    core = [len(nb) >= min_pts for nb in nbrs]
-    labels = [-1] * n
-    next_label = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = next_label
-        frontier = deque([i])
-        while frontier:
-            for k in nbrs[frontier.popleft()]:
-                if labels[k] == -1:
-                    labels[k] = next_label
-                    if core[k]:
-                        frontier.append(k)
-        next_label += 1
-    if next_label == 0:
-        return Clusters(pts[:0], np.zeros(0, dtype=np.intp))
-    # Group points by label in one stable sort; noise (-1) sorts first.
-    lab = np.array(labels, dtype=np.intp)
-    counts = np.bincount(lab + 1, minlength=next_label + 1)
-    return Clusters(pts[np.argsort(lab, kind="stable")][counts[0]:],
-                    counts[1:])
+    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+    # each pair is one neighbour of both its points; the point itself is
+    # the min_pts-th
+    core = np.bincount(pairs.ravel(), minlength=n) >= min_pts - 1
+    i, j = pairs[:, 0], pairs[:, 1]  # i < j
+    ci, cj = core[i], core[j]
+    # Core components by min-label hooking and pointer jumping (Shiloach and
+    # Vishkin): every root hooks under the smallest root it shares an edge
+    # with, then each edge is replaced by the edge between its ends' roots,
+    # until no edge joins two roots. lab[p] <= p throughout, so a
+    # component's root is its smallest core index.
+    lab = np.arange(n)
+    both = ci & cj
+    lo, hi = i[both], j[both]
+    while len(lo):
+        np.minimum.at(lab, hi, lo)
+        jumped = lab[lab]
+        while np.count_nonzero(jumped != lab):
+            lab, jumped = jumped, jumped[jumped]
+        a, b = lab[lo], lab[hi]
+        apart = a != b
+        if not np.count_nonzero(apart):
+            break
+        lo, hi = np.minimum(a, b)[apart], np.maximum(a, b)[apart]
+    # non-core points are noise, label n, unless they border a core point:
+    # then they take the smallest root among their core neighbours
+    lab[~core] = n
+    border = ci != cj
+    if np.count_nonzero(border):
+        np.minimum.at(lab, np.where(ci, j, i)[border],
+                      lab[np.where(ci, i, j)[border]])
+    counts = np.bincount(lab, minlength=n + 1)
+    order = lab.argsort(kind="stable")[:n - counts[n]]
+    sizes = counts[:n]
+    return Clusters(pts[order], sizes[sizes > 0])
 
 
 def validate_geometric(points: np.ndarray, cfg: DetectorConfig) -> bool:

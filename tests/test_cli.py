@@ -202,6 +202,9 @@ class TestDetect:
         {"K": 2.5, "M": 1},
         # numbers too large for a float or a 64-bit count
         {"r_max": 10**400}, {"K": 10**30, "layer3_enabled": True},
+        # a DBSCAN radius that overflows to inf at r_max made every scan one
+        # cluster, and gave 0 detections with exit 0
+        {"alpha": 1e308},
         # a negative history length, and a layer 3 that can reject nothing
         {"K": -1, "M": -2}, {"K": 0, "M": 0, "layer3_enabled": True},
     ])

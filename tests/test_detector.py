@@ -320,6 +320,29 @@ class TestAdaptiveEpsilon:
             adaptive_epsilon(-1.0, DetectorConfig())
 
 
+@st.composite
+def dbscan_clouds(draw):
+    """(points, eps, min_pts) with exact distances, in shuffled row order.
+
+    Coordinates are multiples of h = eps/2: a grid cloud whose pairs can be
+    exactly eps apart or coincide; a chain of points eps apart, which takes
+    hooking several rounds once shuffled; and a point eps from two cores
+    that each have k coincident leaves h beyond them, a border point of two
+    clusters at min_pts 4 when k >= 2.
+    """
+    eps = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    cell = st.integers(-3, 3)
+    grid = draw(st.lists(st.tuples(cell, cell, cell), max_size=40))
+    chain = [(2 * x, 40, 0) for x in range(draw(st.integers(0, 30)))]
+    bridge = []
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        bridge = [(x, -40, 0) for x in [0, -2, 2] + [-3] * k + [3] * k]
+    pts = np.array(grid + chain + bridge, dtype=float).reshape(-1, 3)
+    order = draw(st.permutations(range(len(pts))))
+    return pts[order] * (eps / 2), eps, draw(st.integers(1, 5))
+
+
 class TestDbscan:
     def test_density_chaining(self):
         pts = np.array([[0, 0, 0], [0.3, 0, 0], [0.6, 0, 0]])
@@ -384,11 +407,46 @@ class TestDbscan:
             perm = rng.permutation(len(pts))
             assert partition(dbscan(pts[perm], 0.8, 2)) == base
 
+    @settings(max_examples=300, deadline=None)
+    @given(dbscan_clouds())
+    def test_matches_reference_exactly(self, cloud):
+        pts, eps, mp = cloud
+        got = dbscan(pts, eps, mp)
+        want = reference_dbscan(pts, eps, mp)
+        assert got.sizes.tolist() == [len(w) for w in want]
+        want_rows = np.vstack(want) if want else np.zeros((0, 3))
+        assert got.rows.shape == want_rows.shape
+        assert got.rows.tobytes() == want_rows.tobytes()
+
+    def test_border_between_two_clusters_joins_the_first(self):
+        # row 0 is eps from the cores at rows 1 and 4, whose two leaves each
+        # lie eps/2 beyond them; at min_pts 4 row 0 is a border point
+        pts = np.array([[0, 0, 0], [2, 0, 0], [3, 0, 0], [3, 0, 0],
+                        [-2, 0, 0], [-3, 0, 0], [-3, 0, 0]]) * 0.25
+        clusters = dbscan(pts, 0.5, 4)
+        assert clusters.sizes.tolist() == [4, 3]
+        assert np.array_equal(clusters.rows, pts)
+
+    @pytest.mark.parametrize("min_pts", [2, 300])
+    def test_dense_plane_matches_reference(self, min_pts):
+        # up to 441 neighbours a point; at min_pts 300 the 504 points near
+        # the plane's edges are border points
+        g = np.arange(40) * 0.05
+        pts = np.array([(x, y, 2.0) for x in g[:30] for y in g])
+        got = dbscan(pts, 0.6, min_pts)
+        want = reference_dbscan(pts, 0.6, min_pts)
+        assert got.sizes.tolist() == [len(w) for w in want]
+        assert np.array_equal(got.rows, np.vstack(want))
+
     def test_invalid_params(self):
         with pytest.raises(ValidationError):
             dbscan(np.zeros((1, 3)), eps=0.0, min_pts=1)
         with pytest.raises(ValidationError):
             dbscan(np.zeros((1, 3)), eps=0.5, min_pts=0)
+        # NaN passes an `eps <= 0` test; inf would ask for all n^2 pairs
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                dbscan(np.zeros((1, 3)), eps=eps, min_pts=1)
 
 
 class TestTemporalHistory:
@@ -716,6 +774,8 @@ class TestDetectorPipeline:
             DetectorConfig(n_min=5, n_max=2)
         with pytest.raises(ValidationError):
             DetectorConfig(M=4, K=3)
+        with pytest.raises(ValidationError, match="must be finite"):
+            DetectorConfig(alpha=1e308)
 
 
 # Exact streams: anchors on a dyadic grid under one signed-permutation pose,
