@@ -7,8 +7,8 @@ from .detector import (Detector, DetectorConfig, PRESETS, TemporalHistory,
                        get_preset, roi_filter, validate_geometric,
                        validate_jump, validate_temporal, voxel_downsample)
 from .filter import FilterConfig, IMMState, imm_correct_pda, imm_init, imm_mix
-from .association import (GateResult, JpdaParams, TrackView, build_cost, gate,
-                          hungarian, jpda)
+from .association import (GateResult, JpdaParams, build_cost, gate, hungarian,
+                          jpda)
 from .trackman import (FrameRecord, Track, Tracker, TrackerConfig,
                        lifecycle_advance, run_tracker)
 from .simulator import (GroundTruth, Scenario, SensorModel, gen_trajectories,

@@ -1,7 +1,6 @@
 """Mahalanobis gating and the two association strategies.
 
-`gate`/`build_cost`/`hungarian`/`jpda` operate on a `TrackView`, one array
-row per track, so they stay decoupled from track bookkeeping and each runs
+Each stage takes only the arrays it reads, one row per track, and runs
 once per frame for all tracks. The Hungarian solve is delegated to scipy's
 exact linear_sum_assignment; JPDA enumerates feasible joint events
 explicitly. Both strategies end in the same filter update,
@@ -39,20 +38,6 @@ class JpdaParams:
             raise ValidationError("invalid JPDA parameters")
 
 
-@dataclass(frozen=True)
-class TrackView:
-    """What the association stage needs of T tracks, one row per track."""
-
-    z_pred: np.ndarray                  # (T, 3) predicted measurements H x
-    S: np.ndarray                       # (T, 3, 3) innovation covariances
-    velocity: np.ndarray | None = None  # (T, 3)
-    anchor: np.ndarray | None = None    # (T, 3) last confident position
-    anchor_t: np.ndarray | None = None  # (T,) its time; NaN: no anchor
-
-    def __len__(self) -> int:
-        return len(self.z_pred)
-
-
 @dataclass
 class GateResult:
     d2: np.ndarray                      # (n_tracks, n_dets) squared Mahalanobis
@@ -61,9 +46,10 @@ class GateResult:
     notes: list[str] = field(default_factory=list)
 
 
-def gate(tracks: TrackView, detections: np.ndarray,
+def gate(z_pred: np.ndarray, S: np.ndarray, detections: np.ndarray,
          params: JpdaParams) -> GateResult:
-    """Chi-squared gating of every track at once.
+    """Chi-squared gating of every track at once: track i has predicted
+    measurement `z_pred[i]` (3,) and innovation covariance `S[i]` (3, 3).
 
     A track whose S is not positive definite (slogdet sign <= 0, or a
     non-finite log-determinant) gets an infeasible row and one note. Such
@@ -71,8 +57,8 @@ def gate(tracks: TrackView, detections: np.ndarray,
     the inverse fail and the other rows are unaffected.
     """
     dets = np.asarray(detections, dtype=float).reshape(-1, 3)
-    z = np.asarray(tracks.z_pred, dtype=float).reshape(-1, 3)
-    S = _sym(np.asarray(tracks.S, dtype=float).reshape(-1, 3, 3))
+    z = np.asarray(z_pred, dtype=float).reshape(-1, 3)
+    S = _sym(np.asarray(S, dtype=float).reshape(-1, 3, 3))
     sign, logdet = np.linalg.slogdet(S)
     ok = (sign > 0) & np.isfinite(logdet)
     notes = [] if ok.all() else [
@@ -91,28 +77,29 @@ def gate(tracks: TrackView, detections: np.ndarray,
                       notes=notes)
 
 
-def build_cost(tracks: TrackView, detections: np.ndarray,
-               gate_result: GateResult, weights: tuple[float, float, float],
+def build_cost(detections: np.ndarray, gate_result: GateResult,
+               anchor: np.ndarray, anchor_t: np.ndarray, velocity: np.ndarray,
+               weights: tuple[float, float, float],
                t_now: float) -> np.ndarray:
     """Cost = w_m * d2 + w_a * identity-anchor + w_v * velocity penalty.
 
-    Anchor and velocity terms vanish for a track with no confident history.
-    Infeasible pairs get the sentinel cost.
+    Track i's anchor is its last confident detection, `anchor[i]` at time
+    `anchor_t[i]`, both NaN without one; its anchor and velocity terms then
+    vanish. Infeasible pairs get the sentinel cost.
     """
     dets = np.asarray(detections, dtype=float).reshape(-1, 3)
     w_m, w_a, w_v = weights
     feasible = gate_result.feasible
-    cost = w_m * np.where(feasible, gate_result.d2, 0.0)
-    if tracks.anchor is not None:
-        anchor_t = np.asarray(tracks.anchor_t, dtype=float)
-        has = ~np.isnan(anchor_t)[:, None]
-        diff = dets - np.asarray(tracks.anchor, dtype=float)[:, None]
-        lag = t_now - anchor_t
-        moving = lag > 0                                # False where NaN
-        implied = diff / np.where(moving, lag, 1.0)[:, None, None]
-        miss = np.linalg.norm(implied - tracks.velocity[:, None], axis=2)
-        cost = cost + np.where(has, w_a * np.linalg.norm(diff, axis=2), 0.0) \
-            + np.where(moving[:, None], w_v * miss, 0.0)
+    anchor_t = np.asarray(anchor_t, dtype=float)
+    has = ~np.isnan(anchor_t)[:, None]
+    diff = dets - np.asarray(anchor, dtype=float)[:, None]
+    lag = t_now - anchor_t
+    moving = lag > 0                                    # False where NaN
+    implied = diff / np.where(moving, lag, 1.0)[:, None, None]
+    miss = np.linalg.norm(implied - velocity[:, None], axis=2)
+    cost = w_m * np.where(feasible, gate_result.d2, 0.0) \
+        + np.where(has, w_a * np.linalg.norm(diff, axis=2), 0.0) \
+        + np.where(moving[:, None], w_v * miss, 0.0)
     return np.where(feasible, np.minimum(cost, SENTINEL_COST - 1.0),
                     SENTINEL_COST)
 
@@ -137,16 +124,15 @@ class AssociationComplexityError(RuntimeError):
     """Joint-event enumeration exceeded the configured cap."""
 
 
-def jpda(tracks: TrackView, detections: np.ndarray,
-         gate_result: GateResult, params: JpdaParams) -> np.ndarray:
+def jpda(gate_result: GateResult, params: JpdaParams) -> np.ndarray:
     """Marginal association probabilities by joint-event enumeration.
 
-    Returns beta of shape (n_tracks, n_dets + 1); column 0 is the
-    missed-detection probability beta_{i,0}. Event weights whose total
-    overflows raise `NumericalError`.
+    They depend only on which pairs pass the gate and on their likelihoods,
+    so the gate is all this reads. Returns beta of shape (n_tracks,
+    n_dets + 1); column 0 is the missed-detection probability beta_{i,0}.
+    Event weights whose total overflows raise `NumericalError`.
     """
-    dets = np.asarray(detections, dtype=float).reshape(-1, 3)
-    n, m = len(tracks), dets.shape[0]
+    n, m = gate_result.feasible.shape
     beta = np.zeros((n, m + 1))
     if n == 0:
         return beta

@@ -229,9 +229,7 @@ def evaluate(det_path, log_path, truth_path, match_radius, out_path):
         report = _score_detections(stio.read_measurement_frames(det_path), gt,
                                    match_radius)
     else:
-        log = stio.read_frame_log(log_path)
-        _check_alignment([r.t for r in log], gt)
-        report = eval_mot(log, gt, match_radius)
+        report = eval_mot(stio.read_frame_log(log_path), gt, match_radius)
     _report(report, out_path)
 
 

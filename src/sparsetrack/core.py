@@ -79,7 +79,8 @@ class Pose:
         R = np.asarray(self.rotation, dtype=float)
         if R.shape != (3, 3) or not np.all(np.isfinite(R)):
             raise ValidationError("rotation must be a finite 3x3 matrix")
-        if not np.allclose(R.T @ R, np.eye(3), atol=ORTHONORMAL_TOL):
+        if not np.allclose(R.T @ R, np.eye(3), rtol=0,
+                           atol=ORTHONORMAL_TOL):
             raise ValidationError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-6:
             raise ValidationError("rotation determinant is not +1")

@@ -321,10 +321,11 @@ class Detector:
         cfg = self.cfg
         if self._last_t is not None and scan.t <= self._last_t:
             raise ValidationError("scan timestamps must be strictly increasing")
-        self._last_t = scan.t
-
+        # the clock moves only with a scan that succeeds, so a scan that
+        # raises can be retried and reports its own error again
         roi = roi_filter(scan, cfg)
         if len(roi) == 0:
+            self._last_t = scan.t
             return []
         down = voxel_downsample(roi, cfg.voxel)
         r = float(np.linalg.norm(down, axis=1).mean())
@@ -333,6 +334,7 @@ class Detector:
 
         keep = [validate_geometric(c, cfg) for c in clusters]
         if not any(keep):
+            self._last_t = scan.t
             return []
         rows, sizes = clusters.rows, clusters.sizes
         if not all(keep):
@@ -362,4 +364,5 @@ class Detector:
         # History gets this frame's layer-1/2 survivors only after the whole
         # frame is processed, so same-frame candidates do not interact.
         hist.push(zs[accepted], scan.t)
+        self._last_t = scan.t
         return measurements

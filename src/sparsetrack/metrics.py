@@ -108,13 +108,21 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
              match_radius: float = 1.0) -> MotReport:
     """CLEAR-MOT over confirmed-track outputs.
 
-    Prior-frame correspondences are kept while both sides persist within
-    the match radius; the remainder is matched greedily by distance.
+    Record k is scored against truth frame k, so their times must agree
+    within 1e-9. Prior-frame correspondences are kept while both sides
+    persist within the match radius; the remainder is matched greedily by
+    distance.
     """
     if gt.n_frames == 0:
         raise ValidationError("ground truth is empty")
     if len(frame_log) != gt.n_frames:
-        raise ValidationError("frame log and ground truth are misaligned")
+        raise ValidationError(
+            f"frame count mismatch: {len(frame_log)} frames vs "
+            f"{gt.n_frames} truth")
+    for k, (rec, t) in enumerate(zip(frame_log, gt.t.tolist())):
+        if not abs(rec.t - t) <= 1e-9:     # NaN is misaligned too
+            raise ValidationError(
+                f"timestamp misalignment at frame {k}: {rec.t} vs {t}")
     fp = fn = idsw = 0
     gt_total = 0
     sq_err = []

@@ -9,13 +9,14 @@ keeping their original id.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Measurement, ValidationError, check_field_types
 from . import association as assoc
-from .association import JpdaParams, TrackView
+from .association import JpdaParams
 from .filter import (FilterConfig, IMMState, imm_init, imm_predict,
                      imm_correct, imm_correct_pda)
 
@@ -61,13 +62,16 @@ class TrackerConfig:
 @dataclass
 class Track:
     """Lifecycle state of one track; its filter state is its row of
-    `Tracker.bank`."""
+    `Tracker.bank`. `anchor` is the position of its last confident
+    detection and `anchor_t` that detection's time, both NaN until its
+    first hit; Hungarian costs read them."""
 
     id: int
     status: str
     misses: int = 0
     consec_hits: int = 0
-    last_confident: tuple[np.ndarray, float] | None = None
+    anchor: np.ndarray = field(default_factory=lambda: np.full(3, np.nan))
+    anchor_t: float = np.nan
 
 
 @dataclass
@@ -123,21 +127,6 @@ class Tracker:
 
     # -- internals ---------------------------------------------------------
 
-    def _view(self, tracks: list[Track], bank: IMMState) -> TrackView:
-        """The association snapshot of `tracks`, whose banks are `bank`;
-        Hungarian costs also need each track's last confident detection."""
-        anchor = anchor_t = None
-        if self.cfg.association_mode == HUNGARIAN:
-            anchor = np.full((len(tracks), 3), np.nan)
-            anchor_t = np.full(len(tracks), np.nan)
-            for i, tr in enumerate(tracks):
-                if tr.last_confident is not None:
-                    anchor[i], anchor_t[i] = tr.last_confident
-        return TrackView(
-            z_pred=bank.fused_x[:, :3],
-            S=bank.fused_P[:, :3, :3] + self.cfg.filter.R,
-            velocity=bank.fused_x[:, 3:], anchor=anchor, anchor_t=anchor_t)
-
     def _imm_correct_pda(self, pred: IMMState, dets: np.ndarray,
                          beta: np.ndarray) -> IMMState:
         """JPDA update of the tracks in `pred`, one call per frame;
@@ -148,6 +137,8 @@ class Tracker:
 
     def step(self, measurements: list[Measurement], t: float) -> FrameRecord:
         cfg = self.cfg
+        if not math.isfinite(t):
+            raise ValidationError(f"frame time must be finite, got t={t}")
         if self._last_t is not None and t <= self._last_t:
             raise ValidationError(
                 f"out-of-order frame: t={t} after t={self._last_t}")
@@ -179,15 +170,20 @@ class Tracker:
 
             # 2-4. gate, associate, update
             if act and len(dets):
-                view = self._view(active, pred)
-                g = assoc.gate(view, dets, cfg.jpda)
+                x = pred.fused_x
+                g = assoc.gate(x[:, :3],
+                               pred.fused_P[:, :3, :3] + cfg.filter.R,
+                               dets, cfg.jpda)
                 if cfg.association_mode == HUNGARIAN:
-                    cost = assoc.build_cost(view, dets, g, cfg.cost_weights, t)
+                    cost = assoc.build_cost(
+                        dets, g, np.array([tr.anchor for tr in active]),
+                        np.array([tr.anchor_t for tr in active]), x[:, 3:],
+                        cfg.cost_weights, t)
                     assigned = assoc.hungarian(cost)
                     pred = imm_correct(pred, dets, assigned, cfg.filter)
                     taken[assigned[assigned >= 0]] = True
                 else:
-                    beta = assoc.jpda(view, dets, g, cfg.jpda)
+                    beta = assoc.jpda(g, cfg.jpda)
                     pred = self._imm_correct_pda(pred, dets, beta)
                     assigned = np.where(beta[:, 0] <= cfg.jpda_miss_threshold,
                                         beta[:, 1:].argmax(axis=1), -1)
@@ -203,7 +199,7 @@ class Tracker:
         deleted: list[int] = []
         for tr, j in zip(active, assigned.tolist()):
             if j >= 0:
-                tr.last_confident = (dets[j].copy(), t)
+                tr.anchor, tr.anchor_t = dets[j].copy(), t
                 assignments.append((tr.id, j))
             if lifecycle_advance(tr, j >= 0, cfg) == DELETED:
                 deleted.append(tr.id)
@@ -229,7 +225,7 @@ class Tracker:
                 tr.status = CONFIRMED
                 tr.misses = 0
                 tr.consec_hits = 1
-                tr.last_confident = (dets[best_j].copy(), t)
+                tr.anchor, tr.anchor_t = dets[best_j].copy(), t
                 assignments.append((tr.id, best_j))
                 leftover.remove(best_j)
                 born[tr.id] = best_j

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sparsetrack.association import (JpdaParams, TrackView, gate, hungarian,
-                                     jpda)
+from sparsetrack.association import JpdaParams, gate, hungarian, jpda
 from sparsetrack.cli import main as cli_main
 from sparsetrack.detector import Detector, DetectorConfig, dbscan, get_preset
 from sparsetrack.filter import FilterConfig, imm_init
@@ -75,21 +74,18 @@ def test_criterion_03_jpda_normalization():
     params = JpdaParams()
     for _ in range(1000):
         n, m = rng.integers(1, 5, size=2)
-        tracks = TrackView(z_pred=rng.uniform(-3, 3, (n, 3)),
-                           S=np.broadcast_to(np.eye(3), (n, 3, 3)))
+        z_pred = rng.uniform(-3, 3, (n, 3))
         dets = rng.uniform(-3, 3, size=(m, 3))
-        g = gate(tracks, dets, params)
-        beta = jpda(tracks, dets, g, params)
+        g = gate(z_pred, np.broadcast_to(np.eye(3), (n, 3, 3)), dets, params)
+        beta = jpda(g, params)
         assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-9)
     # single-feasible-event cases: Pd = 1 with disjoint gates
     hard = JpdaParams(Pd=1.0)
     for n in (1, 2, 3):
-        tracks = TrackView(z_pred=np.array([[30.0 * i, 0, 0]
-                                            for i in range(n)]),
-                           S=np.broadcast_to(np.eye(3), (n, 3, 3)))
         dets = np.array([[30.0 * i + 0.2, 0, 0] for i in range(n)])
-        g = gate(tracks, dets, hard)
-        beta = jpda(tracks, dets, g, hard)
+        g = gate(np.array([[30.0 * i, 0, 0] for i in range(n)]),
+                 np.broadcast_to(np.eye(3), (n, 3, 3)), dets, hard)
+        beta = jpda(g, hard)
         want = np.zeros((n, n + 1))
         for i in range(n):
             want[i, i + 1] = 1.0

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from sparsetrack.core import NumericalError, ValidationError
-from sparsetrack.association import (SENTINEL_COST, JpdaParams, TrackView,
-                                     build_cost, gate, hungarian, jpda)
+from sparsetrack.association import (SENTINEL_COST, JpdaParams, build_cost,
+                                     gate, hungarian, jpda)
 from sparsetrack.filter import FilterConfig, IMMState, imm_correct_pda
 
 from reference_filter import KState, kf_update
 
 
 def views(*z_preds, S=None):
-    """A TrackView of one track per predicted position, all with S (or I)."""
+    """`gate`'s (z_pred, S) for one track per predicted position, all with
+    S (or I)."""
     z = np.asarray(z_preds, float).reshape(-1, 3)
     S = np.eye(3) if S is None else np.asarray(S, float)
-    return TrackView(z_pred=z, S=np.broadcast_to(S, (len(z), 3, 3)))
+    return z, np.broadcast_to(S, (len(z), 3, 3))
 
 
 def view(z_pred=(0, 0, 0), S=None):
@@ -38,18 +39,18 @@ class TestGate:
     params = JpdaParams()
 
     def test_exact_prediction(self):
-        g = gate(view(), np.zeros((1, 3)), self.params)
+        g = gate(*view(), np.zeros((1, 3)), self.params)
         assert g.d2[0, 0] == pytest.approx(0.0)
         assert g.feasible[0, 0]
 
     def test_unit_offset_d2(self):
-        g = gate(view(), np.ones((1, 3)), self.params)
+        g = gate(*view(), np.ones((1, 3)), self.params)
         assert g.d2[0, 0] == pytest.approx(3.0)
         assert g.feasible[0, 0]
 
     def test_tight_gamma_infeasible(self):
         params = JpdaParams(gamma=2.0)
-        g = gate(view(), np.ones((1, 3)), params)
+        g = gate(*view(), np.ones((1, 3)), params)
         assert not g.feasible[0, 0]
 
     def test_rotation_invariance(self):
@@ -59,13 +60,13 @@ class TestGate:
             S = A @ A.T + 0.5 * np.eye(3)
             y = rng.normal(size=3)
             Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            g1 = gate(view(S=S), y.reshape(1, 3), self.params)
-            g2 = gate(view(S=Q @ S @ Q.T), (Q @ y).reshape(1, 3),
+            g1 = gate(*view(S=S), y.reshape(1, 3), self.params)
+            g2 = gate(*view(S=Q @ S @ Q.T), (Q @ y).reshape(1, 3),
                       self.params)
             assert g1.d2[0, 0] == pytest.approx(g2.d2[0, 0], abs=1e-9)
 
     def test_singular_s_row_infeasible(self):
-        g = gate(view(S=np.zeros((3, 3))), np.zeros((1, 3)), self.params)
+        g = gate(*view(S=np.zeros((3, 3))), np.zeros((1, 3)), self.params)
         assert not g.feasible.any()
         assert g.notes
 
@@ -78,12 +79,11 @@ class TestGate:
         S[1] = np.diag([1.0, 1.0, 0.0])
         z = rng.normal(size=(3, 3))
         dets = z[[0, 2]] + rng.normal(scale=0.5, size=(2, 3))
-        g = gate(TrackView(z_pred=z, S=S), dets, self.params)
+        g = gate(z, S, dets, self.params)
         assert not g.feasible[1].any() and np.isinf(g.d2[1]).all()
         assert len(g.notes) == 1 and g.notes[0].startswith("track 1:")
         for i in (0, 2):
-            one = gate(TrackView(z_pred=z[i:i + 1], S=S[i:i + 1]), dets,
-                       self.params)
+            one = gate(z[i:i + 1], S[i:i + 1], dets, self.params)
             assert one.notes == []
             for a in ("d2", "loglik"):
                 np.testing.assert_allclose(getattr(g, a)[i],
@@ -94,27 +94,26 @@ class TestGate:
 
 class TestBuildCost:
     params = JpdaParams()
+    # one track with no confident history: NaN anchor, zero velocity
+    bare = (np.full((1, 3), np.nan), np.full(1, np.nan), np.zeros((1, 3)))
 
     def test_pure_mahalanobis_weights(self):
-        tracks = view()
         dets = np.array([[0.5, 0, 0]])
-        g = gate(tracks, dets, self.params)
-        cost = build_cost(tracks, dets, g, (1.0, 0.0, 0.0), t_now=1.0)
+        g = gate(*view(), dets, self.params)
+        cost = build_cost(dets, g, *self.bare, (1.0, 0.0, 0.0), t_now=1.0)
         assert cost[0, 0] == pytest.approx(g.d2[0, 0])
 
     def test_anchor_vanishes_without_history(self):
-        tracks = view()  # no anchor
         dets = np.array([[0.5, 0, 0]])
-        g = gate(tracks, dets, self.params)
-        c_full = build_cost(tracks, dets, g, (1.0, 10.0, 10.0), t_now=1.0)
-        c_bare = build_cost(tracks, dets, g, (1.0, 0.0, 0.0), t_now=1.0)
+        g = gate(*view(), dets, self.params)
+        c_full = build_cost(dets, g, *self.bare, (1.0, 10.0, 10.0), t_now=1.0)
+        c_bare = build_cost(dets, g, *self.bare, (1.0, 0.0, 0.0), t_now=1.0)
         assert np.allclose(c_full, c_bare)
 
     def test_infeasible_all_unassigned(self):
-        tracks = view()
         dets = np.array([[100.0, 0, 0]])
-        g = gate(tracks, dets, self.params)
-        cost = build_cost(tracks, dets, g, (1.0, 0.3, 0.3), t_now=1.0)
+        g = gate(*view(), dets, self.params)
+        cost = build_cost(dets, g, *self.bare, (1.0, 0.3, 0.3), t_now=1.0)
         assert hungarian(cost).tolist() == [-1]
 
     def test_equals_per_pair_loop(self):
@@ -130,11 +129,10 @@ class TestBuildCost:
             anchor_t = rng.choice([np.nan, 0.5, 1.0], size=n)
             anchor[np.isnan(anchor_t)] = np.nan
             vel = rng.normal(size=(n, 3))
-            tracks = TrackView(z_pred=z, S=np.broadcast_to(np.eye(3),
-                                                            (n, 3, 3)),
-                               velocity=vel, anchor=anchor, anchor_t=anchor_t)
-            g = gate(tracks, dets, self.params)
-            cost = build_cost(tracks, dets, g, weights, t_now=1.0)
+            g = gate(z, np.broadcast_to(np.eye(3), (n, 3, 3)), dets,
+                     self.params)
+            cost = build_cost(dets, g, anchor, anchor_t, vel, weights,
+                              t_now=1.0)
             for i in range(n):
                 for j in range(m):
                     want = SENTINEL_COST
@@ -197,13 +195,53 @@ class TestHungarian:
         assert hungarian(cost).tolist() == [0, -1, 1]
 
 
+def brute_force_jpda(g, params: JpdaParams) -> np.ndarray:
+    """JPDA marginals from every joint event: each track takes a distinct
+    gated detection or misses, with weight prod(Pd * N_ij / lambda_c) over
+    its assignments times (1 - Pd) per miss."""
+    n, m = g.feasible.shape
+    beta = np.zeros((n, m + 1))
+    total = 0.0
+    for event in itertools.product(range(-1, m), repeat=n):
+        dets = [j for j in event if j >= 0]
+        if len(set(dets)) < len(dets) or not all(
+                j < 0 or g.feasible[i, j] for i, j in enumerate(event)):
+            continue
+        w = math.prod(1 - params.Pd if j < 0 else
+                      params.Pd * math.exp(g.loglik[i, j]) / params.lambda_c
+                      for i, j in enumerate(event))
+        total += w
+        for i, j in enumerate(event):
+            beta[i, j + 1] += w
+    return beta / total
+
+
 class TestJpda:
+    def test_matches_brute_force_marginals(self):
+        # 1-4 tracks and 0-5 detections in one 3 m box, so gates overlap:
+        # detections shared by several tracks, tracks with several
+        # detections, and events that leave a shared detection to either
+        rng = np.random.default_rng(21)
+        shared = 0
+        for _ in range(300):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(0, 6))
+            params = JpdaParams(Pd=float(rng.uniform(0.3, 0.99)),
+                                lambda_c=float(10 ** rng.uniform(-4, -1)))
+            tracks = views(*rng.uniform(-1.5, 1.5, size=(n, 3)))
+            dets = rng.uniform(-1.5, 1.5, size=(m, 3))
+            g = gate(*tracks, dets, params)
+            shared += bool((g.feasible.sum(axis=0) >= 2).any())
+            np.testing.assert_allclose(jpda(g, params),
+                                       brute_force_jpda(g, params),
+                                       rtol=0, atol=1e-12)
+        assert shared >= 100
+
     def test_two_event_formula(self):
         params = JpdaParams(Pd=0.7, lambda_c=1e-4)
         tracks = view()
         dets = np.array([[0.5, 0.2, -0.1]])
-        g = gate(tracks, dets, params)
-        beta = jpda(tracks, dets, g, params)
+        g = gate(*tracks, dets, params)
+        beta = jpda(g, params)
         lam = math.exp(g.loglik[0, 0])
         expected = params.Pd * lam / (params.Pd * lam
                                       + (1 - params.Pd) * params.lambda_c)
@@ -214,16 +252,16 @@ class TestJpda:
         tracks = views((-1, 0, 0), (1, 0, 0))
         dets = np.zeros((1, 3))
         params = JpdaParams()
-        g = gate(tracks, dets, params)
-        beta = jpda(tracks, dets, g, params)
+        g = gate(*tracks, dets, params)
+        beta = jpda(g, params)
         assert beta[0, 1] == pytest.approx(beta[1, 1], abs=1e-12)
 
     def test_no_gated_detections(self):
         tracks = views((0, 0, 0), (5, 5, 5))
         dets = np.array([[100.0, 0, 0]])
         params = JpdaParams()
-        g = gate(tracks, dets, params)
-        beta = jpda(tracks, dets, g, params)
+        g = gate(*tracks, dets, params)
+        beta = jpda(g, params)
         assert np.allclose(beta[:, 0], 1.0)
 
     def test_single_feasible_event_hard_assignment(self):
@@ -232,8 +270,8 @@ class TestJpda:
         params = JpdaParams(Pd=1.0)
         tracks = views((0, 0, 0), (50, 0, 0))
         dets = np.array([[0.1, 0, 0], [50.1, 0, 0]])
-        g = gate(tracks, dets, params)
-        beta = jpda(tracks, dets, g, params)
+        g = gate(*tracks, dets, params)
+        beta = jpda(g, params)
         assert beta[0, 1] == 1.0 and beta[1, 2] == 1.0
         assert beta[0, 0] == 0.0 and beta[1, 0] == 0.0
 
@@ -244,8 +282,8 @@ class TestJpda:
             n, m = rng.integers(1, 5, size=2)
             tracks = views(*[rng.uniform(-2, 2, 3) for _ in range(n)])
             dets = rng.uniform(-2, 2, size=(m, 3))
-            g = gate(tracks, dets, params)
-            beta = jpda(tracks, dets, g, params)
+            g = gate(*tracks, dets, params)
+            beta = jpda(g, params)
             assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(beta >= 0) and np.all(beta <= 1)
 
@@ -257,9 +295,9 @@ class TestJpda:
         params = JpdaParams(lambda_c=1e-300)
         tracks = views((0, 0, 10), (0.5, 0, 10), S=0.01 * np.eye(3))
         dets = np.array([[0.01, 0, 10], [0.49, 0, 10]])
-        g = gate(tracks, dets, params)
+        g = gate(*tracks, dets, params)
         with pytest.raises(NumericalError, match="not finite"):
-            jpda(tracks, dets, g, params)
+            jpda(g, params)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):

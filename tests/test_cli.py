@@ -321,9 +321,9 @@ class TestTrack:
         from sparsetrack.simulator import Scenario, gen_trajectories
         real_jpda = association.jpda
 
-        def capped_jpda(tracks, dets, gate_result, params):
+        def capped_jpda(gate_result, params):
             params = dataclasses.replace(params, max_events=1)
-            return real_jpda(tracks, dets, gate_result, params)
+            return real_jpda(gate_result, params)
 
         monkeypatch.setattr(association, "jpda", capped_jpda)
         gt = gen_trajectories(Scenario(kind="separated", n_frames=5, seed=1))

@@ -24,6 +24,10 @@ class TestPose:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValidationError):
             Pose(np.zeros(3), np.eye(3) * 2.0)
+        # R^T R is 1e-9 from I entrywise at most, with no relative slack:
+        # one axis scaled by 1 + 4e-6 is off by 8e-6 and is rejected
+        with pytest.raises(ValidationError, match="orthonormal"):
+            Pose(np.zeros(3), np.diag([1.0 + 4e-6, 1.0, 1.0]))
 
     def test_rejects_reflection(self):
         R = np.diag([1.0, 1.0, -1.0])

@@ -765,6 +765,33 @@ class TestDetectorPipeline:
             det.detect(scan_of([[1.0, 1.0, 2.0], [5.0, 0.0, 2.0]]))
         assert len(det.history) == 0
 
+    def test_failed_scan_changes_nothing(self, monkeypatch):
+        # a scan that raises neither moves the clock nor reaches the
+        # history, so retrying it reports its own error again
+        det = Detector(DetectorConfig(min_pts=1))
+        det.detect(scan_of([[5.0, 0.0, 2.0]], t=0.0))
+        pos, t = det.history.pos.copy(), det.history.t.copy()
+        monkeypatch.setattr(detector_module, "to_global",
+                            lambda p, pose: np.full_like(p, np.inf))
+        bad = scan_of([[5.1, 0.0, 2.0]], t=0.1)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="non-finite point"):
+                det.detect(bad)
+            assert np.array_equal(det.history.pos, pos)
+            assert np.array_equal(det.history.t, t)
+        monkeypatch.undo()
+        assert len(det.detect(bad)) == 1
+
+    def test_voxel_index_error_repeats_on_retry(self):
+        # it used to advance the clock, so the retry reported "scan
+        # timestamps must be strictly increasing" instead
+        det = Detector(DetectorConfig(min_pts=1, voxel=1e-300))
+        scan = scan_of([[5.0, 0.0, 2.0]], t=0.0)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="int64"):
+                det.detect(scan)
+            assert len(det.history) == 0
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             DetectorConfig(eps0=0.0)

@@ -166,6 +166,24 @@ class TestEvalMot:
         rep = eval_mot(log, gt)
         assert rep.fn == 1  # the tentative hypothesis does not count
 
+    def test_misaligned_times_rejected(self):
+        # record k is scored against truth frame k: a log half a frame off,
+        # or with a NaN time, used to be scored as if aligned
+        gt = make_gt(np.stack([A[None, :]] * 4))
+        log = [frame(0.1 * k + 0.05, [(1, A)]) for k in range(4)]
+        with pytest.raises(ValidationError,
+                           match="timestamp misalignment at frame 0"):
+            eval_mot(log, gt)
+        log = [frame(0.1 * k, [(1, A)]) for k in range(4)]
+        log[2] = frame(np.nan, [(1, A)])
+        with pytest.raises(ValidationError,
+                           match="timestamp misalignment at frame 2"):
+            eval_mot(log, gt)
+        log[2] = frame(0.2 + 1e-10, [(1, A)])
+        assert eval_mot(log, gt).mota == pytest.approx(1.0)
+        with pytest.raises(ValidationError, match="frame count mismatch"):
+            eval_mot(log[:3], gt)
+
     def test_empty_truth_rejected(self):
         gt = make_gt(np.zeros((1, 2, 3)), visible=np.zeros((1, 2), dtype=bool))
         with pytest.raises(ValidationError):

@@ -101,6 +101,27 @@ class TestTrackerStep:
         with pytest.raises(ValidationError):
             tracker.step([], 0.5)
 
+    @pytest.mark.parametrize("t_bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_changes_nothing(self, t_bad):
+        # NaN used to be accepted and fail every later frame as a
+        # non-finite filter state; inf made every later frame out of order
+        cfg = TrackerConfig()
+        tracker = Tracker(cfg)
+        for t, ms in cv_stream(5):
+            tracker.step(ms, t)
+        bank, tracks = tracker.bank, list(tracker.tracks)
+        state = [(tr.id, tr.status, tr.misses, tr.consec_hits,
+                  tr.anchor.tolist(), tr.anchor_t) for tr in tracks]
+        with pytest.raises(ValidationError, match="finite"):
+            tracker.step([meas((0.5, 0, 5), 0.5)], t_bad)
+        assert tracker.bank is bank and tracker.tracks == tracks
+        assert [(tr.id, tr.status, tr.misses, tr.consec_hits,
+                 tr.anchor.tolist(), tr.anchor_t)
+                for tr in tracker.tracks] == state
+        assert tracker._last_t == t
+        rec = tracker.step([meas((0.5, 0, 5), 0.5)], 0.5)
+        assert rec.assignments == [(tracks[0].id, 0)]
+
     @pytest.mark.parametrize("mode, target, name, error", [
         ("jpda", association, "jpda", AssociationComplexityError),
         ("hungarian", trackman, "imm_correct", NumericalError),
