@@ -18,7 +18,7 @@ from . import io as stio
 from .association import AssociationComplexityError
 from .core import NumericalError, ValidationError
 from .detector import Detector, DetectorConfig, PRESETS, get_preset
-from .metrics import eval_detection, eval_mot
+from .metrics import check_frame_times, eval_detection, eval_mot
 from .simulator import KINDS, Scenario, run_scenario
 from .trackman import TrackerConfig, run_tracker
 
@@ -32,7 +32,7 @@ def _exit_codes(command):
     def run(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except (stio.DataError, ValidationError, OSError) as exc:
+        except (ValidationError, OSError) as exc:
             code, error = EXIT_DATA, exc
         except (NumericalError, AssociationComplexityError) as exc:
             code, error = EXIT_NUMERIC, exc
@@ -53,7 +53,7 @@ def _detector_config(preset: str | None, config: str | None) -> DetectorConfig:
     try:
         return DetectorConfig(**json.loads(text))
     except (json.JSONDecodeError, TypeError, ValidationError) as exc:
-        raise stio.DataError(f"invalid detector config: {exc}") from exc
+        raise ValidationError(f"invalid detector config: {exc}") from exc
 
 
 def _run_detector(scans, cfg: DetectorConfig):
@@ -71,18 +71,8 @@ _match_radius = click.option("--match-radius", type=float, default=1.0,
                              callback=_positive_radius)
 
 
-def _check_alignment(times, gt) -> None:
-    if len(times) != gt.n_frames:
-        raise stio.DataError(
-            f"frame count mismatch: {len(times)} frames vs {gt.n_frames} truth")
-    for k, t in enumerate(times):
-        if abs(t - float(gt.t[k])) > 1e-9:
-            raise stio.DataError(
-                f"timestamp misalignment at frame {k}: {t} vs {gt.t[k]}")
-
-
 def _score_detections(frames, gt, match_radius: float):
-    _check_alignment([t for t, _ in frames], gt)
+    check_frame_times([t for t, _ in frames], gt)
     return eval_detection([ms for _, ms in frames], gt, match_radius)
 
 
@@ -169,7 +159,7 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
     else:
         frames = stio.read_measurement_frames(meas_path)
     gt = stio.read_ground_truth(truth_path)
-    _check_alignment([t for t, _ in frames], gt)
+    check_frame_times([t for t, _ in frames], gt)
     log = run_tracker(frames, TrackerConfig(association_mode=association))
     stio.write_frame_log(log, out_path)
     _report(eval_mot(log, gt, match_radius),

@@ -117,7 +117,6 @@ class Scan:
 class Measurement:
     """Validated detection: a global-frame centroid with its point support."""
 
-    t: float
     position: np.ndarray
     support: int
 
@@ -127,15 +126,13 @@ class Measurement:
             raise ValidationError("measurement support must be >= 1")
 
     @classmethod
-    def trusted(cls, t: float, position: np.ndarray,
-                support: int) -> "Measurement":
+    def trusted(cls, position: np.ndarray, support: int) -> "Measurement":
         """A Measurement built without `__post_init__`'s checks, for a caller
         that has checked a whole batch at once: `position` is a finite
         float64 (3,) array and `support >= 1`."""
         m = object.__new__(cls)
         # one attribute at a time, as __init__ sets them: a dict update
         # would unshare the instance dict's keys and double its size
-        object.__setattr__(m, "t", t)
         object.__setattr__(m, "position", position)
         object.__setattr__(m, "support", support)
         return m

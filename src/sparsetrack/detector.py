@@ -359,7 +359,7 @@ class Detector:
             emitted = [i for i in accepted
                        if validate_temporal(zs[i], scan.t, hist, cfg)]
         support = sizes.tolist()
-        measurements = [Measurement.trusted(scan.t, zs[i], support[i])
+        measurements = [Measurement.trusted(zs[i], support[i])
                         for i in emitted]
         # History gets this frame's layer-1/2 survivors only after the whole
         # frame is processed, so same-frame candidates do not interact.

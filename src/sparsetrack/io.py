@@ -12,15 +12,11 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Measurement, Pose, Scan
+from .core import Measurement, Pose, Scan, ValidationError
 from .simulator import GroundTruth
 from .trackman import CONFIRMED, DELETED, DORMANT, TENTATIVE, FrameRecord
 
 _STATUSES = (TENTATIVE, CONFIRMED, DORMANT, DELETED)
-
-
-class DataError(ValueError):
-    """Malformed or misaligned input data."""
 
 
 def _non_finite(token: str):
@@ -41,10 +37,10 @@ def _read_jsonl(path, what: str, decode) -> list:
                 rec = _DECODER.decode(line.decode())
                 out.append(decode(rec, out[-1] if out else None))
             except json.JSONDecodeError as exc:
-                raise DataError(
+                raise ValidationError(
                     f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
             except (ValueError, OverflowError, RecursionError) as exc:
-                raise DataError(
+                raise ValidationError(
                     f"{path}:{lineno}: invalid {what} ({exc})") from exc
     return out
 
@@ -135,7 +131,7 @@ def read_ground_truth(path) -> GroundTruth:
                 [_get(tg, "visible", bool) for tg in tgs])
     frames = _read_jsonl(path, "truth", decode)
     if not frames:
-        raise DataError(f"{path}: empty ground-truth file")
+        raise ValidationError(f"{path}: empty ground-truth file")
     t, ids, pos, vel, vis = zip(*frames)
     return GroundTruth(t=np.array(t), positions=np.array(pos),
                        velocities=np.array(vel),
@@ -151,10 +147,10 @@ def write_measurement_frames(frames: list[tuple[float, list[Measurement]]],
 
 def read_measurement_frames(path) -> list[tuple[float, list[Measurement]]]:
     def decode(rec, prev) -> tuple[float, list[Measurement]]:
-        t = float(_get(rec, "t", int, float))
-        return t, [Measurement(t=t, position=_array(m, "position", (3,)),
-                               support=_get(m, "support", int))
-                   for m in _get(rec, "measurements", list)]
+        return float(_get(rec, "t", int, float)), [
+            Measurement(position=_array(m, "position", (3,)),
+                        support=_get(m, "support", int))
+            for m in _get(rec, "measurements", list)]
     return _read_jsonl(path, "measurements", decode)
 
 

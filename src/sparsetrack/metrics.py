@@ -73,10 +73,29 @@ def _greedy_match(dets: np.ndarray, truths: np.ndarray, radius: float
     return pairs
 
 
+def check_frame_times(times: list[float], gt: GroundTruth) -> None:
+    """Raise `ValidationError` unless there is one time per truth frame and
+    time k is within 1e-9 of `gt.t[k]` (a NaN time is misaligned)."""
+    if len(times) != gt.n_frames:
+        raise ValidationError(
+            f"frame count mismatch: {len(times)} frames vs {gt.n_frames} truth")
+    for k, (t, g) in enumerate(zip(times, gt.t.tolist())):
+        if not abs(t - g) <= 1e-9:
+            raise ValidationError(
+                f"timestamp misalignment at frame {k}: {t} vs {g}")
+
+
+def _check_radius(match_radius: float) -> None:
+    if not 0 < match_radius < np.inf:   # NaN fails too
+        raise ValidationError(
+            f"match_radius must be finite and > 0, got {match_radius!r}")
+
+
 def eval_detection(detections_per_frame: list[list[Measurement]],
                    gt: GroundTruth, match_radius: float = 1.0
                    ) -> DetectionReport:
     """Frame-wise greedy matching of detections to visible targets."""
+    _check_radius(match_radius)
     if len(detections_per_frame) != gt.n_frames:
         raise ValidationError("detections and ground truth are misaligned")
     tp = fp = fn = 0
@@ -113,16 +132,8 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
     persist within the match radius; the remainder is matched greedily by
     distance.
     """
-    if gt.n_frames == 0:
-        raise ValidationError("ground truth is empty")
-    if len(frame_log) != gt.n_frames:
-        raise ValidationError(
-            f"frame count mismatch: {len(frame_log)} frames vs "
-            f"{gt.n_frames} truth")
-    for k, (rec, t) in enumerate(zip(frame_log, gt.t.tolist())):
-        if not abs(rec.t - t) <= 1e-9:     # NaN is misaligned too
-            raise ValidationError(
-                f"timestamp misalignment at frame {k}: {rec.t} vs {t}")
+    _check_radius(match_radius)
+    check_frame_times([rec.t for rec in frame_log], gt)
     fp = fn = idsw = 0
     gt_total = 0
     sq_err = []

@@ -107,6 +107,15 @@ class SensorModel:
             raise ValidationError("n_return_dist must be a distribution")
         if any(type(k) is not int or k < 1 for k in self.n_return_dist):
             raise ValidationError("return counts must be integers >= 1")
+        try:
+            ok = all(-math.inf < start < end < math.inf and type(k) is int
+                     and k >= 0 for start, end, k in self.occlusion_windows)
+        except (TypeError, ValueError):   # not (start, end, target) triples
+            ok = False
+        if not ok:
+            raise ValidationError(
+                "occlusion_windows must be (start, end, target) triples with "
+                "finite start < end and an integer target >= 0")
 
 
 # Sensor used by the tracking scenarios: the per-target return count can
@@ -212,6 +221,9 @@ def gen_trajectories(sc: Scenario,
     if sc.kind == OCCLUSION and not windows:
         windows = _occlusion_windows(sc, pos.shape[1], rng)
     for (start, end, target) in windows:
+        if target >= pos.shape[1]:
+            raise ValidationError(f"occlusion window target {target} is out "
+                                  f"of range for {pos.shape[1]} targets")
         visible[(t >= start) & (t < end), target] = False
     gt = GroundTruth(t=t, positions=pos, velocities=vel, visible=visible)
     _check_contract(sc, gt)

@@ -248,8 +248,8 @@ class TestTrack:
         sc = Scenario(kind="separated", n_frames=120, seed=1)
         gt = gen_trajectories(sc)
         frames = [(float(gt.t[k]),
-                   [Measurement(t=float(gt.t[k]), position=gt.positions[k, i],
-                                support=2) for i in range(2)])
+                   [Measurement(position=gt.positions[k, i], support=2)
+                    for i in range(2)])
                   for k in range(sc.n_frames)]
         meas_path = tmp_path / "meas.jsonl"
         truth_path = tmp_path / "truth.jsonl"
@@ -484,6 +484,30 @@ class TestEvaluate:
         res = runner.invoke(main, ["evaluate", "--truth", str(truth),
                                    "--out", str(tmp_path / "e.json")])
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["detect", "track", "sweep", "evaluate"])
+def test_shifted_truth_times_data_error(runner, tmp_path, command):
+    # same frame count as the scans, but truth at dt 0.2 against 0.1
+    scans, _ = simulate(runner, tmp_path, frames=20)
+    res = runner.invoke(main, ["simulate", "--kind", "separated", "--frames",
+                               "20", "--dt", "0.2", "--out",
+                               str(tmp_path / "other")])
+    assert res.exit_code == 0, res.output
+    truth = str(tmp_path / "other" / "truth.jsonl")
+    dets = str(tmp_path / "dets.jsonl")
+    res = runner.invoke(main, ["detect", "--scans", str(scans), "--preset",
+                               "B_s", "--out", dets])
+    assert res.exit_code == 0, res.output
+    args = {"detect": ["--scans", str(scans), "--preset", "B_s"],
+            "track": ["--scans", str(scans), "--preset", "B_s"],
+            "sweep": ["--scans", str(scans), "--preset", "B_s",
+                      "--min-pts", "1,2"],
+            "evaluate": ["--detections", dets]}[command]
+    res = runner.invoke(main, [command, *args, "--truth", truth,
+                               "--out", str(tmp_path / "o.jsonl")])
+    assert res.exit_code == 3, res.output
+    assert "timestamp misalignment at frame 1: 0.1 vs 0.2" in res.output
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])

@@ -93,8 +93,8 @@ class TestScan:
 class TestMeasurement:
     def test_support_floor(self):
         with pytest.raises(ValidationError):
-            Measurement(t=0.0, position=np.zeros(3), support=0)
+            Measurement(position=np.zeros(3), support=0)
 
     def test_finite_position(self):
         with pytest.raises(ValidationError):
-            Measurement(t=0.0, position=np.array([np.inf, 0, 0]), support=1)
+            Measurement(position=np.array([np.inf, 0, 0]), support=1)

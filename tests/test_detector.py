@@ -173,8 +173,7 @@ def reference_detect(cfg: DetectorConfig, scans):
                 accepted.append(z)  # still a candidate for future frames
                 continue
             accepted.append(z)
-            measurements.append(Measurement(t=scan.t, position=z,
-                                            support=len(c)))
+            measurements.append(Measurement(position=z, support=len(c)))
         history.extend((z, scan.t) for z in accepted)
         counts["measurements"] += len(measurements)
         frames.append((measurements, list(history)))
@@ -753,7 +752,7 @@ class TestDetectorPipeline:
                     dict(position=np.zeros(2), support=1),
                     dict(position=np.zeros(3), support=0)):
             with pytest.raises(ValidationError):
-                Measurement(t=0.0, **bad)
+                Measurement(**bad)
 
     def test_non_finite_candidate_rejected(self, monkeypatch):
         # a candidate that maps to a non-finite global point fails the scan
@@ -882,8 +881,8 @@ def assert_detect_matches_reference(cfg, scans):
     det = Detector(cfg)
     for scan, (want_ms, want_hist) in zip(scans, want):
         got = det.detect(scan)
-        assert [(m.t, m.support, m.position.tobytes()) for m in got] == [
-            (m.t, m.support, m.position.tobytes()) for m in want_ms]
+        assert [(m.support, m.position.tobytes()) for m in got] == [
+            (m.support, m.position.tobytes()) for m in want_ms]
         assert [(t, p.tobytes()) for p, t in zip(det.history.pos,
                                                   det.history.t)] == [
             (t, p.tobytes()) for p, t in want_hist]

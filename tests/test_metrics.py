@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sparsetrack.core import Measurement, ValidationError
-from sparsetrack.metrics import (DetectionReport, MotReport, eval_detection,
-                                 eval_mot)
+from sparsetrack.metrics import (DetectionReport, MotReport,
+                                 check_frame_times, eval_detection, eval_mot)
 from sparsetrack.simulator import GroundTruth
 from sparsetrack.trackman import FrameRecord
 
@@ -30,8 +30,8 @@ def frame(t, tracks):
         resurrected=[])
 
 
-def meas(pos, t=0.0):
-    return Measurement(t=t, position=np.asarray(pos, float), support=1)
+def meas(pos):
+    return Measurement(position=np.asarray(pos, float), support=1)
 
 
 A = np.array([0.0, 0.0, 10.0])
@@ -53,7 +53,7 @@ class TestDetectionReport:
 
     def test_perfect_detections_zero_rmse(self):
         gt = make_gt(np.stack([np.stack([A, B])] * 3))
-        frames = [[meas(A, 0.1 * k), meas(B, 0.1 * k)] for k in range(3)]
+        frames = [[meas(A), meas(B)] for _ in range(3)]
         rep = eval_detection(frames, gt)
         assert rep.tp == 6 and rep.fp == 0 and rep.fn == 0
         assert rep.rmse == pytest.approx(0.0)
@@ -189,8 +189,27 @@ class TestEvalMot:
         with pytest.raises(ValidationError):
             eval_mot([frame(0.0, [])], gt)
 
+    def test_same_message_as_frame_time_check(self):
+        gt = make_gt(np.stack([A[None, :]] * 2))
+        with pytest.raises(ValidationError, match="frame 1: 0.3 vs 0.1"):
+            check_frame_times([0.0, 0.3], gt)
+        with pytest.raises(ValidationError, match="frame 1: 0.3 vs 0.1"):
+            eval_mot([frame(0.0, []), frame(0.3, [])], gt)
+
     def test_report_roundtrip_dict(self):
         rep = MotReport(mota=0.5, rmse=0.1, id_switches=2, fp=1, fn=2,
                         gt_total=10)
         d = rep.to_dict()
         assert d["mota"] == 0.5 and d["id_switches"] == 2
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_match_radius_must_be_finite_and_positive(radius):
+    # a NaN or infinite radius matched every pair: a detection 164 m off
+    # was a TP, and a track that far off scored MOTA 0.5 instead of -0.5
+    gt = make_gt(np.stack([A[None, :]] * 2))
+    far = A + (164.0, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="match_radius"):
+        eval_detection([[meas(far)]] * 2, gt, radius)
+    with pytest.raises(ValidationError, match="match_radius"):
+        eval_mot([frame(0.1 * k, [(1, far)]) for k in range(2)], gt, radius)

@@ -86,6 +86,40 @@ class TestTrajectoryContracts:
         assert gt.ids == (0, 1)
 
 
+class TestOcclusionWindows:
+    nan = float("nan")
+
+    @pytest.mark.parametrize("window", [
+        (1.0, 2.0, -1),            # hid target 1, counting from the end
+        (1.0, 2.0, True),          # hid both targets
+        (nan, 2.0, 0),             # hid nothing
+        (1.0, nan, 0),
+        (2.0, 1.0, 0),             # inverted: hid nothing
+        (1.0, float("inf"), 0),
+        (1.0, 2.0, 0.5),           # IndexError
+        (1.0, 2.0),
+    ], ids=["negative-target", "bool-target", "nan-start", "nan-end",
+            "inverted", "infinite-end", "float-target", "pair"])
+    def test_malformed_window_rejected(self, window):
+        with pytest.raises(ValidationError, match="occlusion_windows"):
+            SensorModel(occlusion_windows=(window,))
+
+    def test_target_out_of_range(self):
+        sensor = SensorModel(occlusion_windows=((1.0, 2.0, 5),))
+        with pytest.raises(ValidationError, match="target 5 is out of range"):
+            gen_trajectories(Scenario(kind=SEPARATED, n_frames=40,
+                                      sensor=sensor))
+
+    def test_window_hides_its_target_only(self):
+        sensor = SensorModel(occlusion_windows=((1.0, 2.0, 1),))
+        gt = gen_trajectories(Scenario(kind=SEPARATED, n_frames=40,
+                                       sensor=sensor))
+        hidden = (gt.t >= 1.0) & (gt.t < 2.0)
+        assert hidden.sum() == 10
+        assert gt.visible[:, 0].all()
+        assert np.array_equal(gt.visible[:, 1], ~hidden)
+
+
 class TestSampleScan:
     def test_p_hit_zero_only_clutter(self):
         sensor = SensorModel(p_hit=0.0, clutter_rate=5.0)

@@ -15,8 +15,8 @@ from sparsetrack.trackman import (CONFIRMED, DELETED, DORMANT, TENTATIVE,
                                   lifecycle_advance, run_tracker)
 
 
-def meas(pos, t):
-    return Measurement(t=t, position=np.asarray(pos, float), support=1)
+def meas(pos):
+    return Measurement(position=np.asarray(pos, float), support=1)
 
 
 def make_track(status=TENTATIVE):
@@ -75,24 +75,24 @@ def cv_stream(n_frames, velocity=(1.0, 0.0, 0.0), start=(0.0, 0.0, 5.0),
               dt=0.1):
     v = np.asarray(velocity, float)
     p0 = np.asarray(start, float)
-    return [(dt * k, [meas(p0 + v * dt * k, dt * k)]) for k in range(n_frames)]
+    return [(dt * k, [meas(p0 + v * dt * k)]) for k in range(n_frames)]
 
 
 class TestTrackerStep:
     def test_min_separation_initiation(self):
         tracker = Tracker(TrackerConfig())
-        rec = tracker.step([meas((0, 0, 5), 0.0), meas((0.1, 0, 5), 0.0)], 0.0)
+        rec = tracker.step([meas((0, 0, 5)), meas((0.1, 0, 5))], 0.0)
         assert len(rec.spawned) == 1
         assert len(tracker.tracks) == 1
 
     def test_ids_never_reused(self):
         cfg = TrackerConfig(max_misses_active=1)
         tracker = Tracker(cfg)
-        tracker.step([meas((0, 0, 5), 0.0)], 0.0)
+        tracker.step([meas((0, 0, 5))], 0.0)
         # starve the tentative track until deletion, then spawn a new one
         tracker.step([], 0.1)
         tracker.step([], 0.2)
-        rec = tracker.step([meas((0, 0, 5), 0.3)], 0.3)
+        rec = tracker.step([meas((0, 0, 5))], 0.3)
         assert rec.spawned == [1]
 
     def test_out_of_order_frame_rejected(self):
@@ -113,13 +113,13 @@ class TestTrackerStep:
         state = [(tr.id, tr.status, tr.misses, tr.consec_hits,
                   tr.anchor.tolist(), tr.anchor_t) for tr in tracks]
         with pytest.raises(ValidationError, match="finite"):
-            tracker.step([meas((0.5, 0, 5), 0.5)], t_bad)
+            tracker.step([meas((0.5, 0, 5))], t_bad)
         assert tracker.bank is bank and tracker.tracks == tracks
         assert [(tr.id, tr.status, tr.misses, tr.consec_hits,
                  tr.anchor.tolist(), tr.anchor_t)
                 for tr in tracker.tracks] == state
         assert tracker._last_t == t
-        rec = tracker.step([meas((0.5, 0, 5), 0.5)], 0.5)
+        rec = tracker.step([meas((0.5, 0, 5))], 0.5)
         assert rec.assignments == [(tracks[0].id, 0)]
 
     @pytest.mark.parametrize("mode, target, name, error", [
@@ -141,8 +141,8 @@ class TestTrackerStep:
 
         with mock.patch.object(target, name, failing):
             with pytest.raises(error):
-                tracker.step([meas((0.5, 0, 5), 0.5),
-                              meas((9.0, 0, 5), 0.5)], 0.5)
+                tracker.step([meas((0.5, 0, 5)),
+                              meas((9.0, 0, 5))], 0.5)
         assert tracker.bank is bank and tracker.tracks == tracks
         assert [(tr.id, tr.status, tr.misses, tr.consec_hits)
                 for tr in tracker.tracks] == statuses
@@ -161,12 +161,12 @@ class TestTrackerStep:
                             jpda=JpdaParams(lambda_c=1e-300))
         tracker = Tracker(cfg)
         points = [(0.0, 0, 10), (5.0, 0, 10)]
-        tracker.step([meas(p, 0.0) for p in points], 0.0)
+        tracker.step([meas(p) for p in points], 0.0)
         bank, tracks = tracker.bank, list(tracker.tracks)
         statuses = [(tr.id, tr.status, tr.misses, tr.consec_hits)
                     for tr in tracks]
         with pytest.raises(NumericalError, match="JPDA"):
-            tracker.step([meas(p, 0.1) for p in points], 0.1)
+            tracker.step([meas(p) for p in points], 0.1)
         assert tracker.bank is bank and tracker.tracks == tracks
         assert [(tr.id, tr.status, tr.misses, tr.consec_hits)
                 for tr in tracker.tracks] == statuses
@@ -175,8 +175,8 @@ class TestTrackerStep:
     def test_hungarian_one_to_one(self):
         frames = [
             (0.1 * k,
-             [meas((0.1 * k, 0, 5), 0.1 * k),
-              meas((0.1 * k, 3.0, 5), 0.1 * k)])
+             [meas((0.1 * k, 0, 5)),
+              meas((0.1 * k, 3.0, 5))])
             for k in range(30)
         ]
         log = run_tracker(frames, TrackerConfig(association_mode="hungarian"))
@@ -202,9 +202,9 @@ class TestTrackerStep:
         frames = []
         for k in range(50):
             t = 0.1 * k
-            ms = [meas((0.5 * t + rng.normal(0, 0.05), 0, 5), t)]
+            ms = [meas((0.5 * t + rng.normal(0, 0.05), 0, 5))]
             if rng.random() < 0.3:
-                ms.append(meas(rng.uniform(-5, 5, 3) + (0, 0, 10), t))
+                ms.append(meas(rng.uniform(-5, 5, 3) + (0, 0, 10)))
             frames.append((t, ms))
         cfg = TrackerConfig(association_mode=mode)
         log1 = run_tracker(frames, cfg)
@@ -220,7 +220,7 @@ class TestTrackerStep:
 class TestDormancyAndResurrection:
     def make_confirmed(self, tracker, n=5):
         for k in range(n):
-            tracker.step([meas((0, 0, 5), 0.1 * k)], 0.1 * k)
+            tracker.step([meas((0, 0, 5))], 0.1 * k)
         return 0.1 * n
 
     def test_confirmed_goes_dormant_then_resurrects_same_id(self):
@@ -233,7 +233,7 @@ class TestDormancyAndResurrection:
             tracker.step([], t)
             t += 0.1
         assert tracker.tracks[0].status == DORMANT
-        rec = tracker.step([meas((0.5, 0, 5), t)], t)
+        rec = tracker.step([meas((0.5, 0, 5))], t)
         assert rec.resurrected == [tid]
         assert tracker.tracks[0].status == CONFIRMED
         assert tracker.tracks[0].id == tid
@@ -245,7 +245,7 @@ class TestDormancyAndResurrection:
         for _ in range(cfg.max_misses_active + 1):
             tracker.step([], t)
             t += 0.1
-        rec = tracker.step([meas((20.0, 0, 5), t)], t)
+        rec = tracker.step([meas((20.0, 0, 5))], t)
         assert rec.resurrected == []
         assert tracker.tracks[0].status == DORMANT
 
@@ -274,7 +274,7 @@ class TestDormancyAndResurrection:
         frames = [[a, b, c]] * 5 + [[b]] * 4 + [[b, (60.0, 0, 5)]] \
             + [[b]] * 3
         for k, points in enumerate(frames):
-            tracker.step([meas(p, 0.1 * k) for p in points], 0.1 * k)
+            tracker.step([meas(p) for p in points], 0.1 * k)
         assert [(tr.id, tr.status) for tr in tracker.tracks] == [
             (0, DORMANT), (1, CONFIRMED), (2, DORMANT), (3, TENTATIVE)]
         before = tracker.bank
@@ -292,7 +292,7 @@ class TestDormancyAndResurrection:
                 trackman.imm_correct)), \
             mock.patch.object(Tracker, "_imm_correct_pda", recording(
                 Tracker._imm_correct_pda)):
-            rec = tracker.step([meas(p, t) for p in (b, back, new)], t)
+            rec = tracker.step([meas(p) for p in (b, back, new)], t)
         assert rec.resurrected == [0]
         assert rec.spawned == [4]
         assert rec.deleted == [3]
@@ -324,7 +324,7 @@ class TestBatchedStages:
         for k in range(40):
             t = 0.1 * k
             pos = starts + v * t + rng.normal(scale=0.02, size=(6, 3))
-            frames.append((t, [meas(p, t) for p in pos]))
+            frames.append((t, [meas(p) for p in pos]))
         counts = {"imm_predict": 0, "imm_correct": 0, "pda": 0,
                   "imm_init": 0}
 
@@ -415,7 +415,7 @@ class TestTrackerStreams:
             for dt, points in stream:
                 t += dt
                 try:
-                    rec = tracker.step([meas(p, t) for p in points], t)
+                    rec = tracker.step([meas(p) for p in points], t)
                 except (NumericalError, AssociationComplexityError):
                     break  # the documented numeric failures
                 ids = [tr["id"] for tr in rec.tracks]
