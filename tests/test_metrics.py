@@ -205,8 +205,8 @@ class TestEvalMot:
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
 def test_match_radius_must_be_finite_and_positive(radius):
-    # a NaN or infinite radius matched every pair: a detection 164 m off
-    # was a TP, and a track that far off scored MOTA 0.5 instead of -0.5
+    # a NaN or infinite radius matched every pair, so a detection or a
+    # track 164 m off its truth was scored as a match
     gt = make_gt(np.stack([A[None, :]] * 2))
     far = A + (164.0, 0.0, 0.0)
     with pytest.raises(ValidationError, match="match_radius"):
