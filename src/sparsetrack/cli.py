@@ -72,8 +72,16 @@ _match_radius = click.option("--match-radius", type=float, default=1.0,
 
 
 def _score_detections(frames, gt, match_radius: float):
-    check_frame_times([t for t, _ in frames], gt)
     return eval_detection([ms for _, ms in frames], gt, match_radius)
+
+
+def _read_aligned(scans_path, truth_path):
+    """The scans and the truth, once the scans' times match the truth's,
+    so a misaligned pair fails before the detector runs."""
+    scans = stio.read_scans(scans_path)
+    gt = stio.read_ground_truth(truth_path)
+    check_frame_times([s.t for s in scans], gt)
+    return scans, gt
 
 
 def _report(report, path) -> None:
@@ -123,12 +131,15 @@ def simulate(kind, frames, seed, dt, out_dir) -> None:
 def detect(scans_path, preset, config, truth_path, match_radius, out_path):
     """Run the detector over a scan stream; write detections and a report."""
     cfg = _detector_config(preset, config)
-    frames = _run_detector(stio.read_scans(scans_path), cfg)
+    if truth_path is None:
+        scans, gt = stio.read_scans(scans_path), None
+    else:
+        scans, gt = _read_aligned(scans_path, truth_path)
+    frames = _run_detector(scans, cfg)
     stio.write_measurement_frames(frames, out_path)
     n = sum(len(ms) for _, ms in frames)
     click.echo(f"wrote {n} detections over {len(frames)} frames to {out_path}")
-    if truth_path is not None:
-        gt = stio.read_ground_truth(truth_path)
+    if gt is not None:
         _report(_score_detections(frames, gt, match_radius),
                 Path(out_path).with_suffix(".report.json"))
 
@@ -155,11 +166,12 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
         raise click.UsageError("--preset and --config apply only to --scans")
     if scans_path is not None:
         cfg = _detector_config(preset, config)
-        frames = _run_detector(stio.read_scans(scans_path), cfg)
+        scans, gt = _read_aligned(scans_path, truth_path)
+        frames = _run_detector(scans, cfg)
     else:
         frames = stio.read_measurement_frames(meas_path)
-    gt = stio.read_ground_truth(truth_path)
-    check_frame_times([t for t, _ in frames], gt)
+        gt = stio.read_ground_truth(truth_path)
+        check_frame_times([t for t, _ in frames], gt)
     log = run_tracker(frames, TrackerConfig(association_mode=association))
     stio.write_frame_log(log, out_path)
     _report(eval_mot(log, gt, match_radius),
@@ -191,8 +203,7 @@ def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
         configs = [dataclasses.replace(base, min_pts=mp) for mp in grid]
     except ValidationError as exc:
         raise click.UsageError(f"--min-pts: {exc}")
-    scans = stio.read_scans(scans_path)
-    gt = stio.read_ground_truth(truth_path)
+    scans, gt = _read_aligned(scans_path, truth_path)
     rows = []
     for cfg in configs:
         rep = _score_detections(_run_detector(scans, cfg), gt, match_radius)
@@ -216,8 +227,9 @@ def evaluate(det_path, log_path, truth_path, match_radius, out_path):
         raise click.UsageError("exactly one of --detections or --frame-log is required")
     gt = stio.read_ground_truth(truth_path)
     if det_path is not None:
-        report = _score_detections(stio.read_measurement_frames(det_path), gt,
-                                   match_radius)
+        frames = stio.read_measurement_frames(det_path)
+        check_frame_times([t for t, _ in frames], gt)
+        report = _score_detections(frames, gt, match_radius)
     else:
         report = eval_mot(stio.read_frame_log(log_path), gt, match_radius)
     _report(report, out_path)

@@ -109,11 +109,13 @@ def read_scans(path) -> list[Scan]:
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
-    _write_jsonl(path, ({"t": float(gt.t[k]), "targets": [
-        {"id": int(gt.ids[i]), "pos": gt.positions[k, i].tolist(),
-         "vel": gt.velocities[k, i].tolist(),
-         "visible": bool(gt.visible[k, i])}
-        for i in range(gt.positions.shape[1])]} for k in range(gt.n_frames)))
+    ids = [int(i) for i in gt.ids]
+    _write_jsonl(path, ({"t": t, "targets": [
+        {"id": i, "pos": p, "vel": v, "visible": s}
+        for i, p, v, s in zip(ids, pos, vel, vis)]}
+        for t, pos, vel, vis in zip(
+            gt.t.astype(float).tolist(), gt.positions.tolist(),
+            gt.velocities.tolist(), gt.visible.astype(bool).tolist())))
 
 
 def read_ground_truth(path) -> GroundTruth:

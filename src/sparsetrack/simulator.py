@@ -11,6 +11,7 @@ default; tracking operates in the global frame regardless.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -72,6 +73,13 @@ KINDS = tuple(SCENARIOS)
 MAX_CLUTTER_RATE = 1e8
 
 
+def _is_finite_number(v) -> bool:
+    """What `check_field_types` accepts in a float field: an int or a float
+    within the float range (not NaN or inf), never a bool or a string."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class SensorModel:
     p_hit: float = 0.85
@@ -95,21 +103,26 @@ class SensorModel:
             raise ValidationError(
                 f"clutter_rate must be in [0, {MAX_CLUTTER_RATE:g}] per scan")
         try:
-            vol = np.asarray(self.clutter_volume, dtype=float)
-        except (TypeError, ValueError):
-            vol = None
-        if vol is None or vol.shape != (3, 2) or not (
-                np.isfinite(vol).all() and (vol[:, 0] <= vol[:, 1]).all()):
+            ok = all(_is_finite_number(v) for bounds in self.clutter_volume
+                     for v in bounds)
+            vol = np.asarray(self.clutter_volume, dtype=float) if ok else None
+        except (TypeError, ValueError):   # not number pairs of one length
+            ok = False
+        if not ok or vol.shape != (3, 2) or not (vol[:, 0] <= vol[:, 1]).all():
             raise ValidationError("clutter_volume must be three finite "
                                   "(lo, hi) pairs with lo <= hi")
-        probs = np.array(list(self.n_return_dist.values()), dtype=float)
-        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
+        values = list(self.n_return_dist.values())
+        probs = (np.array(values, dtype=float)
+                 if all(map(_is_finite_number, values)) else None)
+        if probs is None or not (np.all(probs >= 0)
+                                 and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValidationError("n_return_dist must be a distribution")
         if any(type(k) is not int or k < 1 for k in self.n_return_dist):
             raise ValidationError("return counts must be integers >= 1")
         try:
-            ok = all(-math.inf < start < end < math.inf and type(k) is int
-                     and k >= 0 for start, end, k in self.occlusion_windows)
+            ok = all(_is_finite_number(start) and _is_finite_number(end)
+                     and start < end and type(k) is int and k >= 0
+                     for start, end, k in self.occlusion_windows)
         except (TypeError, ValueError):   # not (start, end, target) triples
             ok = False
         if not ok:
@@ -256,30 +269,46 @@ def _longest_false_run(vis: np.ndarray) -> int:
     return best
 
 
+def _sample_scans(t: np.ndarray, positions: np.ndarray, visible: np.ndarray,
+                  sensor: SensorModel, rng: np.random.Generator,
+                  observer: Pose | None) -> list[Scan]:
+    """One scan per frame k of `t`, drawn from `rng` in this order: for each
+    visible target, the hit, then on a hit the return count and its noise;
+    then the clutter count and the clutter points. The observer's inverse,
+    the return-count CDF and the clutter box are built once per stream."""
+    if observer is None:
+        observer = Pose.identity()
+    inv = observer.inverse()
+    counts = np.array(sorted(sensor.n_return_dist), dtype=int)
+    # the CDF and the one uniform draw that Generator.choice(counts, p=...)
+    # makes, without its per-call checks of p
+    cdf = np.array([sensor.n_return_dist[k] for k in counts.tolist()],
+                   dtype=float).cumsum()
+    cdf /= cdf[-1]
+    lo, hi = np.array(sensor.clutter_volume, dtype=float).T
+    scans = []
+    for tk, pos, vis in zip(t.tolist(), positions, visible.tolist()):
+        pts = []
+        for p, seen in zip(pos, vis):
+            if seen and rng.random() < sensor.p_hit:
+                n = counts[cdf.searchsorted(rng.random(), side="right")]
+                pts.append(p + sensor.sigma_meas * rng.standard_normal((n, 3)))
+        n_clutter = int(rng.poisson(sensor.clutter_rate))
+        if n_clutter:
+            pts.append(lo + (hi - lo) * rng.random((n_clutter, 3)))
+        pts_global = np.concatenate(pts) if pts else np.zeros((0, 3))
+        scans.append(Scan(t=tk, pose=observer,
+                          points=pts_global @ inv.rotation.T + inv.translation))
+    return scans
+
+
 def sample_scan(positions: np.ndarray, visible: np.ndarray, t: float,
                 sensor: SensorModel, rng: np.random.Generator,
                 observer: Pose | None = None) -> Scan:
-    """One scan: sparse target returns plus Poisson clutter, local frame."""
-    if observer is None:
-        observer = Pose.identity()
-    counts = np.array(sorted(sensor.n_return_dist), dtype=int)
-    probs = np.array([sensor.n_return_dist[int(k)] for k in counts])
-    pts = []
-    for i in range(positions.shape[0]):
-        if not visible[i]:
-            continue
-        if rng.random() < sensor.p_hit:
-            n = int(rng.choice(counts, p=probs))
-            pts.append(positions[i] + sensor.sigma_meas * rng.standard_normal((n, 3)))
-    n_clutter = int(rng.poisson(sensor.clutter_rate))
-    if n_clutter:
-        lo = np.array([b[0] for b in sensor.clutter_volume])
-        hi = np.array([b[1] for b in sensor.clutter_volume])
-        pts.append(lo + (hi - lo) * rng.random((n_clutter, 3)))
-    pts_global = np.vstack(pts) if pts else np.zeros((0, 3))
-    inv = observer.inverse()
-    pts_local = pts_global @ inv.rotation.T + inv.translation
-    return Scan(t=t, points=pts_local, pose=observer)
+    """One scan: sparse target returns plus Poisson clutter, local frame.
+    The one-frame case of `run_scenario`'s sampling loop."""
+    return _sample_scans(np.array([t], dtype=float), np.asarray(positions)[None],
+                         np.asarray(visible)[None], sensor, rng, observer)[0]
 
 
 def run_scenario(sc: Scenario,
@@ -287,9 +316,5 @@ def run_scenario(sc: Scenario,
     """Generate the aligned (scans, ground truth) pair, deterministically."""
     rng = np.random.default_rng(sc.seed)
     gt = gen_trajectories(sc, rng)
-    scans = [
-        sample_scan(gt.positions[k], gt.visible[k], float(gt.t[k]),
-                    sc.sensor, rng, observer)
-        for k in range(sc.n_frames)
-    ]
-    return scans, gt
+    return _sample_scans(gt.t, gt.positions, gt.visible, sc.sensor, rng,
+                         observer), gt

@@ -510,6 +510,31 @@ def test_shifted_truth_times_data_error(runner, tmp_path, command):
     assert "timestamp misalignment at frame 1: 0.1 vs 0.2" in res.output
 
 
+@pytest.mark.parametrize("command", ["detect", "track", "sweep"])
+def test_misaligned_truth_fails_before_detecting(runner, tmp_path,
+                                                 monkeypatch, command):
+    # 20-frame scans against 25-frame truth: the check runs on the scans'
+    # times, so the detector never runs and no output file is written
+    scans, _ = simulate(runner, tmp_path, frames=20)
+    res = runner.invoke(main, ["simulate", "--kind", "separated", "--frames",
+                               "25", "--out", str(tmp_path / "other")])
+    assert res.exit_code == 0, res.output
+
+    def never(*args):
+        raise AssertionError("the detector ran")
+    monkeypatch.setattr("sparsetrack.cli._run_detector", never)
+    out = tmp_path / "o.jsonl"
+    extra = ["--min-pts", "1,2"] if command == "sweep" else []
+    res = runner.invoke(main, [command, "--scans", str(scans), "--preset",
+                               "B_s", *extra, "--truth",
+                               str(tmp_path / "other" / "truth.jsonl"),
+                               "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "frame count mismatch: 20 frames vs 25 truth" in res.output
+    assert "wrote" not in res.output
+    assert list(tmp_path.glob("o.*")) == []
+
+
 @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
 def test_match_radius_must_be_finite_and_positive(runner, tmp_path, radius):
     f = str(tmp_path / "absent.jsonl")

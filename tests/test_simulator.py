@@ -98,8 +98,12 @@ class TestOcclusionWindows:
         (1.0, float("inf"), 0),
         (1.0, 2.0, 0.5),           # IndexError
         (1.0, 2.0),
+        (False, 2.0, 0),           # a bool is not a time
+        (0.5, True, 0),
+        (1.0, 10**400, 0),         # beyond the float range
     ], ids=["negative-target", "bool-target", "nan-start", "nan-end",
-            "inverted", "infinite-end", "float-target", "pair"])
+            "inverted", "infinite-end", "float-target", "pair", "bool-start",
+            "bool-end", "huge-end"])
     def test_malformed_window_rejected(self, window):
         with pytest.raises(ValidationError, match="occlusion_windows"):
             SensorModel(occlusion_windows=(window,))
@@ -192,7 +196,10 @@ class TestSampleScan:
         for vol in (((nan, 1.0), (0, 1), (0, 1)), ((1.0, 0.0), (0, 1), (0, 1)),
                     ((0, 1), (0, 1)), ((0, 1), (0, 1), (0, float("inf"))),
                     ((0, 1, 2), (0, 1, 2), (0, 1, 2)), ((0, 1), (0, 1), (0,)),
-                    ((0, 1), (0, 1), ("a", 1))):
+                    ((0, 1), (0, 1), ("a", 1)),
+                    (("-20", "20"), (-20, 20), (5, 15)),
+                    ((False, True), (-20, 20), (5, 15)),
+                    ((0, 10**400), (0, 1), (0, 1))):
             with pytest.raises(ValidationError, match="clutter_volume"):
                 SensorModel(clutter_volume=vol)
         flat = ((0.0, 1.0), (2.0, 2.0), (-1.0, 0.0))
@@ -201,7 +208,8 @@ class TestSampleScan:
             with pytest.raises(ValidationError, match="sigma_meas"):
                 SensorModel(sigma_meas=bad)
         for dist in ({1: float("nan")}, {1: 0.5, 2: float("nan")},
-                     {1: float("inf")}):
+                     {1: float("inf")}, {1: "0.6", 2: 0.4}, {1: True},
+                     {1: 10**400}):
             with pytest.raises(ValidationError, match="n_return_dist"):
                 SensorModel(n_return_dist=dist)
         assert SensorModel(clutter_rate=500.0).clutter_rate == 500.0
@@ -236,3 +244,105 @@ class TestRunScenario:
 
     def test_default_sensor_is_tracking_sensor(self):
         assert Scenario(kind=SEPARATED).sensor == TRACKING_SENSOR
+
+
+def reference_scans(t, positions, visible, sensor, rng, observer):
+    """The sampling loop written out frame by frame, with `rng.choice` for
+    the return count: the draw order `run_scenario` must keep."""
+    counts = np.array(sorted(sensor.n_return_dist), dtype=int)
+    probs = np.array([sensor.n_return_dist[int(k)] for k in counts])
+    out = []
+    for k in range(len(t)):
+        pts = []
+        for i in range(positions.shape[1]):
+            if not visible[k, i]:
+                continue
+            if rng.random() < sensor.p_hit:
+                n = int(rng.choice(counts, p=probs))
+                pts.append(positions[k, i]
+                           + sensor.sigma_meas * rng.standard_normal((n, 3)))
+        n_clutter = int(rng.poisson(sensor.clutter_rate))
+        if n_clutter:
+            lo = np.array([b[0] for b in sensor.clutter_volume])
+            hi = np.array([b[1] for b in sensor.clutter_volume])
+            pts.append(lo + (hi - lo) * rng.random((n_clutter, 3)))
+        pts_global = np.vstack(pts) if pts else np.zeros((0, 3))
+        inv = observer.inverse()
+        out.append((float(t[k]), pts_global @ inv.rotation.T + inv.translation))
+    return out
+
+
+def _yaw_roll(yaw: float, roll: float) -> np.ndarray:
+    cy, sy, cr, sr = np.cos(yaw), np.sin(yaw), np.cos(roll), np.sin(roll)
+    return (np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+            @ np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]]))
+
+
+OBSERVERS = {"identity": None,
+             "moved": Pose(np.array([4.0, -2.5, 1.5]), _yaw_roll(0.7, 0.3))}
+
+
+class TestDrawOrder:
+    """`run_scenario` draws exactly what the per-frame reference draws, bit
+    for bit, and leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("observer", OBSERVERS, ids=list(OBSERVERS))
+    @pytest.mark.parametrize("sensor", [TRACKING_SENSOR, SensorModel()],
+                             ids=["tracking", "default"])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reference_loop(self, monkeypatch, kind, seed, sensor,
+                                    observer):
+        observer = OBSERVERS[observer]
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda s: made.append(default_rng(s)) or made[-1])
+        sc = Scenario(kind=kind, n_frames=120, seed=seed, sensor=sensor)
+        scans, gt = run_scenario(sc, observer)
+        rng = default_rng(seed)
+        ref_gt = gen_trajectories(sc, rng)
+        assert np.array_equal(gt.visible, ref_gt.visible)
+        pose = Pose.identity() if observer is None else observer
+        ref = reference_scans(ref_gt.t, ref_gt.positions, ref_gt.visible,
+                              sensor, rng, pose)
+        assert len(scans) == len(ref) == sc.n_frames
+        for scan, (t, points) in zip(scans, ref):
+            assert scan.t == t
+            assert scan.points.tobytes() == points.tobytes()
+            assert scan.pose.rotation.tobytes() == pose.rotation.tobytes()
+            assert (scan.pose.translation.tobytes()
+                    == pose.translation.tobytes())
+        assert made[0].bit_generator.state == rng.bit_generator.state
+
+    def test_sample_scan_is_one_frame_of_the_loop(self):
+        sc = Scenario(kind=CROSSINGS, n_frames=120, seed=4)
+        observer = OBSERVERS["moved"]
+        scans, _ = run_scenario(sc, observer)
+        rng = np.random.default_rng(sc.seed)
+        gt = gen_trajectories(sc, rng)
+        for k, scan in enumerate(scans):
+            one = sample_scan(gt.positions[k], gt.visible[k], float(gt.t[k]),
+                              sc.sensor, rng, observer)
+            assert one.t == scan.t
+            assert one.points.tobytes() == scan.points.tobytes()
+
+    @pytest.mark.parametrize("dist", [{1: 1.0}, {1: 0.5, 2: 0.0, 3: 0.5},
+                                      TRACKING_SENSOR.n_return_dist],
+                             ids=["one", "zero-middle", "tracking"])
+    def test_return_count_is_choice_draw(self, dist):
+        # one certain hit and no clutter per scan: a scan's size is the
+        # return count drawn for it
+        sensor = SensorModel(p_hit=1.0, n_return_dist=dist, clutter_rate=0.0)
+        counts = np.array(sorted(dist), dtype=int)
+        probs = np.array([dist[k] for k in counts.tolist()])
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        truth, vis = np.array([[0.0, 0.0, 10.0]]), np.array([True])
+        for _ in range(10_000):
+            n = len(sample_scan(truth, vis, 0.0, sensor, rng))
+            ref.random()
+            expected = int(ref.choice(counts, p=probs))
+            ref.standard_normal((expected, 3))
+            ref.poisson(0.0)
+            assert n == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
