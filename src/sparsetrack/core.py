@@ -6,6 +6,8 @@ as immutable values.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -38,6 +40,21 @@ def check_field_types(obj) -> None:
         if kind is not None and not (isinstance(v, kind) and isinstance(
                 v, bool) == (kind is bool) and -top <= v <= top):
             raise ValidationError(f"{f.name} must be {what}, got {v!r}")
+
+
+def is_number(v) -> bool:
+    """Whether `v` is a real number, not a bool, and finite as a float."""
+    if isinstance(v, int):  # a bool, or maybe beyond the float range
+        return not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    return isinstance(v, numbers.Real) and math.isfinite(v)
+
+
+def number_array(name: str, v) -> np.ndarray:
+    """`v` as a float array; a ValidationError naming `name` if not numbers."""
+    a = np.asarray(v, dtype=object)
+    if not all(map(is_number, a.flat)):
+        raise ValidationError(f"{name} must hold finite numbers, got {v!r}")
+    return a.astype(float)
 
 
 def as_point(p) -> np.ndarray:
@@ -105,8 +122,9 @@ class Scan:
     pose: Pose
 
     def __post_init__(self):
-        if not np.isfinite(self.t):
-            raise ValidationError("scan timestamp must be finite")
+        if not is_number(self.t):
+            raise ValidationError(
+                f"scan timestamp must be a finite number, got {self.t!r}")
         object.__setattr__(self, "points", as_points(self.points))
 
     def __len__(self) -> int:

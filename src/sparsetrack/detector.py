@@ -9,6 +9,7 @@ process one scan stream sequentially.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +219,8 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
     pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+    if not len(pairs) and min_pts > 1:
+        return Clusters(pts[:0], np.zeros(0, dtype=np.intp))  # all noise
     # each pair is one neighbour of both its points; the point itself is
     # the min_pts-th
     core = np.bincount(pairs.ravel(), minlength=n) >= min_pts - 1
@@ -269,7 +272,8 @@ def validate_jump(z_now: np.ndarray, z_prev: np.ndarray, dt: float,
     if dt <= 0:
         raise ValidationError("dt must be positive when a previous candidate exists")
     bound = max(cfg.tau_min, cfg.v_max * dt)
-    return float(np.linalg.norm(np.asarray(z_now) - np.asarray(z_prev))) <= bound
+    d = np.asarray(z_now, dtype=float) - np.asarray(z_prev, dtype=float)
+    return math.sqrt(d.dot(d)) <= bound  # np.linalg.norm(d), bit for bit
 
 
 def validate_temporal(z: np.ndarray, t: float, hist: TemporalHistory,
@@ -295,9 +299,10 @@ def estimate_centroid(points: np.ndarray, sizes) -> np.ndarray:
     # each column sorted within each cluster: by value, then stably by
     # cluster id, in the smallest integer type, which numpy radix-sorts
     order = points.argsort(axis=0)
-    cluster = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(
-        len(sizes))), sizes)
-    order = order[cluster[order].argsort(axis=0, kind="stable"), _AXES]
+    if len(sizes) > 1:
+        cluster = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(
+            len(sizes))), sizes)
+        order = order[cluster[order].argsort(axis=0, kind="stable"), _AXES]
     ranked = points[order, _AXES]
     lo = ranked[ends - sizes // 2 - 1]
     hi = ranked[ends - (sizes + 1) // 2]
@@ -328,7 +333,8 @@ class Detector:
             self._last_t = scan.t
             return []
         down = voxel_downsample(roi, cfg.voxel)
-        r = float(np.linalg.norm(down, axis=1).mean())
+        ranges = np.sqrt(np.add.reduce(down * down, 1))  # np.linalg.norm's
+        r = float(np.add.reduce(ranges) / len(ranges))  # and .mean()'s bits
         eps = adaptive_epsilon(r, cfg)
         clusters = dbscan(down, eps, cfg.min_pts)
 
@@ -358,9 +364,8 @@ class Detector:
         if cfg.layer3_enabled:
             emitted = [i for i in accepted
                        if validate_temporal(zs[i], scan.t, hist, cfg)]
-        support = sizes.tolist()
-        measurements = [Measurement.trusted(zs[i], support[i])
-                        for i in emitted]
+        measurements = list(map(Measurement.trusted, zs[emitted],
+                                sizes[emitted].tolist()))
         # History gets this frame's layer-1/2 survivors only after the whole
         # frame is processed, so same-frame candidates do not interact.
         hist.push(zs[accepted], scan.t)

@@ -18,16 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, as_points
+from .core import NumericalError, ValidationError, as_points, number_array
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _I6 = np.eye(6)
 _H = np.eye(3, 6)            # position-only measurement matrix
-_FV = np.eye(6, k=3)         # velocity-to-position block of F
-# position, cross and velocity blocks of G G'
-_PP = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-_PV = np.eye(6, k=3) + np.eye(6, k=-3)
-_VV = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+# F and G G' as codes into (0, 1, dt) and (0, h^2, h dt, dt^2), h = dt^2 / 2
+_F_CODE = np.kron([[1, 2], [0, 1]], np.eye(3, dtype=int))
+_Q_CODE = np.kron([[1, 2], [2, 3]], np.eye(3, dtype=int))
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
@@ -54,12 +52,13 @@ class IMMState:
     """Model banks of T tracks: x (T, M, 6), P (T, M, 6, 6), mu (T, M).
 
     Row i of every array belongs to track i. A bank built from outside
-    arrays is validated and symmetrised once, here; `fused_x` (T, 6) and
-    `fused_P` (T, 6, 6) are each track's moment-matched fusion. Banks are
-    treated as immutable values.
+    arrays is validated and symmetrised once, here. `fused_x` (T, 6) and
+    `fused_P` (T, 6, 6) are each track's moment-matched fusion; fused_P is
+    computed on first read and kept, row by row as eager fusion would be.
+    Banks are treated as immutable values.
     """
 
-    __slots__ = ("x", "P", "mu", "fused_x", "fused_P")
+    __slots__ = ("x", "P", "mu", "fused_x", "_fused_P")
 
     def __init__(self, x, P, mu):
         x = np.asarray(x, dtype=float)
@@ -80,21 +79,26 @@ class IMMState:
         self._fuse(x, P, np.maximum(mu, 0.0))
 
     def _fuse(self, x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> None:
-        """Set the bank from checked arrays: symmetrise P and fuse."""
-        P = _sym(P)
-        fx, fP = _moments(mu[:, None], x, P)
-        self._set(x, P, mu, fx[:, 0], _sym(fP[:, 0]))
+        """Set the bank from checked arrays: symmetrise P and fuse x."""
+        self._set(x, _sym(P), mu, (mu[:, None] @ x)[:, 0])
 
     def _set(self, *arrays: np.ndarray) -> None:
-        for name, a in zip(self.__slots__, arrays):
-            setattr(self, name, a)
+        self.x, self.P, self.mu, self.fused_x = arrays
+        self._fused_P = None
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
-        return self.x, self.P, self.mu, self.fused_x, self.fused_P
+        return self.x, self.P, self.mu, self.fused_x
+
+    @property
+    def fused_P(self) -> np.ndarray:
+        if self._fused_P is None:
+            self._fused_P = _sym(_moments(self.mu[:, None], self.x,
+                                          self.P)[1][:, 0])
+        return self._fused_P
 
     @classmethod
     def _of(cls, arrays) -> IMMState:
-        """A bank from the five arrays of valid banks, not checked again."""
+        """A bank from x, P, mu and fused_x of valid banks, unchecked."""
         s = object.__new__(cls)
         s._set(*arrays)
         return s
@@ -145,40 +149,34 @@ class FilterConfig:
     mu0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (len(self.q_levels) > 0 and all(
-                isinstance(q, (int, float)) and not isinstance(q, bool)
-                and 0.0 <= q < np.inf for q in self.q_levels)):
+        q = number_array("q_levels", self.q_levels)
+        if not (q.ndim == 1 and len(q) > 0 and (q >= 0).all()):
             raise ValidationError("q_levels must be one or more finite "
                                   "numbers >= 0")
-        Pi = np.asarray(self.Pi, dtype=float)
-        m = len(self.q_levels)
+        Pi = number_array("Pi", self.Pi)
+        m = len(q)
         if Pi.shape != (m, m):
             raise ValidationError("Pi must be square, one row per model")
-        # each test is written so that NaN fails it
         if not (np.all(Pi >= 0)
                 and np.all(np.abs(Pi.sum(axis=1) - 1.0) <= 1e-12)):
             raise ValidationError("Pi rows must sum to 1 with entries >= 0")
-        R = _sym(np.asarray(self.R, dtype=float))
-        if not (R.shape == (3, 3) and np.isfinite(R).all()
-                and np.linalg.eigvalsh(R).min() > 0):
+        R = number_array("R", self.R)
+        if not (R.shape == (3, 3) and np.linalg.eigvalsh(_sym(R)).min() > 0):
             raise ValidationError("R must be a finite symmetric positive "
                                   "definite 3x3 matrix")
-        mu0 = self.mu0
-        if mu0 is None:
-            mu0 = np.full(m, 1.0 / m)
-        mu0 = np.asarray(mu0, dtype=float)
-        if not (len(mu0) == m and abs(mu0.sum() - 1.0) <= 1e-9
+        mu0 = number_array("mu0", np.full(m, 1.0 / m) if self.mu0 is None
+                           else self.mu0)
+        if not (mu0.shape == (m,) and abs(mu0.sum() - 1.0) <= 1e-9
                 and np.all(mu0 >= 0)):
             raise ValidationError("mu0 must be a distribution over models")
-        P0 = np.asarray(self.P0, dtype=float)
-        if P0.shape != (6, 6) or not (np.isfinite(P0).all()
-                                      and np.allclose(P0, P0.T)):
+        P0 = number_array("P0", self.P0)
+        if P0.shape != (6, 6) or not np.allclose(P0, P0.T):
             raise ValidationError("P0 must be a finite symmetric 6x6 matrix")
         w = np.linalg.eigvalsh(P0)  # ascending
         if w[0] < -1e-12 * w[-1]:
             raise ValidationError("P0 must be positive semi-definite")
         object.__setattr__(self, "Pi", Pi)
-        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "R", _sym(R))
         object.__setattr__(self, "P0", _sym(P0))
         object.__setattr__(self, "mu0", mu0)
 
@@ -187,14 +185,12 @@ class FilterConfig:
         return len(self.q_levels)
 
 
-def transition_matrix(dt: float) -> np.ndarray:
-    return _I6 + dt * _FV
-
-
-def process_noise(dt: float, q: float) -> np.ndarray:
-    """(q^2) G G' for G = [dt^2/2 I; dt I], from its three blocks."""
+def _f_and_q(dt: float, q_levels) -> tuple[np.ndarray, np.ndarray]:
+    """F (6, 6) and Q = q^2 G G' (M, 6, 6) of each q in `q_levels` for
+    G = [dt^2/2 I; dt I], each from one lookup into a value table."""
     h = 0.5 * dt * dt
-    return (q * q) * (h * h * _PP + h * dt * _PV + dt * dt * _VV)
+    return (np.array((0.0, 1.0, dt))[_F_CODE], np.square(q_levels)[
+        :, None, None] * np.array((0.0, h * h, h * dt, dt * dt))[_Q_CODE])
 
 
 def imm_mix(s: IMMState, cfg: FilterConfig
@@ -230,8 +226,7 @@ def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     if dt <= 0:
         raise ValidationError("dt must be positive")
     x, P, mu_pred = imm_mix(s, cfg)
-    F = transition_matrix(dt)
-    Q = np.square(cfg.q_levels)[:, None, None] * process_noise(dt, 1.0)
+    F, Q = _f_and_q(dt, cfg.q_levels)
     return _stepped(x @ F.T, F @ P @ F.T + Q,
                     mu_pred / np.add.reduce(mu_pred, 1)[:, None])
 
@@ -257,6 +252,12 @@ def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
         raise ValidationError(
             "beta must hold one row per track: one miss plus one entry per "
             "detection, summing to 1")
+    return _pda_update(pred, dets, beta, cfg)
+
+
+def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
+                cfg: FilterConfig) -> IMMState:
+    """`imm_correct_pda` of finite float dets and beta rows summing to 1."""
     miss = beta[:, 0] >= 1.0 - 1e-12
     if miss.all():
         return pred
@@ -322,4 +323,4 @@ def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig
             "assigned must hold one detection index or -1 per track")
     beta = np.zeros((len(assigned), len(dets) + 1))
     beta[np.arange(len(assigned)), assigned + 1] = 1.0
-    return imm_correct_pda(pred, dets, beta, cfg)
+    return _pda_update(pred, dets, beta, cfg)

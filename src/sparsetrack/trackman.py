@@ -9,16 +9,16 @@ keeping their original id.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Measurement, ValidationError, check_field_types
+from .core import (Measurement, ValidationError, check_field_types,
+                   is_number, number_array)
 from . import association as assoc
 from .association import JpdaParams
-from .filter import (FilterConfig, IMMState, imm_init, imm_predict,
-                     imm_correct, imm_correct_pda)
+from .filter import (FilterConfig, IMMState, _pda_update, imm_init,
+                     imm_predict, imm_correct)
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -51,8 +51,8 @@ class TrackerConfig:
             raise ValidationError("separations must be positive")
         if not 0.0 <= self.jpda_miss_threshold < 1.0:
             raise ValidationError("jpda_miss_threshold must be in [0, 1)")
-        if not (len(self.cost_weights) == 3
-                and all(0 <= w < np.inf for w in self.cost_weights)):
+        w = number_array("cost_weights", self.cost_weights)
+        if not (w.shape == (3,) and (w >= 0).all()):
             raise ValidationError("cost_weights must be 3 finite weights >= 0")
         if self.association_mode not in (HUNGARIAN, JPDA):
             raise ValidationError(
@@ -129,16 +129,17 @@ class Tracker:
 
     def _imm_correct_pda(self, pred: IMMState, dets: np.ndarray,
                          beta: np.ndarray) -> IMMState:
-        """JPDA update of the tracks in `pred`, one call per frame;
-        perfbench times it under this name."""
-        return imm_correct_pda(pred, dets, beta, self.cfg.filter)
+        """JPDA update of the tracks in `pred` from checked arrays, one call
+        per frame; perfbench times it under this name."""
+        return _pda_update(pred, dets, beta, self.cfg.filter)
 
     # -- public API --------------------------------------------------------
 
     def step(self, measurements: list[Measurement], t: float) -> FrameRecord:
         cfg = self.cfg
-        if not math.isfinite(t):
-            raise ValidationError(f"frame time must be finite, got t={t}")
+        if not is_number(t):
+            raise ValidationError(
+                f"frame time must be a finite number, got t={t!r}")
         if self._last_t is not None and t <= self._last_t:
             raise ValidationError(
                 f"out-of-order frame: t={t} after t={self._last_t}")

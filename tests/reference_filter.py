@@ -1,10 +1,11 @@
 """Single-track filter references the tests compare the batched IMM against.
 
-`KState`, `kf_predict` and `kf_update` are the single Kalman filter that the
-IMM reduces to with one model. `track_predict` and `track_correct_pda` are
-the IMM predict and PDA update of one track's bank, x (M, 6), P (M, 6, 6)
-and mu (M,), written per track; `imm_step` runs the library's batched IMM
-on a one-track bank.
+`transition_matrix` and `process_noise` are the constant-velocity F and Q
+in closed form. `KState`, `kf_predict` and `kf_update` are the single
+Kalman filter that the IMM reduces to with one model. `track_predict` and
+`track_correct_pda` are the IMM predict and PDA update of one track's bank,
+x (M, 6), P (M, 6, 6) and mu (M,), written per track; `imm_step` runs the
+library's batched IMM on a one-track bank.
 """
 from __future__ import annotations
 
@@ -13,12 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparsetrack.core import NumericalError, ValidationError, as_point
-from sparsetrack.filter import (IMMState, imm_correct, imm_predict,
-                                process_noise, transition_matrix)
+from sparsetrack.filter import IMMState, imm_correct, imm_predict
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _I6 = np.eye(6)
 _H = np.eye(3, 6)
+_FV = np.eye(6, k=3)         # velocity-to-position block of F
+# position, cross and velocity blocks of G G'
+_PP = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+_PV = np.eye(6, k=3) + np.eye(6, k=-3)
+_VV = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+
+def transition_matrix(dt: float) -> np.ndarray:
+    return _I6 + dt * _FV
+
+
+def process_noise(dt: float, q: float) -> np.ndarray:
+    """(q^2) G G' for G = [dt^2/2 I; dt I], from its three blocks."""
+    h = 0.5 * dt * dt
+    return (q * q) * (h * h * _PP + h * dt * _PV + dt * dt * _VV)
 
 
 def _sym(P: np.ndarray) -> np.ndarray:

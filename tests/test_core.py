@@ -89,6 +89,16 @@ class TestScan:
         with pytest.raises(ValidationError):
             Scan(t=0.0, points=np.zeros((3, 2)), pose=Pose.identity())
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, True, np.True_, "1", None,
+                                   10**400])
+    def test_rejects_non_finite_or_non_number_time(self, t):
+        with pytest.raises(ValidationError, match="timestamp"):
+            Scan(t=t, points=np.zeros((0, 3)), pose=Pose.identity())
+
+    @pytest.mark.parametrize("t", [0, 2.5, np.float32(1.5), np.int64(3)])
+    def test_accepts_real_number_time(self, t):
+        assert Scan(t=t, points=np.zeros((0, 3)), pose=Pose.identity()).t == t
+
 
 class TestMeasurement:
     def test_support_floor(self):

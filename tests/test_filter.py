@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsetrack.core import NumericalError, ValidationError
-from sparsetrack.filter import (FilterConfig, IMMState, imm_correct,
-                                imm_correct_pda, imm_init, imm_mix,
-                                imm_predict, process_noise, transition_matrix)
+from sparsetrack.filter import (FilterConfig, IMMState, _f_and_q, _moments,
+                                _sym, imm_correct, imm_correct_pda, imm_init,
+                                imm_mix, imm_predict)
 
 from reference_filter import (KState, gaussian_loglik, imm_step, kf_predict,
-                              kf_update, track_correct_pda, track_fused,
-                              track_predict)
+                              kf_update, process_noise, track_correct_pda,
+                              track_fused, track_predict, transition_matrix)
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -113,6 +113,10 @@ class TestFilterConfig:
         ("P0", np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1e-3])),
         ("Pi", np.full((3, 3), np.nan)), ("mu0", (np.nan,) * 3),
         ("R", np.full((3, 3), np.nan)), ("R", np.eye(2)),
+        ("mu0", [True, 0, 0]), ("mu0", "abc"), ("mu0", [None, 0.5, 0.5]),
+        ("R", "abc"), ("R", [[1.0, 0, 0], [0, 1.0, 0], [0, 0, "1"]]),
+        ("P0", "abc"), ("Pi", "abc"), ("Pi", np.eye(3, dtype=bool)),
+        ("q_levels", 5), ("q_levels", "abc"), ("q_levels", ()),
     ])
     def test_rejects_non_finite_or_malformed(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -361,3 +365,93 @@ class TestBatchedBank:
                                   getattr(bank, a)[[2, 0]])
         assert bank.rows([0, 1, 2]) is bank
         assert bank.rows([2, 1, 0]) is not bank
+
+
+def _eager_fused_P(s):
+    """The fused covariances as each bank's constructor formed them before
+    they were computed on first read: one fusion over the whole bank."""
+    return _sym(_moments(s.mu[:, None], s.x, s.P)[1][:, 0])
+
+
+class TestFusedOnDemand:
+    """fused_P, computed when first read, has the bits of eager fusion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 6),
+           n=st.integers(1, 3), force=st.booleans(),
+           idx=st.lists(st.integers(0, 5), max_size=8))
+    def test_lazy_fused_p_equals_eager_fusion(self, seed, t, n, force, idx):
+        cfg = FilterConfig()
+        rng = np.random.default_rng(seed)
+        init = imm_init(rng.normal(scale=5.0, size=(t, 3)), cfg)
+        pred = imm_predict(_random_banks(rng, t, cfg), 0.1, cfg)
+        dets = rng.normal(scale=3.0, size=(n, 3))
+        beta = np.array([_beta_row(rng, k, n) for k in
+                         rng.choice(["random", "one-hot", "miss"], size=t)])
+        upd = imm_correct_pda(pred, dets, beta, cfg)
+        idx = [i % t for i in idx]
+        for s in (init, pred, upd):
+            eager = _eager_fused_P(s)
+            assert np.array_equal(
+                s.fused_x, _moments(s.mu[:, None], s.x, s.P)[0][:, 0])
+            if force:
+                assert s.fused_P is s._fused_P  # computed now, then kept
+            gathered = s.rows(idx).append(init)
+            # rows and append leave fused_P to be computed on first read
+            assert gathered._fused_P is None
+            assert gathered.fused_P.tobytes() == np.concatenate(
+                [eager[idx], _eager_fused_P(init)]).tobytes()
+            for i in range(t):  # fusion is row-local
+                assert s.rows([i]).fused_P.tobytes() == eager[i].tobytes()
+            assert s.fused_P.tobytes() == eager.tobytes()
+
+
+class TestTransitionTables:
+    @settings(max_examples=200, deadline=None)
+    @given(dt=st.floats(1e-300, 1e70),
+           q=st.lists(st.floats(0.0, 1e10), min_size=1, max_size=4))
+    def test_table_built_f_and_q_equal_closed_forms(self, dt, q):
+        F, Q = _f_and_q(dt, tuple(q))
+        assert F.tobytes() == transition_matrix(dt).tobytes()
+        assert Q.tobytes() == np.stack(
+            [process_noise(dt, qi) for qi in q]).tobytes()
+
+
+class TestPdaModelWeights:
+    """The model weights match the per-track reference where the largest
+    detection term is one the track cannot take and where the models are
+    more than exp's range apart."""
+
+    def check(self, pred, dets, beta, cfg):
+        upd = imm_correct_pda(pred, dets, beta, cfg)
+        assert np.isfinite(upd.mu).all()
+        for i in range(len(pred)):
+            x, P, mu = track_correct_pda(pred.x[i], pred.P[i], pred.mu[i],
+                                         dets, beta[i], cfg)
+            np.testing.assert_allclose(upd.mu[i], mu, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(upd.x[i], x, rtol=1e-12, atol=1e-12)
+        return upd
+
+    def bank(self, scales):
+        m = len(scales)
+        P = np.stack([s * np.eye(6) for s in scales])
+        return IMMState(x=np.zeros((1, m, 6)), P=P[None],
+                        mu=np.full((1, m), 1.0 / m))
+
+    @pytest.mark.parametrize("b0", [0.0, 0.3])
+    def test_largest_term_with_zero_beta(self, b0):
+        # detection 0 sits on the track but has b = 0; detection 1 is
+        # about 1000 nats less likely, beyond exp's range below the first
+        cfg = FilterConfig()
+        dets = np.array([[0.0, 0.0, 0.0], [45.0, 0.0, 0.0]])
+        self.check(self.bank([1.0, 1.5, 2.0]), dets,
+                   np.array([[b0, 0.0, 1.0 - b0]]), cfg)
+
+    @pytest.mark.parametrize("b0", [0.0, 0.3])
+    def test_models_beyond_exp_range_apart(self, b0):
+        # model 0's log-likelihood is about 1000 nats below model 2's
+        cfg = FilterConfig()
+        upd = self.check(self.bank([0.1, 1.0, 10.0]),
+                         np.array([[15.0, 0.0, 0.0]]),
+                         np.array([[b0, 1.0 - b0]]), cfg)
+        assert (upd.mu[0, 0] == 0.0) == (b0 == 0.0)

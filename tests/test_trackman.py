@@ -101,10 +101,12 @@ class TestTrackerStep:
         with pytest.raises(ValidationError):
             tracker.step([], 0.5)
 
-    @pytest.mark.parametrize("t_bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("t_bad", [np.nan, np.inf, -np.inf, True, "1",
+                                       None, 10**400])
     def test_non_finite_time_changes_nothing(self, t_bad):
         # NaN used to be accepted and fail every later frame as a
-        # non-finite filter state; inf made every later frame out of order
+        # non-finite filter state; inf made every later frame out of order;
+        # a bool time was logged as `true`, which the log reader rejects
         cfg = TrackerConfig()
         tracker = Tracker(cfg)
         for t, ms in cv_stream(5):
@@ -373,7 +375,9 @@ class TestConfig:
         ("jpda_miss_threshold", -0.1), ("resurrect_radius", np.nan),
         ("init_min_separation", np.nan), ("init_min_separation", np.inf),
         ("cost_weights", (1.0, np.nan, 0.3)), ("cost_weights", (1.0, -0.3, 0.3)),
-        ("cost_weights", (1.0, 0.3)), ("max_misses_active", -1),
+        ("cost_weights", (1.0, 0.3)), ("cost_weights", (True, 0.3, 0.3)),
+        ("cost_weights", (1.0, "0.3", 0.3)), ("cost_weights", 5),
+        ("cost_weights", (1.0, None, 0.3)), ("max_misses_active", -1),
         ("max_misses_dormant", -1), ("max_misses_dormant", 2.0),
         ("confirm_hits", 1.5), ("confirm_hits", True),
     ])
