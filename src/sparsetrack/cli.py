@@ -6,7 +6,6 @@ Subcommands: simulate, detect, track, sweep, evaluate. Exit codes:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -24,21 +23,6 @@ from .trackman import TrackerConfig, run_tracker
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-def _exit_codes(command):
-    """Report bad input as exit 3 and numeric failures as exit 4."""
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except (ValidationError, OSError) as exc:
-            code, error = EXIT_DATA, exc
-        except (NumericalError, AssociationComplexityError) as exc:
-            code, error = EXIT_NUMERIC, exc
-        click.echo(f"error: {error}", err=True)
-        sys.exit(code)
-    return run
 
 
 def _detector_config(preset: str | None, config: str | None) -> DetectorConfig:
@@ -90,7 +74,21 @@ def _report(report, path) -> None:
     click.echo(json.dumps(report.to_dict()))
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports bad input as exit 3 and numeric failures as exit 4."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValidationError, OSError) as exc:
+            code, error = EXIT_DATA, exc
+        except (NumericalError, AssociationComplexityError) as exc:
+            code, error = EXIT_NUMERIC, exc
+        click.echo(f"error: {error}", err=True)
+        sys.exit(code)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Sparse-LiDAR target detection and multi-target tracking toolkit."""
 
@@ -102,7 +100,6 @@ def main() -> None:
 @click.option("--dt", type=float, default=0.1)
 @click.option("--out", "out_dir", type=click.Path(), required=True,
               help="Output directory for scans.jsonl and truth.jsonl.")
-@_exit_codes
 def simulate(kind, frames, seed, dt, out_dir) -> None:
     """Generate a scenario's scan stream and ground truth."""
     try:
@@ -127,7 +124,6 @@ def simulate(kind, frames, seed, dt, out_dir) -> None:
               help="Ground truth for the detection report.")
 @_match_radius
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@_exit_codes
 def detect(scans_path, preset, config, truth_path, match_radius, out_path):
     """Run the detector over a scan stream; write detections and a report."""
     cfg = _detector_config(preset, config)
@@ -156,7 +152,6 @@ def detect(scans_path, preset, config, truth_path, match_radius, out_path):
               default="hungarian")
 @_match_radius
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@_exit_codes
 def track(scans_path, meas_path, truth_path, preset, config, association,
           match_radius, out_path):
     """Track a measurement stream; write the frame log and a MOT report."""
@@ -188,7 +183,6 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
               help="Comma-separated minPts values, e.g. 1,2,3,4.")
 @_match_radius
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@_exit_codes
 def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
           out_path):
     """Detection-report table over a minPts grid (Table-I-style columns)."""
@@ -220,7 +214,6 @@ def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
 @click.option("--truth", "truth_path", type=click.Path(), required=True)
 @_match_radius
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@_exit_codes
 def evaluate(det_path, log_path, truth_path, match_radius, out_path):
     """Evaluate stored detections or a frame log against ground truth."""
     if (det_path is None) == (log_path is None):

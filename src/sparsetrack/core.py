@@ -24,24 +24,6 @@ class NumericalError(ArithmeticError):
     """A numeric operation failed (singular matrix, indefinite covariance)."""
 
 
-# A bool is only a bool, so a JSON `true` is never read as 1; the bounds
-# keep out NaN, infinities and integers too large for numpy or a C size.
-_FIELD_TYPES = {"int": (int, "a 64-bit integer", 2**63 - 1),
-                "float": ((int, float), "a finite number", sys.float_info.max),
-                "bool": (bool, "true or false", 1)}
-
-
-def check_field_types(obj) -> None:
-    """Reject a dataclass whose int, float or bool field holds another type
-    or a value out of that type's range."""
-    for f in fields(obj):
-        kind, what, top = _FIELD_TYPES.get(f.type, (None, "", 0))
-        v = getattr(obj, f.name)
-        if kind is not None and not (isinstance(v, kind) and isinstance(
-                v, bool) == (kind is bool) and -top <= v <= top):
-            raise ValidationError(f"{f.name} must be {what}, got {v!r}")
-
-
 def is_number(v) -> bool:
     """Whether `v` is a real number, not a bool, and finite as a float."""
     if isinstance(v, int):  # a bool, or maybe beyond the float range
@@ -49,33 +31,63 @@ def is_number(v) -> bool:
     return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
+def is_int(v) -> bool:
+    """Whether `v` is an `int`, not a bool, with |v| < 2**63."""
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**63
+
+
+# The test a field with each of these annotations must pass, and what its
+# error calls it. A bool is only a bool, so a JSON `true` is never read as 1.
+_FIELD_TYPES = {"int": (is_int, "a 64-bit integer"),
+                "int | None": (lambda v: v is None or is_int(v),
+                               "a 64-bit integer or None"),
+                "float": (is_number, "a finite number"),
+                "bool": (lambda v: isinstance(v, bool), "true or false"),
+                "str": (lambda v: isinstance(v, str), "a string")}
+
+
+def check_field_types(obj) -> None:
+    """Reject a dataclass whose field annotated as a key of `_FIELD_TYPES`
+    holds a value that fails that annotation's test."""
+    for f in fields(obj):
+        test, what = _FIELD_TYPES.get(f.type, (None, ""))
+        v = getattr(obj, f.name)
+        if test is not None and not test(v):
+            raise ValidationError(f"{f.name} must be {what}, got {v!r}")
+
+
 def number_array(name: str, v) -> np.ndarray:
-    """`v` as a float array; a ValidationError naming `name` if not numbers."""
-    a = np.asarray(v, dtype=object)
-    if not all(map(is_number, a.flat)):
-        raise ValidationError(f"{name} must hold finite numbers, got {v!r}")
-    return a.astype(float)
+    """`v` as a float array; a ValidationError naming `name` unless every
+    element passes `is_number` (an int or float ndarray: is finite)."""
+    if isinstance(v, np.ndarray) and v.dtype.kind in "iuf":
+        a = np.asarray(v, dtype=float)
+        if np.isfinite(a).all():
+            return a
+    else:
+        try:
+            a = np.asarray(v, dtype=object)
+            if all(map(is_number, a.flat)):
+                return a.astype(float)
+        except ValueError:  # arrays whose shapes do not nest
+            pass
+    raise ValidationError(f"{name} must hold finite numbers, got {v!r}")
 
 
 def as_point(p) -> np.ndarray:
     """Coerce to a finite (3,) float array."""
-    a = np.asarray(p, dtype=float)
+    a = number_array("point", p)
     if a.shape != (3,):
         raise ValidationError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"non-finite point: {a}")
     return a
 
 
 def as_points(pts) -> np.ndarray:
     """Coerce to a finite (N, 3) float array; N may be 0."""
-    a = np.asarray(pts, dtype=float)
+    a = number_array("points", pts)
     if a.size == 0:
         return a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValidationError(f"expected an (N, 3) array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("non-finite coordinates in point set")
     return a
 
 
@@ -93,8 +105,8 @@ class Pose:
 
     def __post_init__(self):
         t = as_point(self.translation)
-        R = np.asarray(self.rotation, dtype=float)
-        if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+        R = number_array("rotation", self.rotation)
+        if R.shape != (3, 3):
             raise ValidationError("rotation must be a finite 3x3 matrix")
         if not np.allclose(R.T @ R, np.eye(3), rtol=0,
                            atol=ORTHONORMAL_TOL):
@@ -140,8 +152,8 @@ class Measurement:
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_point(self.position))
-        if self.support < 1:
-            raise ValidationError("measurement support must be >= 1")
+        if not (is_int(self.support) and self.support >= 1):
+            raise ValidationError("measurement support must be an int >= 1")
 
     @classmethod
     def trusted(cls, position: np.ndarray, support: int) -> "Measurement":
@@ -162,6 +174,5 @@ def to_global(p, pose: Pose) -> np.ndarray:
     Each point is its own (3, 3) @ (3, 1) product, so a point rounds the
     same alone as in a set; `P @ R.T` would round differently.
     """
-    a = np.asarray(p, dtype=float)
-    pts = as_point(a) if a.ndim == 1 else as_points(a)
+    pts = as_point(p) if np.ndim(p) == 1 else as_points(p)
     return (pose.rotation @ pts[..., None])[..., 0] + pose.translation

@@ -95,7 +95,7 @@ PRESETS: dict[str, DetectorConfig] = {**REAL_PRESETS, **SIM_PRESETS}
 def get_preset(name: str) -> DetectorConfig:
     try:
         return PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValidationError(
             f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None
 

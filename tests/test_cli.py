@@ -51,6 +51,14 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "dt" in res.output
 
+    @pytest.mark.parametrize("frames", ["0", str(10**14), str(10**30)])
+    def test_invalid_frames_usage_error(self, runner, tmp_path, frames):
+        # 10**30 overflowed np.arange, and 10**14 asked for 728 TiB
+        res = runner.invoke(main, ["simulate", "--kind", "separated",
+                                   "--frames", frames, "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "n_frames" in res.output
+
     def test_negative_seed_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["simulate", "--kind", "separated",
                                    "--seed", "-1", "--out", str(tmp_path)])

@@ -1,10 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from scipy.spatial.transform import Rotation
 
+from sparsetrack.association import JpdaParams
 from sparsetrack.core import (Measurement, Pose, Scan, ValidationError,
-                              to_global)
+                              is_int, to_global)
+from sparsetrack.detector import DetectorConfig
+from sparsetrack.simulator import Scenario, SensorModel
+from sparsetrack.trackman import TrackerConfig
 
 
 def yaw_pose(deg: float, translation=(0.0, 0.0, 0.0)) -> Pose:
@@ -28,6 +34,15 @@ class TestPose:
         # one axis scaled by 1 + 4e-6 is off by 8e-6 and is rejected
         with pytest.raises(ValidationError, match="orthonormal"):
             Pose(np.zeros(3), np.diag([1.0 + 4e-6, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("translation, rotation", [
+        ([True, 0, 0], np.eye(3)), (["1", "0", "0"], np.eye(3)),
+        (np.zeros(3), np.eye(3, dtype=bool)), (np.zeros(3), None),
+        (np.zeros(3), [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]),
+    ])
+    def test_rejects_non_number_entries(self, translation, rotation):
+        with pytest.raises(ValidationError):
+            Pose(translation, rotation)
 
     def test_rejects_reflection(self):
         R = np.diag([1.0, 1.0, -1.0])
@@ -70,7 +85,8 @@ class TestToGlobal:
 
     def test_rejects_bad_shapes(self):
         for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 3, 1)),
-                    np.array([np.nan, 0.0, 0.0])):
+                    np.array([np.nan, 0.0, 0.0]), ["1", "0", "0"],
+                    [True, 0, 0], np.array([True, False, False])):
             with pytest.raises(ValidationError):
                 to_global(bad, Pose.identity())
 
@@ -89,13 +105,32 @@ class TestScan:
         with pytest.raises(ValidationError):
             Scan(t=0.0, points=np.zeros((3, 2)), pose=Pose.identity())
 
+    @pytest.mark.parametrize("points", [
+        [["1", "2", "3"]], [[True, 0, 0]], np.ones((1, 3), dtype=bool),
+        np.ones((1, 3), dtype=complex), [[1, 2, 3], [1, 2]], [[0, 0, None]],
+        [[0, 0, 10**400]],
+    ], ids=["strings", "bool", "bool-array", "complex-array", "ragged",
+            "none", "huge"])
+    def test_rejects_non_number_points(self, points):
+        with pytest.raises(ValidationError, match="points"):
+            Scan(t=0.0, points=points, pose=Pose.identity())
+
+    @pytest.mark.parametrize("points", [
+        [[1, 2, 3]], [[1.5, np.float32(2), np.int64(3)]],
+        np.ones((1, 3), dtype=np.int32), [], np.zeros((0, 3))])
+    def test_accepts_number_points(self, points):
+        s = Scan(t=0.0, points=points, pose=Pose.identity())
+        assert s.points.dtype == np.float64
+        assert s.points.tolist() == np.reshape(points, (-1, 3)).tolist()
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, True, np.True_, "1", None,
-                                   10**400])
+                                   10**400, -np.inf])
     def test_rejects_non_finite_or_non_number_time(self, t):
         with pytest.raises(ValidationError, match="timestamp"):
             Scan(t=t, points=np.zeros((0, 3)), pose=Pose.identity())
 
-    @pytest.mark.parametrize("t", [0, 2.5, np.float32(1.5), np.int64(3)])
+    @pytest.mark.parametrize("t", [0, 2.5, np.float32(1.5), np.int64(3),
+                                   np.float64(1.5)])
     def test_accepts_real_number_time(self, t):
         assert Scan(t=t, points=np.zeros((0, 3)), pose=Pose.identity()).t == t
 
@@ -105,6 +140,54 @@ class TestMeasurement:
         with pytest.raises(ValidationError):
             Measurement(position=np.zeros(3), support=0)
 
+    @pytest.mark.parametrize("support", [-1, True, 1.5, 2.0, "a", None,
+                                         np.int64(2), 2**63])
+    def test_support_is_an_int(self, support):
+        with pytest.raises(ValidationError, match="support"):
+            Measurement(position=np.zeros(3), support=support)
+
+    def test_rejects_non_number_position(self):
+        for bad in (["1", "2", "3"], [True, 0.0, 0.0], None):
+            with pytest.raises(ValidationError, match="point"):
+                Measurement(position=bad, support=1)
+
     def test_finite_position(self):
         with pytest.raises(ValidationError):
             Measurement(position=np.array([np.inf, 0, 0]), support=1)
+
+
+def _config(cls, **kw):
+    return cls(kind="separated", **kw) if cls is Scenario else cls(**kw)
+
+
+# Every float field of the configs, with its default
+FLOAT_FIELDS = [(cls, f.name, f.default) for cls in (
+    DetectorConfig, JpdaParams, TrackerConfig, SensorModel, Scenario)
+    for f in fields(cls) if f.type == "float"]
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("v, ok", [
+        (0, True), (2**63 - 1, True), (-(2**63 - 1), True), (2**63, False),
+        (-2**63, False), (10**30, False), (True, False), (np.int64(1), False),
+        (1.0, False), ("1", False), (None, False),
+    ])
+    def test_is_int(self, v, ok):
+        assert is_int(v) is ok
+
+    @pytest.mark.parametrize("cls, name, default", FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{n}"
+                                  for c, n, _ in FLOAT_FIELDS])
+    def test_float_field(self, cls, name, default):
+        # a bool, a string, None, a non-finite number or an int beyond the
+        # float range is never a float field's value
+        for bad in (True, np.True_, "1", None, np.nan, np.inf, -np.inf,
+                    10**400):
+            with pytest.raises(ValidationError, match=name):
+                _config(cls, **{name: bad})
+        # any real scalar that is_number accepts, numpy's included
+        good = [np.float64(default), np.float32(default)]
+        if float(default).is_integer():
+            good.append(int(default))
+        for v in good:
+            assert getattr(_config(cls, **{name: v}), name) == v

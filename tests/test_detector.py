@@ -657,8 +657,9 @@ class TestPresets:
             assert (cfg.eps0, cfg.min_pts) == (eps0, mp)
 
     def test_unknown_preset(self):
-        with pytest.raises(ValidationError):
-            get_preset("nope")
+        for name in ("nope", ["O"], None, {"O": 1}):
+            with pytest.raises(ValidationError, match="unknown preset"):
+                get_preset(name)
 
     def test_registry_is_union(self):
         assert set(PRESETS) == set(REAL_PRESETS) | set(SIM_PRESETS)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sparsetrack.core import Pose, ValidationError
-from sparsetrack.simulator import (CROSSINGS, KINDS, MODERATE, OCCLUSION,
-                                   SCENARIOS, SEPARATED, Scenario, SensorModel,
-                                   TRACKING_SENSOR, gen_trajectories,
-                                   run_scenario, sample_scan)
+from sparsetrack.simulator import (CROSSINGS, KINDS, MAX_FRAMES, MODERATE,
+                                   OCCLUSION, SCENARIOS, SEPARATED, Scenario,
+                                   SensorModel, TRACKING_SENSOR,
+                                   gen_trajectories, run_scenario, sample_scan)
 
 CONTRACT_SEEDS = range(50)
 
@@ -31,11 +31,18 @@ class TestScenarioDefaults:
         ("dt", 0.0), ("dt", float("nan")), ("dt", float("inf")),
         ("dt", 1e308), ("n_frames", 0), ("n_frames", 1.5),
         ("n_frames", True), ("n_frames", "10"),
+        ("n_frames", 10**6 + 1), ("n_frames", 10**30),
+        ("n_frames", np.int64(5)),
         ("dt", True), ("seed", -1), ("seed", 2.5), ("seed", True),
+        ("seed", 2**63), ("kind", ["x"]), ("kind", None),
     ])
     def test_bad_field(self, field, value):
         with pytest.raises(ValidationError, match=field):
-            Scenario(kind=SEPARATED, **{field: value})
+            Scenario(**{"kind": SEPARATED, field: value})
+
+    def test_frame_bound(self):
+        assert Scenario(kind=SEPARATED, n_frames=MAX_FRAMES).n_frames \
+            == MAX_FRAMES
 
 
 class TestTrajectoryContracts:
@@ -101,9 +108,14 @@ class TestOcclusionWindows:
         (False, 2.0, 0),           # a bool is not a time
         (0.5, True, 0),
         (1.0, 10**400, 0),         # beyond the float range
+        (1.0, 2.0, 2**63),         # beyond the 64-bit range
+        (1.0, 2.0, np.int64(0)),   # not an int
+        (1.0, 2.0, 0, 0),
+        (),
     ], ids=["negative-target", "bool-target", "nan-start", "nan-end",
             "inverted", "infinite-end", "float-target", "pair", "bool-start",
-            "bool-end", "huge-end"])
+            "bool-end", "huge-end", "huge-target", "numpy-target",
+            "quadruple", "empty"])
     def test_malformed_window_rejected(self, window):
         with pytest.raises(ValidationError, match="occlusion_windows"):
             SensorModel(occlusion_windows=(window,))
@@ -185,7 +197,7 @@ class TestSampleScan:
             SensorModel(n_return_dist={1: 0.5, 2: 0.6})
         with pytest.raises(ValidationError):
             SensorModel(n_return_dist={0: 1.0})
-        for key in (1.5, "1", True):
+        for key in (1.5, "1", True, np.int64(1), 10**30, 2**63):
             with pytest.raises(ValidationError, match="return counts"):
                 SensorModel(n_return_dist={key: 1.0})
         for bad in (-1.0, float("nan"), float("inf"), 1e19, 1.0001e8):
@@ -209,7 +221,7 @@ class TestSampleScan:
                 SensorModel(sigma_meas=bad)
         for dist in ({1: float("nan")}, {1: 0.5, 2: float("nan")},
                      {1: float("inf")}, {1: "0.6", 2: 0.4}, {1: True},
-                     {1: 10**400}):
+                     {1: 10**400}, [1], None, {1: None}):
             with pytest.raises(ValidationError, match="n_return_dist"):
                 SensorModel(n_return_dist=dist)
         assert SensorModel(clutter_rate=500.0).clutter_rate == 500.0

@@ -102,7 +102,7 @@ class TestTrackerStep:
             tracker.step([], 0.5)
 
     @pytest.mark.parametrize("t_bad", [np.nan, np.inf, -np.inf, True, "1",
-                                       None, 10**400])
+                                       None, 10**400, np.True_])
     def test_non_finite_time_changes_nothing(self, t_bad):
         # NaN used to be accepted and fail every later frame as a
         # non-finite filter state; inf made every later frame out of order;
@@ -123,6 +123,13 @@ class TestTrackerStep:
         assert tracker._last_t == t
         rec = tracker.step([meas((0.5, 0, 5))], 0.5)
         assert rec.assignments == [(tracks[0].id, 0)]
+
+    @pytest.mark.parametrize("t", [1, np.float64(1.0), np.float32(1.0),
+                                   np.int64(1)])
+    def test_accepts_real_number_time(self, t):
+        tracker = Tracker(TrackerConfig())
+        tracker.step([meas((0, 0, 5))], 0.5)
+        assert tracker.step([meas((0, 0, 5))], t).t == t
 
     @pytest.mark.parametrize("mode, target, name, error", [
         ("jpda", association, "jpda", AssociationComplexityError),
@@ -380,6 +387,8 @@ class TestConfig:
         ("cost_weights", (1.0, None, 0.3)), ("max_misses_active", -1),
         ("max_misses_dormant", -1), ("max_misses_dormant", 2.0),
         ("confirm_hits", 1.5), ("confirm_hits", True),
+        ("confirm_hits", 2**63), ("association_mode", ["jpda"]),
+        ("association_mode", None),
     ])
     def test_rejects_non_finite_or_mistyped(self, field, value):
         with pytest.raises(ValidationError):
