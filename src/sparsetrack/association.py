@@ -1,9 +1,10 @@
 """Mahalanobis gating and the two association strategies.
 
 Each stage takes only the arrays it reads, one row per track, and runs
-once per frame for all tracks. The Hungarian solve is delegated to scipy's
-exact linear_sum_assignment; JPDA enumerates feasible joint events
-explicitly. Both strategies end in the same filter update,
+once per frame for all tracks. The Hungarian solve is a port of scipy's
+`linear_sum_assignment` (Crouse's shortest augmenting path) that makes
+the same decisions, ties included, and is checked against it in the
+tests; JPDA enumerates feasible joint events explicitly. Both strategies end in the same filter update,
 `filter.imm_correct_pda`: Hungarian passes the one-hot beta row of each
 track's assigned detection, JPDA each track's row of marginals.
 """
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import NumericalError, ValidationError, check_field_types
 from .filter import _sym
@@ -104,6 +104,67 @@ def build_cost(detections: np.ndarray, gate_result: GateResult,
                     SENTINEL_COST)
 
 
+def _assign(cost: list[list[float]]) -> list[int]:
+    """The column of each row in a minimum-cost assignment of the n x m
+    matrix `cost` (n row sequences), n <= m.
+
+    A port of scipy's rectangular_lsap.cpp (D. F. Crouse, "On implementing
+    2D rectangular assignment algorithms", IEEE TAES 2016): one shortest
+    augmenting path per row over the reduced costs, the same floating-point
+    operations in the same order and the same tie rules, so it picks the
+    columns scipy picks.
+    """
+    n, m = len(cost), len(cost[0])
+    u, v = [0.0] * n, [0.0] * m
+    path, col4row, row4col = [-1] * m, [-1] * n, [-1] * m
+    for cur in range(n):
+        # reverse order makes a constant matrix's solution the identity
+        remaining = list(range(m - 1, -1, -1))
+        short = [math.inf] * m
+        seen_rows, seen_cols = [False] * n, [False] * m
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            seen_rows[i] = True
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < short[j]:
+                    path[j], short[j] = i, r
+                # among equal lows, prefer a column that ends the path
+                if short[j] < lowest or (short[j] == lowest
+                                         and row4col[j] < 0):
+                    index, lowest = it, short[j]
+            min_val = lowest
+            if min_val == math.inf:
+                raise NumericalError(
+                    "assignment costs overflow: no finite augmenting path")
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then flip the path's assignments
+        u[cur] += min_val
+        for i in range(n):
+            if seen_rows[i] and i != cur:
+                u[i] += min_val - short[col4row[i]]
+        for j in range(m):
+            if seen_cols[j]:
+                v[j] -= min_val - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost one-to-one assignment.
 
@@ -111,13 +172,23 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     -1 where the row is left over or its only pair is at the sentinel cost.
     """
     cost = np.asarray(cost, dtype=float)
-    if not np.all(np.isfinite(cost)):
+    if cost.ndim != 2:
+        raise ValidationError(f"cost must be a matrix, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
         raise ValidationError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    keep = cost[rows, cols] < SENTINEL_COST - 0.5
-    assigned = np.full(len(cost), -1)
-    assigned[rows[keep]] = cols[keep]
-    return assigned
+    n, m = cost.shape
+    rows = cost.tolist()
+    assigned = [-1] * n
+    if n and m:
+        if n <= m:
+            pairs = enumerate(_assign(rows))
+        else:  # solved on the transpose, one row per column
+            pairs = ((i, j) for j, i in enumerate(_assign(
+                list(zip(*rows)))))
+        for i, j in pairs:
+            if rows[i][j] < SENTINEL_COST - 0.5:
+                assigned[i] = j
+    return np.array(assigned, dtype=int)
 
 
 class AssociationComplexityError(RuntimeError):

@@ -28,7 +28,12 @@ def is_number(v) -> bool:
     """Whether `v` is a real number, not a bool, and finite as a float."""
     if isinstance(v, int):  # a bool, or maybe beyond the float range
         return not isinstance(v, bool) and abs(v) <= sys.float_info.max
-    return isinstance(v, numbers.Real) and math.isfinite(v)
+    if not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # a Real such as a Fraction beyond the float range
+        return False
 
 
 def is_int(v) -> bool:
@@ -83,7 +88,11 @@ def as_point(p) -> np.ndarray:
 
 def as_points(pts) -> np.ndarray:
     """Coerce to a finite (N, 3) float array; N may be 0."""
-    a = number_array("points", pts)
+    return _point_set(number_array("points", pts))
+
+
+def _point_set(a: np.ndarray) -> np.ndarray:
+    """A checked float array `a` as an (N, 3) point set."""
     if a.size == 0:
         return a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
@@ -174,5 +183,6 @@ def to_global(p, pose: Pose) -> np.ndarray:
     Each point is its own (3, 3) @ (3, 1) product, so a point rounds the
     same alone as in a set; `P @ R.T` would round differently.
     """
-    pts = as_point(p) if np.ndim(p) == 1 else as_points(p)
+    a = number_array("points", p)  # np.ndim(p) would fail on a ragged list
+    pts = as_point(a) if a.ndim == 1 else _point_set(a)
     return (pose.rotation @ pts[..., None])[..., 0] + pose.translation

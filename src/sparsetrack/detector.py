@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (Measurement, Scan, ValidationError, check_field_types,
                    to_global)
@@ -202,6 +201,29 @@ class Clusters(list):
         self.sizes = sizes
 
 
+# Largest scan whose pairs are found by testing every pair. It is the k-d
+# tree's leaf size, so up to it the tree is a single leaf that makes the
+# same test. Per call the loop is faster up to about 13 points; the few
+# sparse scans of 13 to 16 points would otherwise import scipy.spatial.
+_PAIRWISE_MAX = 16
+
+
+def _pairs_within(rows: list, eps: float) -> np.ndarray:
+    """(k, 2) index pairs i < j of `rows` (n 3-lists) at most eps apart.
+
+    This is cKDTree.query_pairs' test within one leaf, bit for bit: the
+    squared differences summed left to right, against eps * eps.
+    """
+    r2 = eps * eps
+    found = []
+    for i, (x, y, z) in enumerate(rows):
+        for j, (u, v, w) in enumerate(rows[i + 1:], i + 1):
+            dx, dy, dz = x - u, y - v, z - w
+            if dx * dx + dy * dy + dz * dz <= r2:
+                found.append((i, j))
+    return np.array(found, dtype=np.intp).reshape(-1, 2)
+
+
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
     """Euclidean DBSCAN: a `Clusters` list of one (k, 3) point array per
     cluster; noise points are discarded.
@@ -210,15 +232,23 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
     point a core point. Clusters come in order of their smallest core index,
     and a border point joins the first of them that reaches it, making runs
     reproducible. Points inside a cluster keep their input order. The pairs
-    within eps (boundary included) come from one k-d tree query, so time and
-    memory grow with n plus the number of pairs, which is n^2 / 2 when all
-    points lie within eps of each other.
+    within eps (boundary included) of a scan of up to `_PAIRWISE_MAX` points
+    are found by testing every pair, and of a larger one by one k-d tree
+    query, so time and memory grow with n plus the number of pairs, which
+    is n^2 / 2 when all points lie within eps of each other.
     """
     if not 0 < eps < np.inf or min_pts < 1:
         raise ValidationError("dbscan requires 0 < eps < inf and min_pts >= 1")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
-    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+    if n <= _PAIRWISE_MAX:
+        # cKDTree rejects non-finite points with a ValueError of its own
+        if not np.isfinite(pts).all():
+            raise ValidationError("dbscan points must be finite")
+        pairs = _pairs_within(pts.tolist(), float(eps))
+    else:
+        from scipy.spatial import cKDTree  # imported only for large scans
+        pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
     if not len(pairs) and min_pts > 1:
         return Clusters(pts[:0], np.zeros(0, dtype=np.intp))  # all noise
     # each pair is one neighbour of both its points; the point itself is

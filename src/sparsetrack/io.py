@@ -83,7 +83,7 @@ def _array(obj, key: str, shape: tuple, dtype=float) -> np.ndarray:
 
 def write_scans(scans: list[Scan], path) -> None:
     _write_jsonl(path, ({
-        "t": s.t,
+        "t": float(s.t),
         "pose": {"translation": s.pose.translation.tolist(),
                  "rotation": s.pose.rotation.tolist()},
         "points": s.points.tolist()} for s in scans))
@@ -142,7 +142,7 @@ def read_ground_truth(path) -> GroundTruth:
 
 def write_measurement_frames(frames: list[tuple[float, list[Measurement]]],
                              path) -> None:
-    _write_jsonl(path, ({"t": t, "measurements": [
+    _write_jsonl(path, ({"t": float(t), "measurements": [
         {"position": m.position.tolist(), "support": m.support} for m in ms]}
         for t, ms in frames))
 
@@ -158,7 +158,7 @@ def read_measurement_frames(path) -> list[tuple[float, list[Measurement]]]:
 
 def write_frame_log(log: list[FrameRecord], path) -> None:
     _write_jsonl(path, ({
-        "t": rec.t,
+        "t": float(rec.t),
         "tracks": [{"id": tr["id"], "status": tr["status"],
                     "position": np.asarray(tr["position"]).tolist(),
                     "velocity": np.asarray(tr["velocity"]).tolist(),

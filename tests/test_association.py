@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from sparsetrack.core import NumericalError, ValidationError
 from sparsetrack.association import (SENTINEL_COST, JpdaParams, build_cost,
@@ -148,7 +152,41 @@ class TestBuildCost:
                     assert cost[i, j] == pytest.approx(want, rel=1e-12)
 
 
+def scipy_assignment(cost: np.ndarray) -> np.ndarray:
+    """`hungarian`'s result built from scipy's solver: the assigned column
+    of each row, -1 where there is none or it is at the sentinel cost."""
+    rows, cols = linear_sum_assignment(cost)
+    keep = cost[rows, cols] < SENTINEL_COST - 0.5
+    assigned = np.full(len(cost), -1)
+    assigned[rows[keep]] = cols[keep]
+    return assigned
+
+
+@st.composite
+def cost_matrices(draw):
+    """Empty, wide, tall and square matrices of uniform costs or of small
+    integers (many ties), sometimes with many sentinel entries."""
+    shape = draw(st.tuples(st.integers(0, 7), st.integers(0, 7)))
+    cell = draw(st.sampled_from([
+        st.floats(0.0, 100.0), st.integers(0, 3).map(float),
+        st.floats(-1e6, 1e6)]))
+    if draw(st.booleans()):
+        cell = st.one_of(cell, st.just(SENTINEL_COST))
+    return draw(hnp.arrays(float, shape, elements=cell))
+
+
 class TestHungarian:
+    @settings(max_examples=1000, deadline=None)
+    @given(cost_matrices())
+    def test_equals_scipy(self, cost):
+        got, want = hungarian(cost), scipy_assignment(cost)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_rejects_a_non_matrix(self):
+        for bad in (np.zeros(3), np.zeros((2, 2, 2)), 1.0):
+            with pytest.raises(ValidationError, match="matrix"):
+                hungarian(bad)
+
     def test_two_by_two(self):
         assigned = hungarian(np.array([[1.0, 2.0], [2.0, 4.0]]))
         assert assigned.tolist() == [1, 0]

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,7 +87,8 @@ class TestToGlobal:
     def test_rejects_bad_shapes(self):
         for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 3, 1)),
                     np.array([np.nan, 0.0, 0.0]), ["1", "0", "0"],
-                    [True, 0, 0], np.array([True, False, False])):
+                    [True, 0, 0], np.array([True, False, False]),
+                    [[1, 2, 3], [1, 2]], [[1, 2, 3], 4]):
             with pytest.raises(ValidationError):
                 to_global(bad, Pose.identity())
 
@@ -124,7 +126,7 @@ class TestScan:
         assert s.points.tolist() == np.reshape(points, (-1, 3)).tolist()
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, True, np.True_, "1", None,
-                                   10**400, -np.inf])
+                                   10**400, -np.inf, Fraction(10**400)])
     def test_rejects_non_finite_or_non_number_time(self, t):
         with pytest.raises(ValidationError, match="timestamp"):
             Scan(t=t, points=np.zeros((0, 3)), pose=Pose.identity())
@@ -179,10 +181,10 @@ class TestNumberRule:
                              ids=[f"{c.__name__}.{n}"
                                   for c, n, _ in FLOAT_FIELDS])
     def test_float_field(self, cls, name, default):
-        # a bool, a string, None, a non-finite number or an int beyond the
-        # float range is never a float field's value
+        # a bool, a string, None, a non-finite number or an int or fraction
+        # beyond the float range is never a float field's value
         for bad in (True, np.True_, "1", None, np.nan, np.inf, -np.inf,
-                    10**400):
+                    10**400, Fraction(10**400), Fraction(-(10**400), 3)):
             with pytest.raises(ValidationError, match=name):
                 _config(cls, **{name: bad})
         # any real scalar that is_number accepts, numpy's included

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from sparsetrack import detector as detector_module
 from sparsetrack.core import Measurement, Pose, Scan, ValidationError
-from sparsetrack.detector import (Detector, DetectorConfig, PRESETS,
-                                  REAL_PRESETS, SIM_PRESETS, TemporalHistory,
+from sparsetrack.detector import (_PAIRWISE_MAX, Detector, DetectorConfig,
+                                  PRESETS, REAL_PRESETS, SIM_PRESETS,
+                                  TemporalHistory, _pairs_within,
                                   adaptive_epsilon, dbscan, estimate_centroid,
                                   get_preset, roi_filter, validate_geometric,
                                   validate_jump, validate_temporal,
@@ -342,7 +344,79 @@ def dbscan_clouds(draw):
     return pts[order] * (eps / 2), eps, draw(st.integers(1, 5))
 
 
+@st.composite
+def small_scans(draw):
+    """(points, eps): up to `_PAIRWISE_MAX` points drawn with repeats from
+    a pool of lattice points eps apart (so pairs lie exactly eps apart or
+    coincide), free points and -0.0 coordinates, sometimes moved near 1e6,
+    where a difference of two coordinates rounds."""
+    eps = draw(st.sampled_from([0.25, 0.5, 0.6, 1.0, 0.1]))
+    lattice = st.integers(-2, 2).map(lambda k: k * eps) | st.just(-0.0)
+    coord = lattice | st.floats(-2.0, 2.0)
+    pool = draw(st.lists(st.tuples(coord, coord, coord), min_size=1,
+                         max_size=10))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=_PAIRWISE_MAX))
+    pts = np.array(rows, dtype=float).reshape(-1, 3)
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6 + 0.1, 12.3]))
+    return (pts + offset if offset else pts), eps
+
+
 class TestDbscan:
+    @settings(max_examples=500, deadline=None)
+    @given(small_scans())
+    def test_pair_test_equals_kd_tree(self, scan):
+        # up to its leaf size the tree is one leaf, which makes this test
+        pts, eps = scan
+        got = _pairs_within(pts.tolist(), eps)
+        want = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+        assert got.shape == (len(want), 2) and got.dtype == np.intp
+        assert sorted(map(tuple, got.tolist())) == \
+            sorted(map(tuple, want.tolist()))
+
+    @pytest.mark.parametrize("eps", [0.25, 0.6, 1.0, 0.1])
+    def test_pair_test_equals_kd_tree_on_the_eps_sphere(self, eps):
+        # a centre and points eps from it along the directions (a, b, c),
+        # |a|, |b|, |c| <= 3: their squared distances round to either side
+        # of eps * eps, and summed in another order some round differently
+        dirs = np.array([d for d in itertools.product(range(-3, 4), repeat=3)
+                         if any(d)], dtype=float)
+        sphere = eps * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        k = _PAIRWISE_MAX - 1
+        for offset in (0.0, 12.3, 1e6):
+            for start in range(0, len(sphere), k):
+                pts = np.vstack([np.zeros((1, 3)), sphere[start:start + k]])
+                pts += offset
+                got = _pairs_within(pts.tolist(), eps)
+                want = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+                assert sorted(map(tuple, got.tolist())) == \
+                    sorted(map(tuple, want.tolist()))
+
+    @pytest.mark.parametrize("n", [_PAIRWISE_MAX - 1, _PAIRWISE_MAX,
+                                   _PAIRWISE_MAX + 1])
+    def test_matches_reference_across_the_pairwise_limit(self, n):
+        # the pairs come from the pairwise test up to the limit and from
+        # the k-d tree above it
+        rng = np.random.default_rng(n)
+        for k in range(40):
+            eps = float(rng.choice([0.25, 0.5, 0.6]))
+            pts = (rng.integers(-2, 3, size=(n, 3)) * eps if k % 2
+                   else rng.uniform(-1.5, 1.5, size=(n, 3)))
+            for mp in (1, 2, 3, 5):
+                got = dbscan(pts, eps, mp)
+                want = reference_dbscan(pts, eps, mp)
+                assert got.sizes.tolist() == [len(w) for w in want]
+                assert got.rows.tobytes() == (
+                    np.vstack(want) if want else np.zeros((0, 3))).tobytes()
+
+    @pytest.mark.parametrize("n", [1, _PAIRWISE_MAX + 1])
+    def test_non_finite_points_rejected(self, n):
+        # a ValidationError from the pair test, cKDTree's ValueError above
+        pts = np.zeros((n, 3))
+        for bad in (np.nan, np.inf):
+            pts[-1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                dbscan(pts, eps=0.5, min_pts=1)
+
     def test_density_chaining(self):
         pts = np.array([[0, 0, 0], [0.3, 0, 0], [0.6, 0, 0]])
         clusters = dbscan(pts, eps=0.4, min_pts=2)

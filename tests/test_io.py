@@ -101,6 +101,32 @@ def test_frame_log_roundtrip(tmp_path):
             assert np.array_equal(np.asarray(ta["position"]), tb["position"])
 
 
+@pytest.mark.parametrize("t", [np.float32(1.5), np.int64(3), np.float64(0.1)])
+def test_numpy_scalar_times_are_written_as_floats(tmp_path, t):
+    # each writer stores float(t): the bytes a Python float time gives
+    def written(t, name) -> bytes:
+        path = tmp_path / name
+        if name == "scans":
+            stio.write_scans([Scan(t=t, points=[[0.0, 0.0, 5.0]],
+                                   pose=Pose.identity())], path)
+        elif name == "measurements":
+            stio.write_measurement_frames([(t, [])], path)
+        else:
+            stio.write_frame_log(run_tracker([(t, [Measurement(
+                position=np.array([0.0, 0.0, 5.0]), support=2)])],
+                TrackerConfig()), path)
+        return path.read_bytes()
+
+    for name, read in (("scans", stio.read_scans),
+                       ("measurements", stio.read_measurement_frames),
+                       ("log", stio.read_frame_log)):
+        assert written(t, name) == written(float(t), name)
+        back = read(tmp_path / name)
+        assert len(back) == 1
+        assert (back[0][0] if name == "measurements" else back[0].t) == \
+            float(t)
+
+
 def test_repeated_track_id_in_a_frame_rejected(tmp_path):
     def line(*ids):
         return json.dumps({
