@@ -361,17 +361,21 @@ def small_scans(draw):
     return (pts + offset if offset else pts), eps
 
 
+def assert_pairs_of_kd_tree(pts, eps):
+    """The pairwise test finds the pairs `cKDTree.query_pairs` finds."""
+    got = _pairs_within(pts.tolist(), eps)
+    want = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+    assert got.shape == (len(want), 2) and got.dtype == np.intp
+    assert sorted(map(tuple, got.tolist())) == \
+        sorted(map(tuple, want.tolist()))
+
+
 class TestDbscan:
     @settings(max_examples=500, deadline=None)
     @given(small_scans())
     def test_pair_test_equals_kd_tree(self, scan):
         # up to its leaf size the tree is one leaf, which makes this test
-        pts, eps = scan
-        got = _pairs_within(pts.tolist(), eps)
-        want = cKDTree(pts).query_pairs(eps, output_type="ndarray")
-        assert got.shape == (len(want), 2) and got.dtype == np.intp
-        assert sorted(map(tuple, got.tolist())) == \
-            sorted(map(tuple, want.tolist()))
+        assert_pairs_of_kd_tree(*scan)
 
     @pytest.mark.parametrize("eps", [0.25, 0.6, 1.0, 0.1])
     def test_pair_test_equals_kd_tree_on_the_eps_sphere(self, eps):
@@ -385,11 +389,7 @@ class TestDbscan:
         for offset in (0.0, 12.3, 1e6):
             for start in range(0, len(sphere), k):
                 pts = np.vstack([np.zeros((1, 3)), sphere[start:start + k]])
-                pts += offset
-                got = _pairs_within(pts.tolist(), eps)
-                want = cKDTree(pts).query_pairs(eps, output_type="ndarray")
-                assert sorted(map(tuple, got.tolist())) == \
-                    sorted(map(tuple, want.tolist()))
+                assert_pairs_of_kd_tree(pts + offset, eps)
 
     @pytest.mark.parametrize("n", [_PAIRWISE_MAX - 1, _PAIRWISE_MAX,
                                    _PAIRWISE_MAX + 1])
