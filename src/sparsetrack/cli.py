@@ -33,10 +33,10 @@ def _detector_config(preset: str | None, config: str | None) -> DetectorConfig:
             return get_preset(preset)
         except ValidationError as exc:
             raise click.UsageError(str(exc))
-    text = Path(config).read_text()
     try:
-        return DetectorConfig(**json.loads(text))
-    except (json.JSONDecodeError, TypeError, ValidationError) as exc:
+        return DetectorConfig(**json.loads(Path(config).read_text()))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+            TypeError, ValidationError) as exc:
         raise ValidationError(f"invalid detector config: {exc}") from exc
 
 

@@ -9,6 +9,7 @@ process one scan stream sequentially.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,14 @@ import numpy as np
 
 from .core import (Measurement, Scan, ValidationError, check_field_types,
                    to_global)
+
+# Largest input of a per-point stage (ROI, voxel grid, DBSCAN, extent check,
+# centroid) that is processed point by point on Python floats, with the
+# same bits as the array code used above it: on a handful of points numpy's
+# per-call cost is most of a stage's time. For DBSCAN it is also the k-d
+# tree's leaf size, so up to it the tree is a single leaf that makes the
+# same pair test, and a scan this small never imports scipy.spatial.
+_SCALAR_MAX = 16
 
 
 def adaptive_epsilon(r: float, cfg: DetectorConfig) -> float:
@@ -146,6 +155,14 @@ def roi_filter(scan: Scan, cfg: DetectorConfig) -> np.ndarray:
     # Squares summed left to right round as np.linalg.norm's do. A square
     # beyond the float range is inf, a range above any r_max, and is no
     # cause for a warning.
+    if len(pts) <= _SCALAR_MAX:
+        keep = []
+        for i, (x, y, z) in enumerate(pts.tolist()):
+            rho2 = x * x + y * y
+            if (z >= cfg.h_min and math.sqrt(rho2 + z * z) <= cfg.r_max
+                    and math.sqrt(rho2) > cfg.r_excl):
+                keep.append(i)
+        return pts[keep]
     with np.errstate(over="ignore"):
         sq = pts * pts
         rho2 = sq[:, 0] + sq[:, 1]
@@ -167,12 +184,41 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if pts.shape[0] == 0:
         return pts
-    with np.errstate(over="ignore"):
-        f = np.floor(pts / v)
-    # floats in [-2**63, 2**63) convert exactly; others (inf too) would wrap
-    if not ((f >= -2.0**63) & (f < 2.0**63)).all():
+    scalar = pts.shape[0] <= _SCALAR_MAX
+    if scalar:
+        rows = pts.tolist()
+        try:
+            keys = [(math.floor(x / v), math.floor(y / v), math.floor(z / v))
+                    for x, y, z in rows]
+            flat = list(itertools.chain.from_iterable(keys))
+            in_range = -2**63 <= min(flat) and max(flat) < 2**63
+        except (OverflowError, ValueError):  # an inf or NaN index
+            in_range = False
+    else:
+        with np.errstate(over="ignore"):
+            f = np.floor(pts / v)
+        # floats in [-2**63, 2**63) convert exactly; others (inf too) would
+        # wrap
+        in_range = ((f >= -2.0**63) & (f < 2.0**63)).all()
+    if not in_range:
         raise ValidationError(
             f"voxel index out of the int64 range at voxel size {v}")
+    if scalar:
+        voxels: dict[tuple, list] = {}  # in order of first occurrence
+        for key, p in zip(keys, rows):
+            voxels.setdefault(key, []).append(p)
+        if len(voxels) == len(rows):
+            return pts + 0.0  # each point is its voxel's sum, 0.0 + p, over 1
+        centroids = []
+        for members in voxels.values():
+            sx = sy = sz = 0.0  # summed in input order, as bincount does
+            for x, y, z in members:
+                sx += x
+                sy += y
+                sz += z
+            k = len(members)
+            centroids.append([sx / k, sy / k, sz / k])
+        return np.array(centroids)
     idx = f.astype(np.int64)
     # Group equal index rows with one stable sort: a voxel's rows are
     # consecutive in `order`, its first input row first.
@@ -195,33 +241,29 @@ class Clusters(list):
     cluster; `sizes` (N,) holds the blocks' row counts."""
 
     def __init__(self, rows: np.ndarray, sizes: np.ndarray):
-        ends = np.cumsum(sizes).tolist()
-        super().__init__(rows[e - k:e] for k, e in zip(sizes.tolist(), ends))
+        counts = sizes.tolist()
+        super().__init__(rows[e - k:e] for k, e in zip(
+            counts, itertools.accumulate(counts)))
         self.rows = rows
         self.sizes = sizes
 
 
-# Largest scan whose pairs are found by testing every pair. It is the k-d
-# tree's leaf size, so up to it the tree is a single leaf that makes the
-# same test. Per call the loop is faster up to about 13 points; the few
-# sparse scans of 13 to 16 points would otherwise import scipy.spatial.
-_PAIRWISE_MAX = 16
+def _neighbours(rows: list, eps: float) -> list[list[int]]:
+    """For each of `rows` (n 3-lists), the indices of the other rows at most
+    eps apart, in increasing order.
 
-
-def _pairs_within(rows: list, eps: float) -> np.ndarray:
-    """(k, 2) index pairs i < j of `rows` (n 3-lists) at most eps apart.
-
-    This is cKDTree.query_pairs' test within one leaf, bit for bit: the
+    The test is cKDTree.query_pairs' within one leaf, bit for bit: the
     squared differences summed left to right, against eps * eps.
     """
     r2 = eps * eps
-    found = []
+    nbrs: list[list[int]] = [[] for _ in rows]
     for i, (x, y, z) in enumerate(rows):
         for j, (u, v, w) in enumerate(rows[i + 1:], i + 1):
             dx, dy, dz = x - u, y - v, z - w
             if dx * dx + dy * dy + dz * dz <= r2:
-                found.append((i, j))
-    return np.array(found, dtype=np.intp).reshape(-1, 2)
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    return nbrs
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
@@ -232,7 +274,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
     point a core point. Clusters come in order of their smallest core index,
     and a border point joins the first of them that reaches it, making runs
     reproducible. Points inside a cluster keep their input order. The pairs
-    within eps (boundary included) of a scan of up to `_PAIRWISE_MAX` points
+    within eps (boundary included) of a scan of up to `_SCALAR_MAX` points
     are found by testing every pair, and of a larger one by one k-d tree
     query, so time and memory grow with n plus the number of pairs, which
     is n^2 / 2 when all points lie within eps of each other.
@@ -241,16 +283,37 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
         raise ValidationError("dbscan requires 0 < eps < inf and min_pts >= 1")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
-    if n <= _PAIRWISE_MAX:
-        # cKDTree rejects non-finite points with a ValueError of its own
-        if not np.isfinite(pts).all():
+    if n <= _SCALAR_MAX:
+        rows = pts.tolist()
+        # a NaN would fail every distance test and pass as noise
+        if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
             raise ValidationError("dbscan points must be finite")
-        pairs = _pairs_within(pts.tolist(), float(eps))
-    else:
-        from scipy.spatial import cKDTree  # imported only for large scans
-        pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
-    if not len(pairs) and min_pts > 1:
-        return Clusters(pts[:0], np.zeros(0, dtype=np.intp))  # all noise
+        nbrs = _neighbours(rows, float(eps))
+        core = [len(nb) >= min_pts - 1 for nb in nbrs]
+        # each component is labelled from its smallest core index, the
+        # first of its cores the scan reaches
+        lab = [n] * n
+        for p in range(n):
+            if core[p] and lab[p] == n:
+                lab[p] = p
+                stack = [p]
+                while stack:
+                    for q in nbrs[stack.pop()]:
+                        if core[q] and lab[q] == n:
+                            lab[q] = p
+                            stack.append(q)
+        members: list[list[int]] = [[] for _ in range(n + 1)]
+        for p in range(n):
+            # a non-core point joins the smallest root among its core
+            # neighbours, or is noise, label n
+            if not core[p]:
+                lab[p] = min([lab[q] for q in nbrs[p] if core[q]], default=n)
+            members[lab[p]].append(p)
+        order = [p for m in members[:n] for p in m]
+        sizes = [len(m) for m in members[:n] if m]
+        return Clusters(pts[order], np.array(sizes, dtype=np.intp))
+    from scipy.spatial import cKDTree  # imported only for large scans
+    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
     # each pair is one neighbour of both its points; the point itself is
     # the min_pts-th
     core = np.bincount(pairs.ravel(), minlength=n) >= min_pts - 1
@@ -290,10 +353,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
 def validate_geometric(points: np.ndarray, cfg: DetectorConfig) -> bool:
     """Layer 1: point-count band and strict axis-aligned extent bound."""
     n = len(points)
-    # a single point has extent 0; most clusters of a sparse scan are one
-    return cfg.n_min <= n <= cfg.n_max and (
-        n == 1 or float((points.max(axis=0) - points.min(axis=0)).max())
-        < cfg.e_max)
+    if not cfg.n_min <= n <= cfg.n_max:
+        return False
+    if n == 1:  # extent 0; most clusters of a sparse scan are one point
+        return True
+    if n <= _SCALAR_MAX:
+        return max(max(c) - min(c) for c in zip(*points.tolist())) < cfg.e_max
+    return float((points.max(axis=0) - points.min(axis=0)).max()) < cfg.e_max
 
 
 def validate_jump(z_now: np.ndarray, z_prev: np.ndarray, dt: float,
@@ -322,24 +388,36 @@ def estimate_centroid(points: np.ndarray, sizes) -> np.ndarray:
     `points` (n, 3) holds the clusters' rows one cluster after another,
     `sizes[k]` rows for cluster k. The value is np.median's, bit for bit: the
     middle value of an odd cluster, the mean of the middle pair of an even
-    one (for one or two points, the point or the mean).
+    one (for one or two points, the point or the mean). np.median sums the
+    middle value or pair from +0.0 and divides by the count. A 1-point
+    cluster is its point as it is: its sum starts at -0.0, which changes no
+    value, not even the sign of a zero.
     """
     sizes = np.asarray(sizes)
+    if len(points) <= _SCALAR_MAX:
+        rows = points.tolist()
+        out, end = [], 0
+        for k in sizes.tolist():
+            end += k
+            if k == 1:
+                out.append(rows[end - 1])
+                continue
+            h = k // 2
+            cols = [sorted(c) for c in zip(*rows[end - k:end])]
+            out.append([0.0 + c[h] if k % 2 else (0.0 + c[h - 1] + c[h]) / 2
+                        for c in cols])
+        return np.array(out).reshape(-1, 3)
     ends = np.cumsum(sizes)
     # each column sorted within each cluster: by value, then stably by
     # cluster id, in the smallest integer type, which numpy radix-sorts
     order = points.argsort(axis=0)
-    if len(sizes) > 1:
-        cluster = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(
-            len(sizes))), sizes)
-        order = order[cluster[order].argsort(axis=0, kind="stable"), _AXES]
+    cluster = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(
+        len(sizes))), sizes)
+    order = order[cluster[order].argsort(axis=0, kind="stable"), _AXES]
     ranked = points[order, _AXES]
     lo = ranked[ends - sizes // 2 - 1]
     hi = ranked[ends - (sizes + 1) // 2]
     odd = (sizes % 2 == 1)[:, None]
-    # np.median sums the middle value or pair from +0.0 and divides by the
-    # count. A 1-point cluster is its point as it is: its sum starts at
-    # -0.0, which changes no value, not even the sign of a zero.
     start = np.where(sizes > 1, 0.0, -0.0)[:, None]
     return (start + lo + np.where(odd, -0.0, hi)) / (2 - odd)
 

@@ -45,9 +45,14 @@ def _read_jsonl(path, what: str, decode) -> list:
     return out
 
 
-def _write_jsonl(path, records) -> None:
-    """One line per record; NaN or infinity raises before the file opens."""
-    lines = [json.dumps(rec, allow_nan=False) + "\n" for rec in records]
+def _json(obj) -> str:
+    return json.dumps(obj, allow_nan=False)
+
+
+def _write_jsonl(path, records, encode=_json) -> None:
+    """One line per record, `encode(record)`; NaN or infinity raises
+    before the file opens."""
+    lines = [encode(rec) + "\n" for rec in records]
     with open(path, "w") as f:
         f.writelines(lines)
 
@@ -82,11 +87,19 @@ def _array(obj, key: str, shape: tuple, dtype=float) -> np.ndarray:
 
 
 def write_scans(scans: list[Scan], path) -> None:
-    _write_jsonl(path, ({
-        "t": float(s.t),
-        "pose": {"translation": s.pose.translation.tolist(),
-                 "rotation": s.pose.rotation.tolist()},
-        "points": s.points.tolist()} for s in scans))
+    # A stream's scans share one Pose object, so each object's text is
+    # encoded once. The line is the text json.dumps gives the whole record.
+    poses: dict[int, str] = {}
+
+    def encode(s: Scan) -> str:
+        pose = poses.get(id(s.pose))
+        if pose is None:
+            pose = poses[id(s.pose)] = _json({
+                "translation": s.pose.translation.tolist(),
+                "rotation": s.pose.rotation.tolist()})
+        return (f'{{"t": {_json(float(s.t))}, "pose": {pose}, '
+                f'"points": {_json(s.points.tolist())}}}')
+    _write_jsonl(path, scans, encode)
 
 
 def read_scans(path) -> list[Scan]:

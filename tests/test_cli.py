@@ -215,13 +215,18 @@ class TestDetect:
         {"alpha": 1e308},
         # a negative history length, and a layer 3 that can reject nothing
         {"K": -1, "M": -2}, {"K": 0, "M": 0, "layer3_enabled": True},
+        # files nested too deeply for the JSON parser, or not UTF-8, ended
+        # in a traceback
+        pytest.param(b"[" * 100000, id="deep"),
+        pytest.param(b"\xff\xfe{", id="not-utf8"),
     ])
     @pytest.mark.parametrize("command", ["detect", "track", "sweep"])
     def test_mistyped_or_nan_config_data_error(self, runner, tmp_path,
                                                fields, command):
         scans, truth = simulate(runner, tmp_path, frames=10)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(fields))
+        cfg.write_bytes(fields if isinstance(fields, bytes)
+                        else json.dumps(fields).encode())
         args = [command, "--scans", str(scans), "--config", str(cfg),
                 "--out", str(tmp_path / "o.jsonl")]
         if command != "detect":

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 import warnings
@@ -12,9 +13,9 @@ from scipy.spatial.transform import Rotation
 
 from sparsetrack import detector as detector_module
 from sparsetrack.core import Measurement, Pose, Scan, ValidationError
-from sparsetrack.detector import (_PAIRWISE_MAX, Detector, DetectorConfig,
+from sparsetrack.detector import (_SCALAR_MAX, Detector, DetectorConfig,
                                   PRESETS, REAL_PRESETS, SIM_PRESETS,
-                                  TemporalHistory, _pairs_within,
+                                  TemporalHistory, _neighbours,
                                   adaptive_epsilon, dbscan, estimate_centroid,
                                   get_preset, roi_filter, validate_geometric,
                                   validate_jump, validate_temporal,
@@ -346,7 +347,7 @@ def dbscan_clouds(draw):
 
 @st.composite
 def small_scans(draw):
-    """(points, eps): up to `_PAIRWISE_MAX` points drawn with repeats from
+    """(points, eps): up to `_SCALAR_MAX` points drawn with repeats from
     a pool of lattice points eps apart (so pairs lie exactly eps apart or
     coincide), free points and -0.0 coordinates, sometimes moved near 1e6,
     where a difference of two coordinates rounds."""
@@ -355,19 +356,22 @@ def small_scans(draw):
     coord = lattice | st.floats(-2.0, 2.0)
     pool = draw(st.lists(st.tuples(coord, coord, coord), min_size=1,
                          max_size=10))
-    rows = draw(st.lists(st.sampled_from(pool), max_size=_PAIRWISE_MAX))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=_SCALAR_MAX))
     pts = np.array(rows, dtype=float).reshape(-1, 3)
     offset = draw(st.sampled_from([0.0, 1e6, -1e6 + 0.1, 12.3]))
     return (pts + offset if offset else pts), eps
 
 
 def assert_pairs_of_kd_tree(pts, eps):
-    """The pairwise test finds the pairs `cKDTree.query_pairs` finds."""
-    got = _pairs_within(pts.tolist(), eps)
-    want = cKDTree(pts).query_pairs(eps, output_type="ndarray")
-    assert got.shape == (len(want), 2) and got.dtype == np.intp
-    assert sorted(map(tuple, got.tolist())) == \
-        sorted(map(tuple, want.tolist()))
+    """The pairwise test finds the pairs `cKDTree.query_pairs` finds, each
+    as a neighbour of both its points, in increasing order."""
+    nbrs = _neighbours(pts.tolist(), eps)
+    assert all(nb == sorted(set(nb)) and i not in nb
+               for i, nb in enumerate(nbrs))
+    got = [(i, j) for i, nb in enumerate(nbrs) for j in nb]
+    want = cKDTree(pts).query_pairs(eps)
+    assert sorted(got) == sorted({(i, j) for i, j in want}
+                                 | {(j, i) for i, j in want})
 
 
 class TestDbscan:
@@ -385,17 +389,17 @@ class TestDbscan:
         dirs = np.array([d for d in itertools.product(range(-3, 4), repeat=3)
                          if any(d)], dtype=float)
         sphere = eps * dirs / np.linalg.norm(dirs, axis=1)[:, None]
-        k = _PAIRWISE_MAX - 1
+        k = _SCALAR_MAX - 1
         for offset in (0.0, 12.3, 1e6):
             for start in range(0, len(sphere), k):
                 pts = np.vstack([np.zeros((1, 3)), sphere[start:start + k]])
                 assert_pairs_of_kd_tree(pts + offset, eps)
 
-    @pytest.mark.parametrize("n", [_PAIRWISE_MAX - 1, _PAIRWISE_MAX,
-                                   _PAIRWISE_MAX + 1])
+    @pytest.mark.parametrize("n", [_SCALAR_MAX - 1, _SCALAR_MAX,
+                                   _SCALAR_MAX + 1])
     def test_matches_reference_across_the_pairwise_limit(self, n):
-        # the pairs come from the pairwise test up to the limit and from
-        # the k-d tree above it
+        # the labels come from the scalar branch up to the limit and from
+        # the k-d tree's pairs above it
         rng = np.random.default_rng(n)
         for k in range(40):
             eps = float(rng.choice([0.25, 0.5, 0.6]))
@@ -408,9 +412,10 @@ class TestDbscan:
                 assert got.rows.tobytes() == (
                     np.vstack(want) if want else np.zeros((0, 3))).tobytes()
 
-    @pytest.mark.parametrize("n", [1, _PAIRWISE_MAX + 1])
+    @pytest.mark.parametrize("n", [1, _SCALAR_MAX + 1])
     def test_non_finite_points_rejected(self, n):
-        # a ValidationError from the pair test, cKDTree's ValueError above
+        # a ValidationError from the scalar branch, cKDTree's ValueError
+        # above it
         pts = np.zeros((n, 3))
         for bad in (np.nan, np.inf):
             pts[-1, 0] = bad
@@ -990,3 +995,164 @@ class TestBatchedDetect:
         assert counts["nearest_tie"] == 1
         assert counts["layer2_reject"] == 1
         assert counts["measurements"] == 4
+
+
+SIZES = st.sampled_from([0, 1, _SCALAR_MAX - 1, _SCALAR_MAX, _SCALAR_MAX + 1])
+
+
+def on_both_branches(fn, *args):
+    """fn(*args) with every input on the scalar branch, then with every
+    input on the array branch; an error is returned as its type and text."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for limit in (10**9, -1):
+            mp.setattr(detector_module, "_SCALAR_MAX", limit)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out.append(fn(*args))
+            except ValidationError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def assert_same_array(got, want):
+    assert type(got) is type(want)
+    if isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+class TestScalarBranch:
+    """Each stage's scalar branch against its array branch, bit for bit, on
+    inputs of the sizes around `_SCALAR_MAX` and on decision boundaries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIZES, st.data())
+    def test_roi_filter(self, n, data):
+        # points with z on h_min, or whose range or radius is r_max or
+        # r_excl, and far points whose squares overflow
+        coord = st.floats(-20.0, 20.0) | st.sampled_from((0.0, -0.0, 1.0))
+        far = st.floats(-1e200, 1e200) | st.sampled_from((1e155, -1e160))
+        rows = data.draw(st.lists(st.tuples(coord, coord, coord | far)
+                                  | st.tuples(far, coord, coord),
+                                  min_size=n, max_size=n))
+        pts = np.array(rows, dtype=float).reshape(-1, 3)
+        near = [p for p in pts if np.abs(p).max() <= 20.0]
+        cfg = DetectorConfig()
+        if near:
+            pick = st.sampled_from(near)
+            cfg = DetectorConfig(
+                h_min=float(data.draw(pick)[2]),
+                r_max=float(np.linalg.norm(data.draw(pick))) or 1.0,
+                r_excl=float(np.linalg.norm(data.draw(pick)[:2])) or 1.0)
+        assert_same_array(*on_both_branches(roi_filter, scan_of(pts), cfg))
+
+    @settings(max_examples=400, deadline=None)
+    @given(SIZES, st.data())
+    def test_voxel_downsample(self, n, data):
+        # coordinates on voxel faces, signed zeros, repeated rows, and
+        # indices just inside and beyond the int64 range, inf and NaN
+        v = data.draw(st.sampled_from((0.05, 0.25, 1.0, 0.3)))
+        coord = (st.integers(-12, 12).map(lambda k: k * v / 4)
+                 | st.sampled_from((0.0, -0.0, 5e-324))
+                 | st.floats(-3.0, 3.0))
+        edge = st.sampled_from((-2.0**63 * v, 2.0**63 * v, 1e300, -1e21,
+                                np.inf, np.nan))
+        pool = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1,
+                                  max_size=n or 1))
+        rows = data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                  max_size=n))
+        if n and data.draw(st.integers(0, 4)) == 0:
+            rows[data.draw(st.integers(0, n - 1))] = (
+                data.draw(edge), 0.0, data.draw(coord))
+        pts = np.array(rows, dtype=float).reshape(-1, 3)
+        assert_same_array(*on_both_branches(voxel_downsample, pts, v))
+
+    @settings(max_examples=400, deadline=None)
+    @given(SIZES, st.data())
+    def test_dbscan(self, n, data):
+        # Lattice points eps apart or coincident, points on the eps sphere
+        # around the origin, whose squared distances round to either side
+        # of eps * eps, and free points, all sometimes moved far from the
+        # origin, where differences round. Or the first rows are, apart
+        # from the rest, a border point eps from two cores, each with two
+        # leaves eps/2 beyond it.
+        eps = data.draw(st.sampled_from((0.25, 0.5, 0.6, 1.0)))
+        lattice = st.tuples(*[st.integers(-2, 2).map(lambda k: k * eps)] * 3)
+        sphere = st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(
+            lambda d: tuple(eps * np.array(d) / np.linalg.norm(d)))
+        free = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+        pool = [(0.0, 0.0, 0.0)] + data.draw(st.lists(
+            lattice | sphere | free, max_size=n))
+        rows = data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                  max_size=n))
+        if n >= 7 and data.draw(st.booleans()):
+            rows[:7] = [(x * eps / 2, 10.0, 0.0)
+                        for x in (0, 2, 3, 3, -2, -3, -3)]
+        offset = data.draw(st.sampled_from((0.0, 12.3, 1e6)))
+        pts = np.array(rows, dtype=float).reshape(-1, 3) + offset
+        got, want = on_both_branches(dbscan, pts, eps,
+                                     data.draw(st.integers(1, 5)))
+        assert len(got) == len(want)
+        assert_same_array(got.rows, want.rows)
+        assert_same_array(got.sizes, want.sizes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIZES.filter(bool), st.data())
+    def test_validate_geometric(self, n, data):
+        # e_max is one of the cluster's own extents, or a nearby value
+        value = st.integers(-4, 4).map(lambda k: k / 8) | st.floats(-2.0, 2.0)
+        pts = np.array(data.draw(st.lists(st.tuples(value, value, value),
+                                          min_size=n, max_size=n)))
+        extent = float(np.ptp(pts[:, data.draw(st.integers(0, 2))]))
+        e_max = data.draw(st.sampled_from(
+            (extent, float(np.nextafter(extent, 9.0)), 0.5))) or 0.5
+        cfg = DetectorConfig(e_max=e_max, n_min=1, n_max=_SCALAR_MAX + 1)
+        got, want = on_both_branches(validate_geometric, pts, cfg)
+        assert type(got) is bool and got == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(SIZES.filter(bool), st.data())
+    def test_estimate_centroid(self, n, data):
+        # odd and even clusters of small integers and signed zeros, whose
+        # medians tie
+        ends = sorted(data.draw(st.sets(st.integers(1, n))) | {n})
+        sizes = np.diff([0, *ends]).tolist()
+        value = (st.integers(-2, 2).map(float)
+                 | st.sampled_from((0.0, -0.0, 5e-324)) | st.floats(-1e3, 1e3))
+        pts = np.array(data.draw(st.lists(st.tuples(value, value, value),
+                                          min_size=n, max_size=n)))
+        for s in (sizes, np.array(sizes)):
+            assert_same_array(*on_both_branches(estimate_centroid, pts, s))
+
+    @pytest.mark.parametrize("kind, preset, clutter", [
+        ("crossings", "A_s", 1.0), ("occlusion", "A_s", 1.0),
+        ("moderate", "MR", 10.0)])
+    def test_detect_streams(self, kind, preset, clutter):
+        # a whole stream through Detector.detect on each branch gives the
+        # same measurements and history after every scan; with clutter the
+        # scans lie on both sides of the limit
+        from sparsetrack.simulator import TRACKING_SENSOR, Scenario, run_scenario
+        sensor = dataclasses.replace(TRACKING_SENSOR, clutter_rate=clutter)
+        scans, _ = run_scenario(Scenario(kind=kind, seed=3, sensor=sensor,
+                                         n_frames=None if clutter == 1.0
+                                         else 300))
+
+        def stream():
+            det, out = Detector(get_preset(preset)), []
+            for scan in scans:
+                out.append(([(m.support, m.position.tobytes())
+                             for m in det.detect(scan)],
+                            det.history.pos.tobytes(),
+                            det.history.t.tobytes()))
+            return out
+
+        scalar, array = on_both_branches(stream)
+        assert scalar == array
+        assert sum(len(ms) for ms, _, _ in scalar) > 100
+        if clutter > 1.0:
+            sizes = [len(s) for s in scans]
+            assert min(sizes) <= _SCALAR_MAX < max(sizes)

@@ -35,6 +35,24 @@ def test_scan_roundtrip(tmp_path, small_run):
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
 
 
+def test_scan_lines_are_each_records_json(tmp_path):
+    # each pose object's text is encoded once and reused; the file must be
+    # the one that encoding every record whole gives
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    poses = [Pose(np.array([-0.0, 2.5, 1e-300]), rot),
+             Pose(np.array([0.1, 0.0, -3.0]), np.eye(3))]
+    scans = [Scan(t=0.1 * k, points=np.arange(3.0 * (k % 3)).reshape(-1, 3),
+                  pose=poses[k % 2]) for k in range(6)]
+    path = tmp_path / "scans.jsonl"
+    stio.write_scans(scans, path)
+    assert path.read_text() == "".join(json.dumps({
+        "t": s.t,
+        "pose": {"translation": s.pose.translation.tolist(),
+                 "rotation": s.pose.rotation.tolist()},
+        "points": s.points.tolist()}) + "\n" for s in scans)
+    assert '"translation": [-0.0, 2.5, 1e-300]' in path.read_text()
+
+
 def test_ground_truth_roundtrip(tmp_path, small_run):
     _, gt = small_run
     path = tmp_path / "truth.jsonl"

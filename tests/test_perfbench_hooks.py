@@ -61,6 +61,34 @@ def test_tracer_counts_detector_layers(monkeypatch):
         assert {"detector.validate", "detector.centroid"} <= set(tracer.names)
 
 
+def test_tracer_counts_equal_on_both_detector_branches(monkeypatch):
+    # Scans on both sides of the scalar branch's size limit: perfbench's
+    # detector counters must not depend on which branch a stage takes.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import Tracer
+    from sparsetrack import detector
+    from sparsetrack.simulator import TRACKING_SENSOR, Scenario, run_scenario
+
+    sensor = dataclasses.replace(TRACKING_SENSOR, clutter_rate=10.0)
+    scans, _ = run_scenario(Scenario(kind="moderate", n_frames=200, seed=3,
+                                     sensor=sensor))
+    sizes = [len(s) for s in scans]
+    assert min(sizes) <= detector._SCALAR_MAX < max(sizes)
+    counts = []
+    for limit in (detector._SCALAR_MAX, -1):
+        monkeypatch.setattr(detector, "_SCALAR_MAX", limit)
+        tracer = Tracer()
+        det = detector.Detector(detector.get_preset("MR"))
+        with tracer.installed():
+            for scan in scans:
+                det.detect(scan)
+        counts.append({k: v for k, v in tracer.counts.items()
+                       if k.startswith("detector.")})
+    assert counts[0] == counts[1]
+    assert counts[0]["detector.measurements"] > 0
+    assert counts[0]["detector.voxels"] < counts[0]["detector.points_roi"]
+
+
 @pytest.mark.parametrize("mode, hooks", [
     ("hungarian", {"association.build_cost", "association.hungarian",
                    "filter.imm_correct"}),
