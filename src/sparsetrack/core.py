@@ -151,6 +151,17 @@ class Scan:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @classmethod
+    def trusted(cls, t: float, points: np.ndarray, pose: Pose) -> "Scan":
+        """A Scan built without `__post_init__`'s checks, for a reader that
+        has checked them: `t` is a finite float and `points` a finite
+        float64 (N, 3) array."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "t", t)
+        object.__setattr__(s, "points", points)
+        object.__setattr__(s, "pose", pose)
+        return s
+
 
 @dataclass(frozen=True)
 class Measurement:

@@ -1,6 +1,6 @@
 """JSON Lines files of scans, ground truth, measurements and frame logs.
 
-`_read_jsonl`/`_write_jsonl` own the file loop, and `_get`/`_array` alone
+`_read_jsonl`/`_write_jsonl` own the file loop, and `_get`/`_numbers` alone
 turn JSON values into Python values (README "File formats" has the rules).
 """
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from itertools import chain
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .simulator import GroundTruth
 from .trackman import CONFIRMED, DELETED, DORMANT, TENTATIVE, FrameRecord
 
 _STATUSES = (TENTATIVE, CONFIRMED, DORMANT, DELETED)
+_ONES = (1.0,) * 12   # math.copysign(1.0, x) is x's sign, a zero's too
 
 
 def _non_finite(token: str):
@@ -70,20 +70,35 @@ def _get(obj, key: str, *types: type):
     return v
 
 
-def _array(obj, key: str, shape: tuple, dtype=float) -> np.ndarray:
-    """`obj[key]` as a finite `dtype` array of `shape` (None: any length)."""
+def _numbers(obj, key: str, shape: tuple, dtype=float) -> list:
+    """`obj[key]` checked as a `dtype` array of `shape` (None: any length)
+    of finite numbers, flattened to a list; a float array's ints become
+    floats, and an int beyond the float range raises `OverflowError`."""
     v = _get(obj, key, list)
-    items = v if len(shape) == 1 else chain.from_iterable(v)
-    if (shape[0] not in (None, len(v)) or len(shape) == 2 and not (
-            set(map(type, v)) <= {list} and set(map(len, v)) <= {shape[1]})
-            or not set(map(type, items)) <= {int, dtype}):
+    flat = v
+    if len(shape) == 2:   # a row that is not a list of shape[1] is left out
+        flat = [x for row in v if type(row) is list and len(row) == shape[1]
+                for x in row]
+    types = set(map(type, flat))
+    if (shape[0] not in (None, len(v)) or not types <= {int, dtype}
+            or len(shape) == 2 and len(flat) != len(v) * shape[1]):
         dims = "x".join("n" if n is None else str(n) for n in shape)
         raise ValueError(f"{key!r} must be a {dims} array of "
                          f"{dtype.__name__}, got {reprlib.repr(v)}")
-    a = np.array(v, dtype=dtype) if v else np.empty((0, *shape[1:]), dtype)
-    if np.count_nonzero(np.isfinite(a)) < a.size:
-        raise ValueError(f"{key!r} holds a non-finite number")
-    return a
+    if dtype is float:
+        if int in types:
+            flat = list(map(float, flat))
+        total = sum(flat)   # inf or NaN if any number is, or on overflow
+        if total - total and not all(map(math.isfinite, flat)):
+            raise ValueError(f"{key!r} holds a non-finite number")
+    return flat
+
+
+def _array(obj, key: str, shape: tuple, dtype=float) -> np.ndarray:
+    """`obj[key]` as a finite `dtype` array of `shape` (None: any length);
+    an int array's number beyond 64 bits raises numpy's `OverflowError`."""
+    a = np.array(_numbers(obj, key, shape, dtype), dtype)
+    return a if len(shape) == 1 else a.reshape(-1, shape[1])
 
 
 def write_scans(scans: list[Scan], path) -> None:
@@ -102,22 +117,32 @@ def write_scans(scans: list[Scan], path) -> None:
     _write_jsonl(path, scans, encode)
 
 
+def _pose_key(trans: list, rot: list) -> tuple:
+    """Whether a pose's numbers hold a bool, and their signs. Two poses of
+    equal values, one of them checked, have the same float64 bits if their
+    keys are equal too; equal values alone do not, as `true == 1.0` and
+    `-0.0 == 0.0`."""
+    flat = [*trans, *rot[0], *rot[1], *rot[2]]
+    return bool in set(map(type, flat)), list(map(math.copysign, _ONES, flat))
+
+
 def read_scans(path) -> list[Scan]:
-    """Scans; a pose bit-identical to the previous scan's is checked once."""
+    """Scans; a pose written as the previous scan's is checked once."""
+    last = None   # the previous scan's pose lists and their key
+
     def decode(rec, prev) -> Scan:
+        nonlocal last
         raw = _get(rec, "pose", dict)
         t = float(_get(rec, "t", int, float))
         points = _array(rec, "points", (None, 3))
-        trans = _array(raw, "translation", (3,))
-        rot = _array(raw, "rotation", (3, 3))
-        # by bits, so -0.0 and 0.0 differ and a reused pose is this line's
-        if (prev is not None
-                and trans.tobytes() == prev.pose.translation.tobytes()
-                and rot.tobytes() == prev.pose.rotation.tobytes()):
-            pose = prev.pose
-        else:
-            pose = Pose(trans, rot)
-        return Scan(t=t, points=points, pose=pose)
+        trans, rot = raw.get("translation"), raw.get("rotation")
+        if (last is not None and (trans, rot) == last[:2]
+                and _pose_key(trans, rot) == last[2]):
+            return Scan.trusted(t, points, prev.pose)
+        pose = Pose(_array(raw, "translation", (3,)),
+                    _array(raw, "rotation", (3, 3)))
+        last = trans, rot, _pose_key(trans, rot)
+        return Scan.trusted(t, points, pose)
     return _read_jsonl(path, "scan", decode)
 
 
@@ -141,15 +166,16 @@ def read_ground_truth(path) -> GroundTruth:
         # each vector field of the targets as one (n, 3) column
         cols = {k: [_get(tg, k, list) for tg in tgs] for k in ("pos", "vel")}
         return (float(_get(rec, "t", int, float)), ids,
-                _array(cols, "pos", (len(tgs), 3)),
-                _array(cols, "vel", (len(tgs), 3)),
+                _numbers(cols, "pos", (len(tgs), 3)),
+                _numbers(cols, "vel", (len(tgs), 3)),
                 [_get(tg, "visible", bool) for tg in tgs])
     frames = _read_jsonl(path, "truth", decode)
     if not frames:
         raise ValidationError(f"{path}: empty ground-truth file")
     t, ids, pos, vel, vis = zip(*frames)
-    return GroundTruth(t=np.array(t), positions=np.array(pos),
-                       velocities=np.array(vel),
+    shape = (len(frames), len(ids[0]), 3)
+    return GroundTruth(t=np.array(t), positions=np.array(pos).reshape(shape),
+                       velocities=np.array(vel).reshape(shape),
                        visible=np.array(vis, dtype=bool), ids=ids[0])
 
 

@@ -6,11 +6,12 @@ matched track id changes between consecutive matched frames.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import Measurement, ValidationError
+from .core import Measurement, ValidationError, is_number
 from .simulator import GroundTruth
 from .trackman import CONFIRMED, FrameRecord
 
@@ -54,22 +55,49 @@ class MotReport:
         return asdict(self)
 
 
-def _greedy_match(dets: np.ndarray, truths: np.ndarray, radius: float
+def _sq_dist(u: list, v: list) -> float:
+    """Squared distance of 3-vectors, summed in `np.sum(d ** 2)`'s order."""
+    dx, dy, dz = u[0] - v[0], u[1] - v[1], u[2] - v[2]
+    return (dx * dx + dy * dy) + dz * dz
+
+
+def _within(u: list, v: list, radius: float) -> bool:
+    """Whether `np.linalg.norm(u - v) <= radius`. The 1-D norm is a BLAS
+    dot that may round the last bit unlike `_sq_dist`, so numpy decides a
+    distance within rounding of `radius` (or one that overflowed)."""
+    d = math.sqrt(_sq_dist(u, v))
+    if abs(d - radius) <= 1e-12 * radius + 1e-300 / radius or d == math.inf:
+        d = float(np.linalg.norm([a - b for a, b in zip(u, v)]))
+    return d <= radius
+
+
+def _greedy_match(dets: list, truths: list, radius: float
                   ) -> list[tuple[int, int]]:
-    """Nearest-first one-to-one matching within `radius`."""
-    pairs = []
-    if len(dets) == 0 or len(truths) == 0:
-        return pairs
-    d = np.linalg.norm(dets[:, None, :] - truths[None, :, :], axis=-1)
-    while True:
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        if d[i, j] > radius:
-            break
-        pairs.append((int(i), int(j)))
-        d[i, :] = np.inf
-        d[:, j] = np.inf
-        if np.all(np.isinf(d)):
-            break
+    """Nearest-first one-to-one matching of 3-vectors within `radius`.
+
+    Pairs come in the order repeated `np.argmin` over the distance table
+    (`np.linalg.norm(axis=-1)`, equal to `sqrt(_sq_dist)`) would pick
+    them: by distance, ties to the first in row-major order.
+    """
+    # |dx| > reach >= 1e-150 squares without underflow, and sqrt(dx*dx)
+    # is |dx|, so such a pair is farther than `radius`
+    reach = radius + 1e-150
+    cands = []
+    for j, (a, b, c) in enumerate(truths):
+        for i, (x, y, z) in enumerate(dets):
+            dx = x - a
+            if -reach <= dx <= reach:
+                dy, dz = y - b, z - c
+                d = math.sqrt((dx * dx + dy * dy) + dz * dz)  # as _sq_dist
+                if d <= radius:
+                    cands.append((d, i, j))
+    cands.sort()
+    pairs, rows, cols = [], set(), set()
+    for _, i, j in cands:
+        if i not in rows and j not in cols:
+            pairs.append((i, j))
+            rows.add(i)
+            cols.add(j)
     return pairs
 
 
@@ -86,7 +114,7 @@ def check_frame_times(times: list[float], gt: GroundTruth) -> None:
 
 
 def _check_radius(match_radius: float) -> None:
-    if not 0 < match_radius < np.inf:   # NaN fails too
+    if not (is_number(match_radius) and match_radius > 0):
         raise ValidationError(
             f"match_radius must be finite and > 0, got {match_radius!r}")
 
@@ -102,21 +130,19 @@ def eval_detection(detections_per_frame: list[list[Measurement]],
     sq_err = []
     visible_frames = 0
     detected_frames = 0
-    for k in range(gt.n_frames):
-        vis_idx = np.flatnonzero(gt.visible[k])
-        truths = gt.positions[k][vis_idx]
-        dets = np.array([m.position for m in detections_per_frame[k]]
-                        ).reshape(-1, 3)
-        if len(vis_idx):
+    for ms, pos, vis in zip(detections_per_frame, gt.positions, gt.visible):
+        truths = [p for p, seen in zip(pos.tolist(), vis.tolist()) if seen]
+        dets = [m.position.tolist() for m in ms]
+        if truths:
             visible_frames += 1
-            if len(dets):
+            if dets:
                 detected_frames += 1
         pairs = _greedy_match(dets, truths, match_radius)
         tp += len(pairs)
         fp += len(dets) - len(pairs)
         fn += len(truths) - len(pairs)
         for i, j in pairs:
-            sq_err.append(float(np.sum((dets[i] - truths[j]) ** 2)))
+            sq_err.append(_sq_dist(dets[i], truths[j]))
     rmse = float(np.sqrt(np.mean(sq_err))) if sq_err else None
     det_pct = (100.0 * detected_frames / visible_frames
                if visible_frames else None)
@@ -138,11 +164,11 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
     gt_total = 0
     sq_err = []
     corr: dict[int, int] = {}   # gt index -> track id at last matched frame
-    for k in range(gt.n_frames):
-        rec = frame_log[k]
-        hyps = [(tr["id"], np.asarray(tr["position"]))
+    for rec, pos, vis in zip(frame_log, gt.positions, gt.visible):
+        pos, vis = pos.tolist(), vis.tolist()   # per frame: no stream copy
+        hyps = [(tr["id"], np.asarray(tr["position"]).tolist())
                 for tr in rec.tracks if tr["status"] == CONFIRMED]
-        vis_idx = [int(i) for i in np.flatnonzero(gt.visible[k])]
+        vis_idx = [gi for gi, seen in enumerate(vis) if seen]
         gt_total += len(vis_idx)
         pos_by_id = dict(hyps)
         matched_gt: dict[int, int] = {}
@@ -150,18 +176,17 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
         # continuity: keep existing correspondences that still hold
         for gi in vis_idx:
             tid = corr.get(gi)
-            if tid is not None and tid in pos_by_id:
-                d = float(np.linalg.norm(pos_by_id[tid] - gt.positions[k][gi]))
-                if d <= match_radius:
-                    matched_gt[gi] = tid
-                    used_tracks.add(tid)
+            if (tid is not None and tid in pos_by_id
+                    and _within(pos_by_id[tid], pos[gi], match_radius)):
+                matched_gt[gi] = tid
+                used_tracks.add(tid)
         # greedy matching for the rest
         rem_gt = [gi for gi in vis_idx if gi not in matched_gt]
         rem_tracks = [(tid, p) for tid, p in hyps if tid not in used_tracks]
         if rem_gt and rem_tracks:
-            dets = np.stack([p for _, p in rem_tracks])
-            truths = gt.positions[k][rem_gt]
-            for i, j in _greedy_match(dets, truths, match_radius):
+            for i, j in _greedy_match([p for _, p in rem_tracks],
+                                      [pos[gi] for gi in rem_gt],
+                                      match_radius):
                 tid = rem_tracks[i][0]
                 matched_gt[rem_gt[j]] = tid
                 used_tracks.add(tid)
@@ -170,8 +195,7 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
             if prev is not None and prev != tid:
                 idsw += 1
             corr[gi] = tid
-            sq_err.append(float(np.sum(
-                (pos_by_id[tid] - gt.positions[k][gi]) ** 2)))
+            sq_err.append(_sq_dist(pos_by_id[tid], pos[gi]))
         fn += len(vis_idx) - len(matched_gt)
         fp += len(hyps) - len(used_tracks)
     if gt_total == 0:

@@ -75,6 +75,10 @@ MAX_CLUTTER_RATE = 1e8
 # (2-vCPU Xeon), so 10**6 frames is 0.66 GB and 40 s; a count near 2**63
 # would fail in np.arange, or first try to allocate petabytes.
 MAX_FRAMES = 10**6
+# Shortest accepted stream, n_frames * dt in seconds. An offset law turns up
+# to 1.25 cycles per stream, so its rate and velocity grow as 1/T; they
+# overflowed to inf and NaN on streams shorter than about 1e-307 s.
+MIN_STREAM_S = 1e-300
 
 
 @dataclass(frozen=True)
@@ -149,9 +153,10 @@ class Scenario:
         n = SCENARIOS[self.kind].frames if self.n_frames is None else self.n_frames
         if not 0 < n <= MAX_FRAMES:
             raise ValidationError(f"n_frames must be 1..{MAX_FRAMES}, got {n}")
-        if not (self.dt > 0 and math.isfinite(n * self.dt)):
-            raise ValidationError(f"dt must be positive with n_frames * dt "
-                                  f"finite, got dt={self.dt!r}")
+        if not (self.dt > 0 and MIN_STREAM_S <= n * self.dt < math.inf):
+            raise ValidationError(
+                f"dt must be positive with n_frames * dt finite and at least "
+                f"{MIN_STREAM_S:g} s, got dt={self.dt!r}")
         object.__setattr__(self, "n_frames", n)
 
 

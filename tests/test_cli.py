@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
 
 from sparsetrack import io as stio
 from sparsetrack.cli import main
+from sparsetrack.simulator import KINDS
 
 
 @pytest.fixture()
@@ -50,6 +52,18 @@ class TestSimulate:
                                    "--dt", dt, "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert "dt" in res.output
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dt", ["1e-320", "4.6e-311"])
+    def test_tiny_dt_usage_error(self, runner, tmp_path, kind, dt):
+        # an offset law's rate 2.5*pi/(n_frames*dt) overflowed: RuntimeWarnings,
+        # then a points error with an array repr, or a traceback on writing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["simulate", "--kind", kind, "--dt", dt,
+                                       "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "dt" in res.output and "array(" not in res.output
 
     @pytest.mark.parametrize("frames", ["0", str(10**14), str(10**30)])
     def test_invalid_frames_usage_error(self, runner, tmp_path, frames):

@@ -3,7 +3,7 @@
 `scipy.spatial` and `scipy.optimize` add tens of MB of resident memory and
 a fraction of a second of start-up to every process that imports them.
 `detector.dbscan` imports the k-d tree only for a scan of more than
-`_PAIRWISE_MAX` points, and the Hungarian solve is the package's own, so
+`_SCALAR_MAX` points, and the Hungarian solve is the package's own, so
 the CLI's `simulate` and `track` on a sparse scenario never import scipy.
 """
 import json

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +195,11 @@ def test_repeated_pose_is_checked_once_by_bits(tmp_path):
     assert b is a and d is c and c is not b and e is not d
     assert np.signbit(c.translation[0]) and not np.signbit(b.translation[0])
     assert np.signbit(e.rotation[0, 1])
+    # 0 and 0.0 are the same bits, so an int pose is reused too
+    path.write_text(line([0, 0, 0], np.eye(3, dtype=int).tolist())
+                    + line([0.0, 0, 0], eye))
+    a, b = (s.pose for s in stio.read_scans(path))
+    assert b is a
     # a pose that differs from the last checked one is checked again
     path.write_text(line([0.0, 0, 0], eye)
                     + line([0.0, 0, 0], (2 * np.eye(3)).tolist()))
@@ -585,3 +591,40 @@ def test_writer_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="Out of range float"):
         stio.write_frame_log([rec], path)
     assert not path.exists()
+
+
+READERS = {"scan": stio.read_scans, "truth": stio.read_ground_truth,
+           "measurements": stio.read_measurement_frames,
+           "log": stio.read_frame_log}
+
+
+def test_reader_table(tmp_path):
+    """Each row of reader_table.json is a reader, a file and the text after
+    "path:" of the error it raised when the readers checked numbers with
+    numpy arrays (null: accepted). The rows are every value of BAD and a
+    missing field, in every field of one line per record type; the files
+    of the tests above; a pose repeated with a `true` or a `-0.0`; and
+    1e999, 2**70 and 10**400 in every kind of array."""
+    rows = json.loads((Path(__file__).parent / "reader_table.json")
+                      .read_text())
+    path = tmp_path / "in.jsonl"
+    for what, text, message in rows:
+        path.write_text(text)
+        if message is None:
+            READERS[what](path)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                READERS[what](path)
+            assert str(exc.value) == f"{path}:{message}", text
+
+
+def test_big_ints_are_read_as_floats(tmp_path):
+    path = tmp_path / "scans.jsonl"
+    path.write_text(json.dumps({"t": 2**70, "points": [[2**70, -2**70, 3]],
+                                "pose": {"translation": [0, 0, 2**70],
+                                         "rotation": np.eye(3).tolist()}})
+                    + "\n")
+    scan, = stio.read_scans(path)
+    assert same(scan.points, np.array([[2.0**70, -2.0**70, 3.0]]))
+    assert same(scan.pose.translation, np.array([0.0, 0.0, 2.0**70]))
+    assert same(scan.t, 2.0**70)

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference_metrics
 from sparsetrack.core import Measurement, ValidationError
-from sparsetrack.metrics import (DetectionReport, MotReport,
+from sparsetrack.metrics import (DetectionReport, MotReport, _greedy_match,
                                  check_frame_times, eval_detection, eval_mot)
 from sparsetrack.simulator import GroundTruth
 from sparsetrack.trackman import FrameRecord
@@ -213,3 +219,172 @@ def test_match_radius_must_be_finite_and_positive(radius):
         eval_detection([[meas(far)]] * 2, gt, radius)
     with pytest.raises(ValidationError, match="match_radius"):
         eval_mot([frame(0.1 * k, [(1, far)]) for k in range(2)], gt, radius)
+
+
+@pytest.mark.parametrize("radius", ["1", None, True, 10**400],
+                         ids=["str", "None", "True", "10**400"])
+def test_match_radius_must_be_a_number(radius):
+    # "1" and None raised TypeError; True and 10**400 were accepted
+    gt = make_gt(np.stack([A[None, :]] * 2))
+    with pytest.raises(ValidationError, match="match_radius"):
+        eval_detection([[meas(A)]] * 2, gt, radius)
+    with pytest.raises(ValidationError, match="match_radius"):
+        eval_mot([frame(0.1 * k, [(1, A)]) for k in range(2)], gt, radius)
+
+
+# -- the scorers on Python floats give the array scorers' reports ----------
+
+# a coarse grid gives tied and exactly-equal distances; -0.0 is on it
+COORD = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0, 2.5]),
+                  st.floats(-4.0, 4.0))
+
+
+def vec3():
+    return st.tuples(COORD, COORD, COORD).map(lambda v: np.array(v))
+
+
+def outcome(score, *args):
+    """The report, or the message of the ValidationError raised."""
+    try:
+        return score(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def scored_streams(draw):
+    """(truth, frame log, detections, match radius) of a few frames.
+
+    Each track id keeps one offset from the truth it follows, so a
+    distance recurs from frame to frame, and the radius is often one such
+    distance, or one ulp either side of it: that exercises the continuity
+    check's 1-D norm.
+    """
+    f, n = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    pos = draw(hnp.arrays(np.float64, (f, n, 3), elements=COORD))
+    gt = GroundTruth(t=np.arange(f) * 0.1, positions=pos,
+                     velocities=np.zeros_like(pos),
+                     visible=draw(hnp.arrays(bool, (f, n))))
+    offsets = draw(st.lists(vec3(), min_size=1, max_size=4))
+
+    def near(k):
+        """A point at an offset from one of frame k's truths, or anywhere."""
+        i = draw(st.integers(0, len(offsets) - 1))
+        if n and draw(st.booleans()):
+            return i, pos[k][draw(st.integers(0, n - 1))] + offsets[i]
+        return i, draw(vec3())
+
+    log, dets = [], []
+    for k in range(f):
+        tracks = {}
+        for _ in range(draw(st.integers(0, 4))):
+            i, p = near(k)
+            tracks[i] = p
+        rec = frame(0.1 * k, list(tracks.items()))
+        for tr in rec.tracks:
+            tr["status"] = draw(st.sampled_from(["confirmed", "tentative"]))
+        log.append(rec)
+        dets.append([meas(near(k)[1]) for _ in range(draw(st.integers(0, 4)))])
+    # distances as the table's norm and the continuity check's 1-D norm
+    dists = [float(np.linalg.norm(a - b, **axis))
+             for axis in ({}, {"axis": -1})
+             for rec, ms, ps in zip(log, dets, pos) for b in ps
+             for a in [tr["position"] for tr in rec.tracks]
+             + [m.position for m in ms]]
+    radius = draw(st.sampled_from([0.5, 1.0, 3.0] + dists))
+    radius = draw(st.sampled_from([radius, math.nextafter(radius, 0.0),
+                                   math.nextafter(radius, math.inf)]))
+    return gt, log, dets, radius if radius > 0 else 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_streams())
+def test_scores_equal_the_array_scorers(stream):
+    gt, log, dets, radius = stream
+    assert (outcome(eval_mot, log, gt, radius)
+            == outcome(reference_metrics.eval_mot, log, gt, radius))
+    assert (eval_detection(dets, gt, radius)
+            == reference_metrics.eval_detection(dets, gt, radius))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dense_frames_score_as_the_array_scorer(seed):
+    # frames of 100+ detections, as dense-sweep's minPts=1 sweep gives,
+    # some on a truth, some at one distance from it, some repeated
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-5.0, 5.0, (3, 2, 3))
+    gt = make_gt(pos, visible=rng.random((3, 2)) < 0.8)
+    frames = []
+    for k in range(3):
+        pts = rng.uniform(-20.0, 20.0, (rng.integers(100, 130), 3))
+        pts[:4] = pos[k][rng.integers(0, 2, 4)] + rng.normal(0, 0.5, (4, 3))
+        pts[4:6] = pts[0]
+        pts[6] = pos[k][0] + (0.6, 0.0, -0.8)
+        frames.append([meas(p) for p in rng.permutation(pts)])
+    for radius in (1.0, 0.5, 3.0):
+        assert (eval_detection(frames, gt, radius)
+                == reference_metrics.eval_detection(frames, gt, radius))
+
+
+def test_continuity_radius_is_decided_as_the_1d_norm():
+    # The 1-D norm is a BLAS dot, which rounds some distances unlike the
+    # Python sum (or the table's norm). Track 1 matches the truth in frame
+    # 0, then moves to such a distance d from it. Where the continuity
+    # check keeps it, the closer track 2 is a false positive; where the
+    # check drops it, track 2 takes the truth with an identity switch.
+    rng = np.random.default_rng(7)
+    for offset in rng.standard_normal((2000, 3)):
+        x, y, z = offset.tolist()
+        d = float(np.linalg.norm(offset))
+        d_sum = math.sqrt((x * x + y * y) + z * z)
+        if d != d_sum:
+            break
+    else:
+        pytest.skip("this BLAS rounds every norm as the Python sum does")
+    gt = make_gt(np.zeros((3, 1, 3)))
+    log = [frame(0.0, [(1, offset / 4)])] + [
+        frame(0.1 * k, [(1, offset), (2, offset / 2)]) for k in (1, 2)]
+    for radius in (d, d_sum):
+        assert (eval_mot(log, gt, radius)
+                == reference_metrics.eval_mot(log, gt, radius))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(vec3(), max_size=6), st.lists(vec3(), max_size=4),
+       st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+def test_greedy_match_picks_the_array_pairs_in_order(dets, truths, radius):
+    # on the grid many distances tie: they go to the first in row-major order
+    assert _greedy_match([p.tolist() for p in dets],
+                         [p.tolist() for p in truths], radius) == \
+        reference_metrics.greedy_match(np.array(dets).reshape(-1, 3),
+                                       np.array(truths).reshape(-1, 3),
+                                       radius)
+
+
+def test_radius_edge_is_decided_as_the_table_norm():
+    # a detection exactly at the radius, or one ulp either side, where
+    # another order of the squared sum would round the distance differently
+    rng = np.random.default_rng(3)
+    for offset in rng.standard_normal((2000, 3)):
+        x, y, z = offset.tolist()
+        sums = (x * x + y * y) + z * z, x * x + (y * y + z * z)
+        if math.sqrt(sums[0]) != math.sqrt(sums[1]):
+            break
+    gt = make_gt(np.zeros((1, 1, 3)))
+    d = float(np.linalg.norm(offset[None, None], axis=-1)[0, 0])
+    for radius in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+        assert (eval_detection([[meas(offset)]], gt, radius)
+                == reference_metrics.eval_detection([[meas(offset)]], gt,
+                                                    radius))
+
+
+def test_underflowing_distances_match_as_the_array_scorer():
+    # 1e-165 squares to 0.0, so this detection is at distance 0 from its
+    # truth, inside a radius of 1e-170 that its x offset alone exceeds
+    gt = make_gt(np.stack([A[None, :]] * 2))
+    near = [[meas(A + (1e-165, 0.0, 0.0))], [meas(A + (0.0, -3e-170, 0.0))]]
+    for radius in (1e-170, 2e-170, 5e-324):
+        assert (eval_detection(near, gt, radius)
+                == reference_metrics.eval_detection(near, gt, radius))
+        assert eval_detection(near, gt, radius).tp == 2
