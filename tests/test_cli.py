@@ -56,8 +56,9 @@ class TestSimulate:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("dt", ["1e-320", "4.6e-311"])
     def test_tiny_dt_usage_error(self, runner, tmp_path, kind, dt):
-        # an offset law's rate 2.5*pi/(n_frames*dt) overflowed: RuntimeWarnings,
-        # then a points error with an array repr, or a traceback on writing
+        # an offset law's rate 2.5*pi/(n_frames*dt) overflowed: numpy
+        # RuntimeWarnings, then a points error with an array repr, or a
+        # traceback on writing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = runner.invoke(main, ["simulate", "--kind", kind, "--dt", dt,
