@@ -216,7 +216,6 @@ def jpda(gate_result: GateResult, params: JpdaParams) -> np.ndarray:
             gate_result.feasible,
             params.Pd * np.exp(gate_result.loglik) / params.lambda_c,
             0.0).tolist()
-    feas = gate_result.feasible.tolist()
     w_miss = 1.0 - params.Pd
     if w_miss == 0.0:
         w_miss = 1e-300  # Pd = 1: keep all-miss events representable
@@ -244,12 +243,11 @@ def jpda(gate_result: GateResult, params: JpdaParams) -> np.ndarray:
         choice[i] = 0
         recurse(i + 1, weight * w_miss)
         for j in range(m):
-            if feas[i][j] and not used[j]:
+            if not used[j]:
                 used[j] = True
                 choice[i] = j + 1
                 recurse(i + 1, weight * w_pair[i][j])
                 used[j] = False
-        choice[i] = 0
 
     recurse(0, 1.0)
     # Python floats overflow to inf without a warning, and inf * 0 is NaN

@@ -129,23 +129,21 @@ class TemporalHistory:
         self.pos = np.concatenate([self.pos, positions])[-self.K:]
         self.t = np.concatenate([self.t, np.full(len(positions), t)])[-self.K:]
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        """(N, k) distances from each row of `points` (N, 3) to each entry."""
-        d = np.asarray(points, dtype=float)[:, None, :] - self.pos
-        # (1, 3) @ (3, 1) is the dot product np.linalg.norm takes of one
-        # vector, so distances round exactly as a per-entry norm would.
-        return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
-
-    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, points: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each row of `points` (N, 3): the row of the spatially closest
-        entry and its distance, or -1 and inf when the history is empty.
+        entry and its distance, or -1 and inf when the history is empty,
+        and the (N, k) table of distances to every entry.
 
         Ties go to the earliest entry.
         """
+        d = np.asarray(points, dtype=float)[:, None, :] - self.pos
+        # (1, 3) @ (3, 1) is the dot product np.linalg.norm takes of one
+        # vector, so distances round exactly as a per-entry norm would.
+        table = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
         if not len(self.t):
-            return np.full(len(points), -1), np.full(len(points), np.inf)
-        d = self.distances(points)
-        return d.argmin(axis=1), d.min(axis=1)
+            return np.full(len(points), -1), np.full(len(points), np.inf), table
+        return table.argmin(axis=1), table.min(axis=1), table
 
 
 def roi_filter(scan: Scan, cfg: DetectorConfig) -> np.ndarray:
@@ -357,26 +355,21 @@ def validate_geometric(points: np.ndarray, cfg: DetectorConfig) -> bool:
         return False
     if n == 1:  # extent 0; most clusters of a sparse scan are one point
         return True
-    if n <= _SCALAR_MAX:
-        return max(max(c) - min(c) for c in zip(*points.tolist())) < cfg.e_max
-    return float((points.max(axis=0) - points.min(axis=0)).max()) < cfg.e_max
+    return max(max(c) - min(c) for c in zip(*points.tolist())) < cfg.e_max
 
 
-def validate_jump(z_now: np.ndarray, z_prev: np.ndarray, dt: float,
-                  cfg: DetectorConfig) -> bool:
-    """Layer 2: reject displacements beyond max(tau_min, v_max * dt)."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive when a previous candidate exists")
-    bound = max(cfg.tau_min, cfg.v_max * dt)
-    d = np.asarray(z_now, dtype=float) - np.asarray(z_prev, dtype=float)
-    return math.sqrt(d.dot(d)) <= bound  # np.linalg.norm(d), bit for bit
+def validate_jump(dist: float, dt: float, cfg: DetectorConfig) -> bool:
+    """Layer 2: reject a displacement `dist` over `dt` seconds beyond
+    max(tau_min, v_max * dt)."""
+    return dist <= max(cfg.tau_min, cfg.v_max * dt)
 
 
-def validate_temporal(z: np.ndarray, t: float, hist: TemporalHistory,
-                      cfg: DetectorConfig) -> bool:
-    """Layer 3: at least M of the last K candidates near z and recent."""
-    near = hist.distances(np.reshape(z, (1, 3)))[0] < cfg.d_cons
-    return int(np.count_nonzero(near & (t - hist.t < cfg.T_cons))) >= cfg.M
+def validate_temporal(dists, ages, cfg: DetectorConfig) -> bool:
+    """Layer 3: at least M history entries within d_cons of the candidate
+    and younger than T_cons, from the candidate's `dists` to each entry
+    and the entries' `ages`."""
+    return sum(1 for d, a in zip(dists, ages)
+               if d < cfg.d_cons and a < cfg.T_cons) >= cfg.M
 
 
 _AXES = np.arange(3)
@@ -460,18 +453,19 @@ class Detector:
             raise ValidationError(f"non-finite point: {zs[finite.argmin()]}")
 
         hist = self.history
-        idx, dist = hist.nearest(zs)
+        idx, dist, table = hist.nearest(zs)
+        ages = (scan.t - hist.t).tolist()
         # Layer 2 is checked against the spatially nearest prior candidate;
         # candidates farther than d_new_source from everything in the window
-        # are new sources, not implausible jumps.
-        near = ((idx >= 0) & (dist <= cfg.d_new_source)).tolist()
-        accepted = [i for i, (j, n) in enumerate(zip(idx.tolist(), near))
-                    if not n or validate_jump(zs[i], hist.pos[j],
-                                              scan.t - hist.t[j], cfg)]
+        # (an empty one is inf away) are new sources, not implausible jumps.
+        accepted = [i for i, (j, d) in enumerate(zip(idx.tolist(),
+                                                     dist.tolist()))
+                    if d > cfg.d_new_source or validate_jump(d, ages[j], cfg)]
         emitted = accepted  # layer-3 rejects stay future candidates
         if cfg.layer3_enabled:
+            dists = table.tolist()
             emitted = [i for i in accepted
-                       if validate_temporal(zs[i], scan.t, hist, cfg)]
+                       if validate_temporal(dists[i], ages, cfg)]
         measurements = list(map(Measurement.trusted, zs[emitted],
                                 sizes[emitted].tolist()))
         # History gets this frame's layer-1/2 survivors only after the whole

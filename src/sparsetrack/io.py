@@ -45,8 +45,15 @@ def _read_jsonl(path, what: str, decode) -> list:
     return out
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, allow_nan=False)
+def _tolist(obj):
+    """JSON's value of a numpy array or scalar: its `tolist()`."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
+
+
+_json = json.JSONEncoder(allow_nan=False, default=_tolist).encode
 
 
 def _write_jsonl(path, records, encode=_json) -> None:
@@ -110,10 +117,10 @@ def write_scans(scans: list[Scan], path) -> None:
         pose = poses.get(id(s.pose))
         if pose is None:
             pose = poses[id(s.pose)] = _json({
-                "translation": s.pose.translation.tolist(),
-                "rotation": s.pose.rotation.tolist()})
+                "translation": s.pose.translation,
+                "rotation": s.pose.rotation})
         return (f'{{"t": {_json(float(s.t))}, "pose": {pose}, '
-                f'"points": {_json(s.points.tolist())}}}')
+                f'"points": {_json(s.points)}}}')
     _write_jsonl(path, scans, encode)
 
 
@@ -182,7 +189,7 @@ def read_ground_truth(path) -> GroundTruth:
 def write_measurement_frames(frames: list[tuple[float, list[Measurement]]],
                              path) -> None:
     _write_jsonl(path, ({"t": float(t), "measurements": [
-        {"position": m.position.tolist(), "support": m.support} for m in ms]}
+        {"position": m.position, "support": m.support} for m in ms]}
         for t, ms in frames))
 
 
@@ -196,17 +203,7 @@ def read_measurement_frames(path) -> list[tuple[float, list[Measurement]]]:
 
 
 def write_frame_log(log: list[FrameRecord], path) -> None:
-    _write_jsonl(path, ({
-        "t": float(rec.t),
-        "tracks": [{"id": tr["id"], "status": tr["status"],
-                    "position": np.asarray(tr["position"]).tolist(),
-                    "velocity": np.asarray(tr["velocity"]).tolist(),
-                    "mu": np.asarray(tr["mu"]).tolist()}
-                   for tr in rec.tracks],
-        "assignments": [[int(a), int(b)] for a, b in rec.assignments],
-        "beta_summary": rec.beta_summary, "spawned": rec.spawned,
-        "deleted": rec.deleted, "resurrected": rec.resurrected}
-        for rec in log))
+    _write_jsonl(path, ({**vars(rec), "t": float(rec.t)} for rec in log))
 
 
 def read_frame_log(path) -> list[FrameRecord]:

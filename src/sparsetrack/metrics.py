@@ -1,8 +1,11 @@
 """Detection and CLEAR-MOT evaluation against simulator ground truth.
 
-Matching is distance-based and greedy with continuity preference for MOT;
-identity switches are counted per ground-truth identity whenever its
-matched track id changes between consecutive matched frames.
+Matching is distance-based and one-to-one in every frame. For MOT each
+truth first keeps its previous track while it stays within the match
+radius and no other truth of the frame has taken it (continuity); the
+rest are matched greedily. Identity switches are counted per ground-truth
+identity whenever its matched track id changes between consecutive
+matched frames.
 """
 from __future__ import annotations
 
@@ -155,8 +158,8 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
 
     Record k is scored against truth frame k, so their times must agree
     within 1e-9. Prior-frame correspondences are kept while both sides
-    persist within the match radius; the remainder is matched greedily by
-    distance.
+    persist within the match radius, one truth per track (the first
+    visible one keeps it); the remainder is matched greedily by distance.
     """
     _check_radius(match_radius)
     check_frame_times([rec.t for rec in frame_log], gt)
@@ -177,6 +180,7 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
         for gi in vis_idx:
             tid = corr.get(gi)
             if (tid is not None and tid in pos_by_id
+                    and tid not in used_tracks
                     and _within(pos_by_id[tid], pos[gi], match_radius)):
                 matched_gt[gi] = tid
                 used_tracks.add(tid)

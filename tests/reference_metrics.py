@@ -86,7 +86,7 @@ def eval_mot(frame_log: list[FrameRecord], gt: GroundTruth,
         used_tracks: set[int] = set()
         for gi in vis_idx:
             tid = corr.get(gi)
-            if tid is not None and tid in pos_by_id:
+            if tid is not None and tid in pos_by_id and tid not in used_tracks:
                 d = float(np.linalg.norm(pos_by_id[tid] - gt.positions[k][gi]))
                 if d <= match_radius:
                     matched_gt[gi] = tid

@@ -164,10 +164,9 @@ def reference_detect(cfg: DetectorConfig, scans):
                 dist = float(np.linalg.norm(z - prev[0]))
                 counts["at_new_source"] += dist == cfg.d_new_source
                 if dist <= cfg.d_new_source:
-                    dt = scan.t - prev[1]
-                    counts["at_jump_bound"] += dist == max(cfg.tau_min,
-                                                           cfg.v_max * dt)
-                    if dt <= 0 or not validate_jump(z, prev[0], dt, cfg):
+                    bound = max(cfg.tau_min, cfg.v_max * (scan.t - prev[1]))
+                    counts["at_jump_bound"] += dist == bound
+                    if not dist <= bound:
                         counts["layer2_reject"] += 1
                         continue
             if cfg.layer3_enabled and not reference_temporal(z, scan.t,
@@ -536,19 +535,23 @@ class TestTemporalHistory:
         return k, dists[k]
 
     def assert_matches_brute(self, hist, queries):
-        idx, dist = hist.nearest(queries)
+        idx, dist, table = hist.nearest(queries)
         assert idx.shape == dist.shape == (len(queries),)
-        for q, k, d in zip(queries, idx, dist):
+        assert table.shape == (len(queries), len(hist))
+        for q, k, d, row in zip(queries, idx, dist, table):
             want_k, want_d = self.brute_nearest(hist, q)
             assert k == want_k and d.tobytes() == want_d.tobytes()
+            assert row.tobytes() == np.array(
+                [np.linalg.norm(q - e) for e in hist.pos]).tobytes()
 
     def test_matches_brute_force_loop(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             K = int(rng.integers(1, 8))
             hist = TemporalHistory(K)
-            idx, dist = hist.nearest(np.zeros((2, 3)))
+            idx, dist, table = hist.nearest(np.zeros((2, 3)))
             assert idx.tolist() == [-1, -1] and dist.tolist() == [np.inf] * 2
+            assert table.shape == (2, 0)
             t = 0.0
             for _ in range(int(rng.integers(1, 3 * K + 2))):
                 t += float(rng.uniform(0.0, 0.2))
@@ -572,7 +575,8 @@ class TestTemporalHistory:
         for x, t in ((9.0, 0.0), (1.0, 0.1), (-1.0, 0.2), (1.0, 0.3), (9.0, 0.4)):
             hist.push(np.array([[x, 0.0, 0.0]]), t)
         # (9, 0, 0) at t=0 was evicted; three entries are 1 m from the origin
-        idx, dist = hist.nearest(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        idx, dist, _ = hist.nearest(np.array([[0.0, 0.0, 0.0],
+                                              [1.0, 0.0, 0.0]]))
         assert hist.t[idx].tolist() == [0.1, 0.1]
         assert dist.tolist() == [1.0, 0.0]
 
@@ -612,28 +616,35 @@ class TestValidationLayers:
 
     def test_jump_bound(self):
         cfg = DetectorConfig(tau_min=0.5, v_max=10.0)
-        prev = np.zeros(3)
-        assert validate_jump(np.array([0.9, 0, 0]), prev, 0.1, cfg)
-        assert not validate_jump(np.array([1.1, 0, 0]), prev, 0.1, cfg)
+        assert validate_jump(0.9, 0.1, cfg)
+        assert not validate_jump(1.1, 0.1, cfg)
+        assert validate_jump(0.5, 0.01, cfg)   # the hover floor tau_min
+
+    @staticmethod
+    def temporal(z, t, hist, cfg):
+        """Layer 3 for candidate z at time t, from its row of the history's
+        distance table."""
+        _, _, table = hist.nearest(np.reshape(z, (1, 3)))
+        return validate_temporal(table[0], t - hist.t, cfg)
 
     def test_temporal_m_of_k(self):
         cfg = DetectorConfig(K=3, M=2, d_cons=1.0, T_cons=1.0)
         hist = TemporalHistory(cfg.K)
         hist.push(np.array([[0.1, 0, 0]]), 0.0)
         hist.push(np.array([[0.0, 0.1, 0]]), 0.1)
-        assert validate_temporal(np.zeros(3), 0.2, hist, cfg)
+        assert self.temporal(np.zeros(3), 0.2, hist, cfg)
 
     def test_temporal_empty_history_rejects(self):
         cfg = DetectorConfig(K=3, M=2)
-        assert not validate_temporal(np.zeros(3), 0.0,
-                                     TemporalHistory(cfg.K), cfg)
+        assert not self.temporal(np.zeros(3), 0.0, TemporalHistory(cfg.K),
+                                 cfg)
 
     def test_temporal_stale_entries_reject(self):
         cfg = DetectorConfig(K=3, M=2, d_cons=1.0, T_cons=1.0)
         hist = TemporalHistory(cfg.K)
         hist.push(np.zeros((1, 3)), 0.0)
         hist.push(np.zeros((1, 3)), 0.1)
-        assert not validate_temporal(np.zeros(3), 5.0, hist, cfg)
+        assert not self.temporal(np.zeros(3), 5.0, hist, cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -666,7 +677,8 @@ class TestValidationLayers:
         for tp, group in itertools.groupby(entries, key=lambda e: e[1]):
             hist.push(np.array([p for p, _ in group]), tp)
         want = reference_temporal(z, t, deque(entries, maxlen=K), cfg)
-        assert validate_temporal(z, t, hist, cfg) == want
+        got = self.temporal(z, t, hist, cfg)
+        assert type(got) is bool and got == want
 
 
 class TestCentroid:
@@ -1111,8 +1123,9 @@ class TestScalarBranch:
         e_max = data.draw(st.sampled_from(
             (extent, float(np.nextafter(extent, 9.0)), 0.5))) or 0.5
         cfg = DetectorConfig(e_max=e_max, n_min=1, n_max=_SCALAR_MAX + 1)
-        got, want = on_both_branches(validate_geometric, pts, cfg)
-        assert type(got) is bool and got == want
+        # one path for every size, against the extent np.ptp gives
+        got = validate_geometric(pts, cfg)
+        assert type(got) is bool and got == (np.ptp(pts, axis=0).max() < e_max)
 
     @settings(max_examples=400, deadline=None)
     @given(SIZES.filter(bool), st.data())

@@ -135,6 +135,17 @@ class TestEvalMot:
         assert rep.id_switches == 0
         assert rep.fn == 1
 
+    def test_continuity_is_one_to_one(self):
+        # track 5 follows truth 0, then truth 1 while truth 0 is hidden;
+        # when both are visible it covers only the first, and one is missed
+        gt = make_gt([[[0.0, 0.0, 10.0], [0.6, 0.0, 10.0]]] * 3,
+                     visible=[[True, False], [False, True], [True, True]])
+        log = [frame(0.1 * k, [(5, [0.3, 0.0, 10.0])]) for k in range(3)]
+        for score in (eval_mot, reference_metrics.eval_mot):
+            rep = score(log, gt)
+            assert (rep.fn, rep.fp, rep.id_switches) == (1, 0, 0)
+            assert rep.mota == pytest.approx(1.0 - 1 / 4)
+
     def test_relabeling_invariance(self):
         gt = make_gt(np.stack([np.stack([A, B])] * 4))
         log = [
