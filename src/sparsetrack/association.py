@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NumericalError, ValidationError, check_field_types
-from .filter import _sym
+from .detector import _SCALAR_MAX
+from .filter import Innovation, _sym, innovation
 
 SENTINEL_COST = 1e9
-_LOG_2PI3 = 3 * math.log(2 * math.pi)
-_I3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,7 @@ class GateResult:
     feasible: np.ndarray                # boolean, same shape
     loglik: np.ndarray                  # log N(z; z_pred, S) per pair
     notes: list[str] = field(default_factory=list)
+    rest: Innovation | None = None      # rows [:, 1:] of a stacked gate
 
 
 def gate(z_pred: np.ndarray, S: np.ndarray, detections: np.ndarray,
@@ -51,30 +51,31 @@ def gate(z_pred: np.ndarray, S: np.ndarray, detections: np.ndarray,
     """Chi-squared gating of every track at once: track i has predicted
     measurement `z_pred[i]` (3,) and innovation covariance `S[i]` (3, 3).
 
+    `z_pred` (T, K, 3) and `S` (T, K, 3, 3) stack K rows per track: row
+    [i, 0] gates track i, and the innovation terms of rows [i, 1:], from
+    the same stacked pass, are returned as `rest`. The tracker stacks each
+    model's prediction there for the update (`IMMState.measurement_stack`).
+
     A track whose S is not positive definite (slogdet sign <= 0, or a
-    non-finite log-determinant) gets an infeasible row and one note. Such
-    an S is swapped for I before the one stacked inverse, so it cannot make
-    the inverse fail and the other rows are unaffected.
+    non-finite log-determinant) gets an infeasible row and one note; the
+    other rows are unaffected (see `filter.innovation`).
     """
     dets = np.asarray(detections, dtype=float).reshape(-1, 3)
-    z = np.asarray(z_pred, dtype=float).reshape(-1, 3)
-    S = _sym(np.asarray(S, dtype=float).reshape(-1, 3, 3))
-    sign, logdet = np.linalg.slogdet(S)
-    ok = (sign > 0) & np.isfinite(logdet)
+    z = np.asarray(z_pred, dtype=float)
+    if z.ndim != 3:
+        z = z.reshape(-1, 1, 3)
+    inn = innovation(z, _sym(np.asarray(S, dtype=float).reshape(
+        z.shape + (3,))), dets)
+    ok, d2, loglik = inn.ok[:, 0], inn.d2[:, 0], inn.loglik[:, 0]
     notes = [] if ok.all() else [
-        f"track {i}: singular S (slogdet sign {sign[i]:g}, "
-        f"logdet {logdet[i]:.3e}); row infeasible"
+        f"track {i}: singular S (slogdet sign {inn.sign[i, 0]:g}, "
+        f"logdet {inn.logdet[i, 0]:.3e}); row infeasible"
         for i in np.flatnonzero(~ok).tolist()]
-    if notes:
-        S = np.where(ok[:, None, None], S, _I3)
-    y = dets - z[:, None]                               # (T, n, 3)
-    d2 = np.einsum("tki,tij,tkj->tk", y, np.linalg.inv(S), y)
-    loglik = -0.5 * (_LOG_2PI3 + logdet[:, None] + d2)
     if notes:
         d2[~ok] = np.inf
         loglik[~ok] = -np.inf
     return GateResult(d2=d2, feasible=d2 <= params.gamma, loglik=loglik,
-                      notes=notes)
+                      notes=notes, rest=Innovation(*(a[:, 1:] for a in inn)))
 
 
 def build_cost(detections: np.ndarray, gate_result: GateResult,
@@ -85,12 +86,20 @@ def build_cost(detections: np.ndarray, gate_result: GateResult,
 
     Track i's anchor is its last confident detection, `anchor[i]` at time
     `anchor_t[i]`, both NaN without one; its anchor and velocity terms then
-    vanish. Infeasible pairs get the sentinel cost.
+    vanish. Infeasible pairs get the sentinel cost. Up to `_SCALAR_MAX`
+    pairs are costed on Python floats, with the array branch's operations
+    in its order, so both give the same bits.
     """
     dets = np.asarray(detections, dtype=float).reshape(-1, 3)
     w_m, w_a, w_v = weights
     feasible = gate_result.feasible
     anchor_t = np.asarray(anchor_t, dtype=float)
+    if feasible.size <= _SCALAR_MAX:
+        return np.array(_float_costs(
+            dets.tolist(), feasible.tolist(), gate_result.d2.tolist(),
+            np.asarray(anchor, dtype=float).tolist(), anchor_t.tolist(),
+            np.asarray(velocity, dtype=float).tolist(), weights, t_now),
+            dtype=float).reshape(feasible.shape)
     has = ~np.isnan(anchor_t)[:, None]
     diff = dets - np.asarray(anchor, dtype=float)[:, None]
     lag = t_now - anchor_t
@@ -102,6 +111,33 @@ def build_cost(detections: np.ndarray, gate_result: GateResult,
         + np.where(moving[:, None], w_v * miss, 0.0)
     return np.where(feasible, np.minimum(cost, SENTINEL_COST - 1.0),
                     SENTINEL_COST)
+
+
+def _float_costs(dets, feasible, d2, anchor, anchor_t, velocity, weights,
+                 t_now) -> list[list[float]]:
+    """`build_cost` on Python floats, one row per track. Each norm sums its
+    squares as np.linalg.norm(axis=-1) does: (x*x + y*y) + z*z."""
+    w_m, w_a, w_v = weights
+    cost = []
+    for ok_row, d2_row, (ax, ay, az), a_t, (vx, vy, vz) in zip(
+            feasible, d2, anchor, anchor_t, velocity):
+        has = not math.isnan(a_t)
+        lag = t_now - a_t
+        moving = lag > 0                                # False where NaN
+        row = []
+        for (x, y, z), ok, d in zip(dets, ok_row, d2_row):
+            if not ok:
+                row.append(SENTINEL_COST)
+                continue
+            dx, dy, dz = x - ax, y - ay, z - az
+            c = w_m * d + (w_a * math.sqrt((dx * dx + dy * dy) + dz * dz)
+                           if has else 0.0)
+            if moving:
+                ix, iy, iz = dx / lag - vx, dy / lag - vy, dz / lag - vz
+                c += w_v * math.sqrt((ix * ix + iy * iy) + iz * iz)
+            row.append(min(c, SENTINEL_COST - 1.0))
+        cost.append(row)
+    return cost
 
 
 def _assign(cost: list[list[float]]) -> list[int]:

@@ -14,13 +14,17 @@ warnings as well run the stages under `np.errstate`, as `Tracker.step` does.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import NumericalError, ValidationError, as_points, number_array
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
+_LOG_2PI3 = 3 * float(np.log(2.0 * np.pi))
+_I3 = np.eye(3)
 _I6 = np.eye(6)
 _H = np.eye(3, 6)            # position-only measurement matrix
 # F and G G' as codes into (0, 1, dt) and (0, h^2, h dt, dt^2), h = dt^2 / 2
@@ -37,14 +41,14 @@ def _moments(w: np.ndarray, x: np.ndarray, P: np.ndarray
     """Moment-matched means and covariances of mixtures of each track's models.
 
     `w` (T, J, M) holds J sets of mixture weights over the M models of each
-    of T tracks; `x` is (T, M, 6) and `P` (T, M, 6, 6). Returns (T, J, 6)
-    and (T, J, 6, 6). The covariances are left unsymmetrised; every caller
+    of T tracks; `x` is (T, M, k) and `P` (T, M, k, k). Returns (T, J, k)
+    and (T, J, k, k). The covariances are left unsymmetrised; every caller
     symmetrises them later.
     """
-    t, m = x.shape[:2]
+    t, m, k = x.shape
     xm = w @ x
-    d = x[:, None] - xm[:, :, None]                     # (T, J, M, 6)
-    Pm = (w @ P.reshape(t, m, 36)).reshape(xm.shape + (6,))
+    d = x[:, None] - xm[:, :, None]                     # (T, J, M, k)
+    Pm = (w @ P.reshape(t, m, k * k)).reshape(xm.shape + (k,))
     return xm, Pm + (d * w[..., None]).swapaxes(-1, -2) @ d
 
 
@@ -52,13 +56,13 @@ class IMMState:
     """Model banks of T tracks: x (T, M, 6), P (T, M, 6, 6), mu (T, M).
 
     Row i of every array belongs to track i. A bank built from outside
-    arrays is validated and symmetrised once, here. `fused_x` (T, 6) and
-    `fused_P` (T, 6, 6) are each track's moment-matched fusion; fused_P is
-    computed on first read and kept, row by row as eager fusion would be.
-    Banks are treated as immutable values.
+    arrays is validated and symmetrised once, here. `fused_x` (T, 6) is
+    each track's moment-matched fused mean; `fused_P` (T, 6, 6), the fused
+    covariance, is computed on each read. Banks are treated as immutable
+    values.
     """
 
-    __slots__ = ("x", "P", "mu", "fused_x", "_fused_P")
+    __slots__ = ("x", "P", "mu", "fused_x")
 
     def __init__(self, x, P, mu):
         x = np.asarray(x, dtype=float)
@@ -84,17 +88,24 @@ class IMMState:
 
     def _set(self, *arrays: np.ndarray) -> None:
         self.x, self.P, self.mu, self.fused_x = arrays
-        self._fused_P = None
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
         return self.x, self.P, self.mu, self.fused_x
 
     @property
     def fused_P(self) -> np.ndarray:
-        if self._fused_P is None:
-            self._fused_P = _sym(_moments(self.mu[:, None], self.x,
-                                          self.P)[1][:, 0])
-        return self._fused_P
+        return _sym(_moments(self.mu[:, None], self.x, self.P)[1][:, 0])
+
+    def measurement_stack(self, R: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted measurements z (T, 1 + M, 3) and innovation
+        covariances S (T, 1 + M, 3, 3) of every track: row 0 from the fused
+        position moments, row 1 + m from model m. The tracker gates on row 0
+        and updates each model from its row, all from one `innovation`."""
+        xp, Pp = self.x[..., :3], self.P[..., :3, :3]
+        z, S = _moments(self.mu[:, None], xp, Pp)
+        return (np.concatenate((z, xp), axis=1),
+                np.concatenate((S, Pp), axis=1) + R)
 
     @classmethod
     def _of(cls, arrays) -> IMMState:
@@ -175,6 +186,7 @@ class FilterConfig:
         w = np.linalg.eigvalsh(P0)  # ascending
         if w[0] < -1e-12 * w[-1]:
             raise ValidationError("P0 must be positive semi-definite")
+        object.__setattr__(self, "q_levels", tuple(q.tolist()))
         object.__setattr__(self, "Pi", Pi)
         object.__setattr__(self, "R", _sym(R))
         object.__setattr__(self, "P0", _sym(P0))
@@ -185,12 +197,18 @@ class FilterConfig:
         return len(self.q_levels)
 
 
-def _f_and_q(dt: float, q_levels) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _f_and_q(dt: float, q_levels: tuple[float, ...]
+             ) -> tuple[np.ndarray, np.ndarray]:
     """F (6, 6) and Q = q^2 G G' (M, 6, 6) of each q in `q_levels` for
-    G = [dt^2/2 I; dt I], each from one lookup into a value table."""
+    G = [dt^2/2 I; dt I], each from one lookup into a value table. Cached
+    on the exact (dt, q_levels), so the arrays are read-only."""
     h = 0.5 * dt * dt
-    return (np.array((0.0, 1.0, dt))[_F_CODE], np.square(q_levels)[
-        :, None, None] * np.array((0.0, h * h, h * dt, dt * dt))[_Q_CODE])
+    F = np.array((0.0, 1.0, dt))[_F_CODE]
+    Q = np.square(q_levels)[:, None, None] \
+        * np.array((0.0, h * h, h * dt, dt * dt))[_Q_CODE]
+    F.flags.writeable = Q.flags.writeable = False
+    return F, Q
 
 
 def imm_mix(s: IMMState, cfg: FilterConfig
@@ -222,7 +240,7 @@ def imm_init(positions, cfg: FilterConfig) -> IMMState:
 
 def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     """Mix and time-update every model of every track; mu becomes the
-    predicted mu. F and Q are built once per call for all tracks."""
+    predicted mu. F and Q are built once per distinct dt and q_levels."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     x, P, mu_pred = imm_mix(s, cfg)
@@ -231,19 +249,53 @@ def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
                     mu_pred / np.add.reduce(mu_pred, 1)[:, None])
 
 
+class Innovation(NamedTuple):
+    """Innovation terms of detections (n, 3) against predicted measurements
+    with covariances S, over any leading shape (...)."""
+
+    sign: np.ndarray        # (...) slogdet sign of S
+    logdet: np.ndarray      # (...) log-determinant of S
+    ok: np.ndarray          # (...) S positive definite
+    Sinv: np.ndarray        # (..., 3, 3) inverse of S, or I where not ok
+    y: np.ndarray           # (..., n, 3) residuals
+    d2: np.ndarray          # (..., n) squared Mahalanobis distances
+    loglik: np.ndarray      # (..., n) log N(y; 0, S)
+
+
+def innovation(z: np.ndarray, S: np.ndarray, dets: np.ndarray) -> Innovation:
+    """Innovation terms of `dets` (n, 3) against predictions `z` (..., 3)
+    with covariances `S` (..., 3, 3), in one slogdet, inverse and einsum.
+
+    An S that is not positive definite (slogdet sign <= 0, or a non-finite
+    log-determinant) is swapped for I before the stacked inverse, so it
+    cannot make the inverse fail; its terms are for the caller to discard.
+    """
+    sign, logdet = np.linalg.slogdet(S)
+    ok = (sign > 0) & np.isfinite(logdet)
+    if not ok.all():
+        S = np.where(ok[..., None, None], S, _I3)
+    Sinv = np.linalg.inv(S)
+    y = dets - z[..., None, :]
+    d2 = np.einsum("...ki,...ij,...kj->...k", y, Sinv, y)
+    return Innovation(sign, logdet, ok, Sinv, y, d2,
+                      -0.5 * (_LOG_2PI3 + logdet[..., None] + d2))
+
+
 def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
                     ) -> IMMState:
     """PDA measurement update of every model of every track.
 
     Row t of `beta` (T, n + 1) is track t's miss probability beta0 followed
-    by one association probability per row of `dets` (n, 3), and sums to 1.
-    A track with beta0 >= 1 - 1e-12 keeps its predicted bank exactly. Each
-    other track's models take the combined innovation and the PDA covariance
-    beta0 * P_pred + (1 - beta0) * P_upd + the spread of the innovations.
-    Model probabilities are reweighted by each model's beta-weighted
-    detection likelihood, normalised over the models; the miss mass is
-    uninformative across models. The weights are formed in log space, so a
-    likelihood that underflows in linear space still ranks the models.
+    by one association probability per row of `dets` (n, 3); its entries
+    lie in [0, 1] and sum to 1. A track with beta0 >= 1 - 1e-12 keeps its
+    predicted bank exactly. Each other track's models take the combined
+    innovation and the PDA covariance beta0 * P_pred + (1 - beta0) * P_upd
+    + the spread of the innovations. Model probabilities are reweighted by
+    each model's beta-weighted detection likelihood, normalised over the
+    models; the miss mass is uninformative across models. The weights are
+    formed in one pass in linear space, each track's terms shifted by its
+    largest; a track whose weights then all underflow takes the log-space
+    form, in which a likelihood that underflows still ranks the models.
     """
     dets = as_points(dets)
     beta = np.asarray(beta, dtype=float)
@@ -252,34 +304,19 @@ def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
         raise ValidationError(
             "beta must hold one row per track: one miss plus one entry per "
             "detection, summing to 1")
+    if not ((beta >= 0.0) & (beta <= 1.0)).all():
+        raise ValidationError("beta entries must lie in [0, 1]")
     return _pda_update(pred, dets, beta, cfg)
 
 
-def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
-                cfg: FilterConfig) -> IMMState:
-    """`imm_correct_pda` of finite float dets and beta rows summing to 1."""
-    miss = beta[:, 0] >= 1.0 - 1e-12
-    if miss.all():
-        return pred
-    mixed = miss.any()
-    if mixed:
-        # a hit row stands in for the misses; their results are discarded
-        beta = np.where(miss[:, None], beta[miss.argmin()], beta)
+def _log_space_weights(mu: np.ndarray, beta: np.ndarray, a: np.ndarray
+                       ) -> np.ndarray:
+    """Model weights of tracks with model probabilities `mu` (T, M), beta
+    rows (T, n + 1) and b-weighted detection log-terms `a` (T, M, n),
+    formed in log space."""
     with np.errstate(divide="ignore"):              # log(0) = -inf is intended
-        log_beta = np.log(beta)[:, None]            # (T, 1, n + 1)
-        log_mu = np.log(pred.mu)
-    b0 = beta[:, 0, None]                           # (T, 1)
-    b = beta[:, None, 1:]                           # (T, 1, n)
-    S = pred.P[..., :3, :3] + cfg.R                 # (T, M, 3, 3)
-    sign, logdet = np.linalg.slogdet(S)
-    if (sign <= 0).any():
-        raise NumericalError(
-            f"singular innovation covariance (slogdet signs {sign})")
-    Sinv = np.linalg.inv(S)
-    y = dets - pred.x[..., None, :3]                # (T, M, n, 3)
-    quad = np.einsum("tmki,tmij,tmkj->tmk", y, Sinv, y)
-    # a[t, m, k] = log(b_tk N(y_tmk; 0, S_tm)); -inf where b_tk = 0
-    a = log_beta[..., 1:] - 0.5 * ((3 * _LOG_2PI + logdet)[..., None] + quad)
+        log_mu = np.log(mu)
+        log_b0 = np.log(beta[:, :1])
     # log-sum-exp over the detections (exactly a itself for one
     # detection), then normalised over the models
     loglik = top = np.maximum.reduce(a, axis=2)
@@ -287,12 +324,51 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
         loglik = top + np.log(np.add.reduce(np.exp(a - top[..., None]), 2))
     top = np.maximum.reduce(loglik, axis=1)[:, None]
     loglik -= top + np.log(np.add.reduce(np.exp(loglik - top), 1))[:, None]
-    log_w = log_mu + np.logaddexp(log_beta[:, :, 0],
-                                  np.log(1.0 - b0) + loglik)
+    log_w = log_mu + np.logaddexp(log_b0, np.log(1.0 - beta[:, :1]) + loglik)
     mu = np.exp(log_w - np.maximum.reduce(log_w, axis=1)[:, None])
+    return mu / np.add.reduce(mu, 1)[:, None]
+
+
+def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
+                cfg: FilterConfig, inn: Innovation | None = None) -> IMMState:
+    """`imm_correct_pda` of finite float dets and checked beta rows.
+
+    `inn` holds each model's innovation terms, leading shape (T, M), when
+    the caller has computed them with its gate; otherwise they are
+    computed here."""
+    miss = [b0 >= 1.0 - 1e-12 for b0 in beta[:, 0].tolist()]
+    if all(miss):
+        return pred
+    mixed = any(miss)
+    if mixed:
+        # a hit row stands in for the misses; their results are discarded
+        miss = np.array(miss)
+        beta = np.where(miss[:, None], beta[miss.argmin()], beta)
+    if inn is None:
+        inn = innovation(pred.x[..., :3], pred.P[..., :3, :3] + cfg.R, dets)
+    if not inn.ok.all():
+        raise NumericalError(
+            f"singular innovation covariance (slogdet signs {inn.sign})")
+    b0 = beta[:, :1]                                # (T, 1)
+    b = beta[:, None, 1:]                           # (T, 1, n)
+    y = inn.y                                       # (T, M, n, 3)
+    # a[t, m, k] = log(b_tk N(y_tmk; 0, S_tm)); -inf where b_tk = 0
+    a = np.log(b, out=np.full(b.shape, -np.inf), where=b > 0.0) + inn.loglik
+    # w[t, m] = mu_tm (b0_t + (1 - b0_t) L_tm / sum_m L_tm) for L_tm the sum
+    # over detections of exp(a), each track's a shifted by its largest
+    L = np.add.reduce(np.exp(
+        a - np.maximum.reduce(a, axis=(1, 2))[:, None, None]), 2)
+    w = pred.mu * (b0 + (1.0 - b0) * L / np.add.reduce(L, 1)[:, None])
+    total = np.add.reduce(w, 1)
+    bad = [not 0.0 < v < math.inf for v in total.tolist()]
+    if any(bad):
+        # a track whose weights all underflow takes the log-space form
+        w[bad] = _log_space_weights(pred.mu[bad], beta[bad], a[bad])
+        total[bad] = 1.0
+    mu = w / total[:, None]
 
     nu = (b[:, :, None] @ y)[..., 0, :]             # (T, M, 3) innovation
-    K = pred.P[..., :3] @ Sinv                      # (T, M, 6, 3)
+    K = pred.P[..., :3] @ inn.Sinv                  # (T, M, 6, 3)
     IKH = _I6 - K @ _H
     # The Joseph-form P_upd's K R K' and the spread share one K (.) K'.
     spread = (y.swapaxes(-1, -2) * b[..., None, :]) @ y \
@@ -302,7 +378,6 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
     P = joseph + w0 * (pred.P - joseph) \
         + K @ ((1.0 - w0) * cfg.R + spread) @ K.swapaxes(-1, -2)
     x = pred.x + (K @ nu[..., None])[..., 0]
-    mu /= np.add.reduce(mu, 1)[:, None]
     if mixed:
         x = np.where(miss[:, None, None], pred.x, x)
         P = np.where(miss[:, None, None, None], pred.P, P)
@@ -310,11 +385,12 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
     return _stepped(x, P, mu)
 
 
-def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig
-                ) -> IMMState:
+def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig,
+                inn: Innovation | None = None) -> IMMState:
     """Hungarian update: track t takes detection `dets[assigned[t]]` with
     certainty, and a track with `assigned[t] = -1` keeps its predicted bank.
-    This is `imm_correct_pda` with one-hot beta rows."""
+    This is `imm_correct_pda` with one-hot beta rows. `inn`, when given,
+    holds each model's innovation terms from the caller's gate."""
     dets = as_points(dets)
     assigned = np.asarray(assigned)
     if assigned.shape != (len(pred),) or assigned.dtype.kind != "i" \
@@ -323,4 +399,4 @@ def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig
             "assigned must hold one detection index or -1 per track")
     beta = np.zeros((len(assigned), len(dets) + 1))
     beta[np.arange(len(assigned)), assigned + 1] = 1.0
-    return _pda_update(pred, dets, beta, cfg)
+    return _pda_update(pred, dets, beta, cfg, inn)

@@ -17,8 +17,8 @@ from .core import (Measurement, ValidationError, check_field_types,
                    is_number, number_array)
 from . import association as assoc
 from .association import JpdaParams
-from .filter import (FilterConfig, IMMState, _pda_update, imm_init,
-                     imm_predict, imm_correct)
+from .filter import (FilterConfig, IMMState, Innovation, _pda_update,
+                     imm_init, imm_predict, imm_correct)
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -128,10 +128,11 @@ class Tracker:
     # -- internals ---------------------------------------------------------
 
     def _imm_correct_pda(self, pred: IMMState, dets: np.ndarray,
-                         beta: np.ndarray) -> IMMState:
-        """JPDA update of the tracks in `pred` from checked arrays, one call
-        per frame; perfbench times it under this name."""
-        return _pda_update(pred, dets, beta, self.cfg.filter)
+                         beta: np.ndarray, inn: Innovation) -> IMMState:
+        """JPDA update of the tracks in `pred` from checked arrays and the
+        gate's per-model innovation terms, one call per frame; perfbench
+        times it under this name."""
+        return _pda_update(pred, dets, beta, self.cfg.filter, inn)
 
     # -- public API --------------------------------------------------------
 
@@ -171,21 +172,22 @@ class Tracker:
 
             # 2-4. gate, associate, update
             if act and len(dets):
-                x = pred.fused_x
-                g = assoc.gate(x[:, :3],
-                               pred.fused_P[:, :3, :3] + cfg.filter.R,
-                               dets, cfg.jpda)
+                # one innovation pass: the fused gate and every model's
+                # terms for the update
+                g = assoc.gate(*pred.measurement_stack(cfg.filter.R), dets,
+                               cfg.jpda)
                 if cfg.association_mode == HUNGARIAN:
                     cost = assoc.build_cost(
                         dets, g, np.array([tr.anchor for tr in active]),
-                        np.array([tr.anchor_t for tr in active]), x[:, 3:],
-                        cfg.cost_weights, t)
+                        np.array([tr.anchor_t for tr in active]),
+                        pred.fused_x[:, 3:], cfg.cost_weights, t)
                     assigned = assoc.hungarian(cost)
-                    pred = imm_correct(pred, dets, assigned, cfg.filter)
+                    pred = imm_correct(pred, dets, assigned, cfg.filter,
+                                       g.rest)
                     taken[assigned[assigned >= 0]] = True
                 else:
                     beta = assoc.jpda(g, cfg.jpda)
-                    pred = self._imm_correct_pda(pred, dets, beta)
+                    pred = self._imm_correct_pda(pred, dets, beta, g.rest)
                     assigned = np.where(beta[:, 0] <= cfg.jpda_miss_threshold,
                                         beta[:, 1:].argmax(axis=1), -1)
                     beta_summary = [

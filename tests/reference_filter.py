@@ -4,8 +4,9 @@
 in closed form. `KState`, `kf_predict` and `kf_update` are the single
 Kalman filter that the IMM reduces to with one model. `track_predict` and
 `track_correct_pda` are the IMM predict and PDA update of one track's bank,
-x (M, 6), P (M, 6, 6) and mu (M,), written per track; `imm_step` runs the
-library's batched IMM on a one-track bank.
+x (M, 6), P (M, 6, 6) and mu (M,), written per track, with the model
+weights in log space (`log_space_weights`); `imm_step` runs the library's
+batched IMM on a one-track bank.
 """
 from __future__ import annotations
 
@@ -130,6 +131,25 @@ def track_predict(x, P, mu, dt: float, cfg):
     return x, P, mu_pred / mu_pred.sum()
 
 
+def log_space_weights(mu, beta_row, loglik):
+    """One track's PDA model weights, formed in log space: mu (M,), its
+    beta row (n + 1,) and each model's detection log-likelihoods (M, n).
+
+    Each model's likelihood is the b-weighted sum over detections,
+    normalised over the models; the miss mass is uninformative.
+    """
+    beta0, b = float(beta_row[0]), np.asarray(beta_row[1:], dtype=float)
+    ll = np.array([np.logaddexp.reduce([np.log(bk) + lk for bk, lk
+                                        in zip(b, row) if bk > 0])
+                   for row in loglik])
+    ll -= np.logaddexp.reduce(ll)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(mu) + np.logaddexp(np.log(beta0),
+                                          np.log(1.0 - beta0) + ll)
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
 def track_correct_pda(x, P, mu, dets, beta_row, cfg):
     """PDA update of one track's bank with one beta row; returns (x, P, mu).
 
@@ -144,9 +164,7 @@ def track_correct_pda(x, P, mu, dets, beta_row, cfg):
     for xm, Pm in zip(x, P):
         S = _sym(Pm[:3, :3] + R)
         ys = [z - xm[:3] for z in dets]
-        terms = [np.log(bk) + gaussian_loglik(y, S)
-                 for bk, y in zip(b, ys) if bk > 0]
-        loglik.append(np.logaddexp.reduce(terms))
+        loglik.append([gaussian_loglik(y, S) for y in ys])
         K = np.linalg.solve(S, Pm[:3, :]).T
         IKH = _I6 - K @ _H
         P_upd = IKH @ Pm @ IKH.T + K @ R @ K.T
@@ -156,13 +174,8 @@ def track_correct_pda(x, P, mu, dets, beta_row, cfg):
         xs.append(xm + K @ nu)
         Ps.append(_sym(beta0 * Pm + (1.0 - beta0) * P_upd
                        + K @ spread @ K.T))
-    loglik = np.array(loglik)
-    loglik -= np.logaddexp.reduce(loglik)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(mu) + np.logaddexp(np.log(beta0),
-                                          np.log(1.0 - beta0) + loglik)
-    w = np.exp(log_w - log_w.max())
-    return np.array(xs), np.array(Ps), w / w.sum()
+    return np.array(xs), np.array(Ps), log_space_weights(mu, beta_row,
+                                                         loglik)
 
 
 def track_fused(x, P, mu):

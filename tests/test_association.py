@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
+from sparsetrack import association
 from sparsetrack.core import NumericalError, ValidationError
-from sparsetrack.association import (SENTINEL_COST, JpdaParams, build_cost,
-                                     gate, hungarian, jpda)
-from sparsetrack.filter import FilterConfig, IMMState, imm_correct_pda
+from sparsetrack.association import (_SCALAR_MAX, SENTINEL_COST, GateResult,
+                                     JpdaParams, build_cost, gate, hungarian,
+                                     jpda)
+from sparsetrack.filter import (FilterConfig, IMMState, imm_correct,
+                                imm_correct_pda)
 
 from reference_filter import KState, kf_update
 
@@ -96,6 +99,47 @@ class TestGate:
             assert np.array_equal(g.feasible[i], one.feasible[0])
 
 
+    def test_stacked_gate_shares_one_innovation_pass(self):
+        # Row 0 of each track's stack gates as the unstacked gate does; the
+        # other rows' terms come back as `rest`, a singular one included,
+        # which neither notes nor blocks the gate.
+        rng = np.random.default_rng(21)
+        A = rng.normal(size=(2, 4, 3, 3))
+        S = A @ A.swapaxes(-1, -2) + 0.5 * np.eye(3)
+        S[1, 2] = 0.0
+        z = rng.normal(size=(2, 4, 3))
+        dets = z[:, 0] + rng.normal(scale=0.5, size=(2, 3))
+        g = gate(z, S, dets, self.params)
+        one = gate(z[:, 0], S[:, 0], dets, self.params)
+        assert g.notes == [] and g.d2.shape == g.feasible.shape == (2, 2)
+        assert np.array_equal(g.feasible, one.feasible)
+        for a in ("d2", "loglik"):
+            np.testing.assert_allclose(getattr(g, a), getattr(one, a),
+                                       rtol=1e-12, atol=1e-12)
+        assert g.rest.ok.tolist() == [[True] * 3, [True, False, True]]
+        assert g.rest.y.shape == (2, 3, 2, 3)
+        for i, k in ((0, 1), (1, 3)):
+            row = gate(z[i, k], S[i, k], dets, self.params)
+            np.testing.assert_allclose(g.rest.d2[i, k - 1], row.d2[0],
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_singular_model_s_raises_from_the_update(self):
+        # one model's S is singular while the fused S is not: the tracker's
+        # stacked gate passes, and the update it feeds raises
+        cfg = FilterConfig()
+        P = np.stack([np.eye(6)] * 3)
+        P[1, :3, :3] = -cfg.R
+        pred = IMMState(x=np.zeros((1, 3, 6)), P=P[None],
+                        mu=np.full((1, 3), 1 / 3))
+        dets = np.array([[0.1, 0.0, 0.0]])
+        g = gate(*pred.measurement_stack(cfg.R), dets, self.params)
+        assert g.notes == [] and g.feasible.all()
+        with pytest.raises(NumericalError, match="singular"):
+            imm_correct(pred, dets, [0], cfg, g.rest)
+        with pytest.raises(NumericalError, match="singular"):
+            imm_correct(pred, dets, [0], cfg)
+
+
 class TestBuildCost:
     params = JpdaParams()
     # one track with no confident history: NaN anchor, zero velocity
@@ -150,6 +194,54 @@ class TestBuildCost:
                                 c += weights[2] * np.linalg.norm(v - vel[i])
                         want = min(c, SENTINEL_COST - 1.0)
                     assert cost[i, j] == pytest.approx(want, rel=1e-12)
+
+
+class TestBuildCostBranches:
+    """build_cost's list branch against its array branch, bit for bit, for
+    up to `_SCALAR_MAX` pairs."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_list_branch_equals_array_branch(self, data):
+        # NaN anchors, anchors not older than t_now, infeasible pairs, d2
+        # whose cost is clamped to SENTINEL_COST - 1, a lag so small that
+        # the implied velocity overflows to inf, and zero weights (0 * inf)
+        n = data.draw(st.integers(0, _SCALAR_MAX))
+        m = data.draw(st.integers(0, _SCALAR_MAX // max(n, 1)))
+        coord = st.floats(-50.0, 50.0) | st.sampled_from((0.0, -0.0))
+        point = st.tuples(coord, coord, coord)
+        t_now = data.draw(st.sampled_from((0.0, 1.0, 123.4)))
+        anchor_t = data.draw(st.lists(st.sampled_from(
+            (np.nan, t_now, t_now + 0.5, t_now - 0.1, t_now - 5e-324,
+             t_now - 1e-310)), min_size=n, max_size=n))
+        anchor = [(np.nan,) * 3 if np.isnan(a_t) else data.draw(point)
+                  for a_t in anchor_t]
+        d2 = data.draw(st.lists(st.lists(
+            st.floats(0.0, 10.0) | st.sampled_from((0.0, 2e9, 1e300)),
+            min_size=m, max_size=m), min_size=n, max_size=n))
+        feasible = data.draw(st.lists(st.lists(
+            st.booleans(), min_size=m, max_size=m), min_size=n, max_size=n))
+        g = GateResult(d2=np.array(d2, dtype=float).reshape(n, m),
+                       feasible=np.array(feasible, dtype=bool).reshape(n, m),
+                       loglik=np.zeros((n, m)))
+        weight = st.floats(0.0, 10.0) | st.just(0.0)
+        args = (np.array(data.draw(st.lists(point, min_size=m, max_size=m)),
+                         dtype=float).reshape(m, 3), g,
+                np.array(anchor, dtype=float).reshape(n, 3),
+                np.array(anchor_t, dtype=float),
+                np.array(data.draw(st.lists(point, min_size=n, max_size=n)),
+                         dtype=float).reshape(n, 3),
+                (data.draw(weight), data.draw(weight), data.draw(weight)),
+                t_now)
+        out = []
+        with pytest.MonkeyPatch.context() as mp, \
+                np.errstate(all="ignore"):  # the array branch's overflow
+            for limit in (10**9, -1):
+                mp.setattr(association, "_SCALAR_MAX", limit)
+                out.append(build_cost(*args))
+        got, want = out
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def scipy_assignment(cost: np.ndarray) -> np.ndarray:
@@ -411,6 +503,14 @@ class TestJpdaUpdate:
     def test_bad_beta_rejected(self):
         with pytest.raises(ValidationError):
             self.update(self.state(), np.zeros((1, 3)), np.array([0.5, 0.2]))
+
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [-0.5, 1.5],
+                                     [0.5, 0.7, -0.2]])
+    def test_beta_entries_outside_unit_interval_rejected(self, row):
+        # each row sums to 1, but an entry lies outside [0, 1]
+        dets = np.zeros((len(row) - 1, 3))
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            self.update(self.state(), dets, np.array(row))
 
     def test_underflowing_selected_model_keeps_one_hot_mu(self):
         # Model 0 holds all the probability but is so confident that the

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from sparsetrack.core import NumericalError, ValidationError
 from sparsetrack.filter import (FilterConfig, IMMState, _f_and_q, _moments,
                                 _sym, imm_correct, imm_correct_pda, imm_init,
-                                imm_mix, imm_predict)
+                                imm_mix, imm_predict, innovation)
 
 from reference_filter import (KState, gaussian_loglik, imm_step, kf_predict,
-                              kf_update, process_noise, track_correct_pda,
-                              track_fused, track_predict, transition_matrix)
+                              kf_update, log_space_weights, process_noise,
+                              track_correct_pda, track_fused, track_predict,
+                              transition_matrix)
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -369,18 +370,17 @@ class TestBatchedBank:
 
 def _eager_fused_P(s):
     """The fused covariances as each bank's constructor formed them before
-    they were computed on first read: one fusion over the whole bank."""
+    they were computed on read: one fusion over the whole bank."""
     return _sym(_moments(s.mu[:, None], s.x, s.P)[1][:, 0])
 
 
 class TestFusedOnDemand:
-    """fused_P, computed when first read, has the bits of eager fusion."""
+    """fused_P, computed on each read, has the bits of eager fusion."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 6),
-           n=st.integers(1, 3), force=st.booleans(),
-           idx=st.lists(st.integers(0, 5), max_size=8))
-    def test_lazy_fused_p_equals_eager_fusion(self, seed, t, n, force, idx):
+           n=st.integers(1, 3), idx=st.lists(st.integers(0, 5), max_size=8))
+    def test_fused_p_on_read_equals_eager_fusion(self, seed, t, n, idx):
         cfg = FilterConfig()
         rng = np.random.default_rng(seed)
         init = imm_init(rng.normal(scale=5.0, size=(t, 3)), cfg)
@@ -394,16 +394,29 @@ class TestFusedOnDemand:
             eager = _eager_fused_P(s)
             assert np.array_equal(
                 s.fused_x, _moments(s.mu[:, None], s.x, s.P)[0][:, 0])
-            if force:
-                assert s.fused_P is s._fused_P  # computed now, then kept
+            assert s.fused_P is not s.fused_P  # computed on each read
             gathered = s.rows(idx).append(init)
-            # rows and append leave fused_P to be computed on first read
-            assert gathered._fused_P is None
             assert gathered.fused_P.tobytes() == np.concatenate(
                 [eager[idx], _eager_fused_P(init)]).tobytes()
             for i in range(t):  # fusion is row-local
                 assert s.rows([i]).fused_P.tobytes() == eager[i].tobytes()
             assert s.fused_P.tobytes() == eager.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(0, 6))
+    def test_measurement_stack(self, seed, t):
+        # row 0 is the fused position moment, rows 1.. each model's own
+        cfg = FilterConfig()
+        s = _random_banks(np.random.default_rng(seed), t, cfg)
+        z, S = s.measurement_stack(cfg.R)
+        m = cfg.n_models
+        assert z.shape == (t, 1 + m, 3) and S.shape == (t, 1 + m, 3, 3)
+        assert np.array_equal(z[:, 1:], s.x[..., :3])
+        assert np.array_equal(S[:, 1:], s.P[..., :3, :3] + cfg.R)
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(z[:, 0], s.fused_x[:, :3], **close)
+        np.testing.assert_allclose(_sym(S[:, 0]),
+                                   s.fused_P[:, :3, :3] + cfg.R, **close)
 
 
 class TestTransitionTables:
@@ -416,11 +429,76 @@ class TestTransitionTables:
         assert Q.tobytes() == np.stack(
             [process_noise(dt, qi) for qi in q]).tobytes()
 
+    @pytest.mark.parametrize("dt", [0.1, 0.1 + 2**-56, 0.2])
+    def test_cached_tables_are_read_only_closed_forms(self, dt):
+        q = (0.5, 2.0, 8.0)
+        F, Q = _f_and_q(dt, q)
+        assert _f_and_q(dt, q)[0] is F and _f_and_q(dt, q)[1] is Q
+        assert not F.flags.writeable and not Q.flags.writeable
+        with pytest.raises(ValueError):
+            F[0, 3] = 1.0
+        with pytest.raises(ValueError):
+            Q[0] *= 2.0
+        assert F.tobytes() == transition_matrix(dt).tobytes()
+        assert Q.tobytes() == np.stack(
+            [process_noise(dt, qi) for qi in q]).tobytes()
+
+    def test_q_levels_kept_as_a_float_tuple(self):
+        # the cache key is hashable whatever sequence the config was given
+        cfg = FilterConfig(q_levels=np.array([1, 2]), Pi=np.eye(2))
+        assert cfg.q_levels == (1.0, 2.0)
+        s = imm_init([(0.0, 0.0, 0.0)], cfg)
+        np.testing.assert_allclose(
+            imm_predict(s, 0.5, cfg).P[0, 1],
+            transition_matrix(0.5) @ cfg.P0 @ transition_matrix(0.5).T
+            + process_noise(0.5, 2.0), rtol=1e-12, atol=0.0)
+
 
 class TestPdaModelWeights:
-    """The model weights match the per-track reference where the largest
-    detection term is one the track cannot take and where the models are
-    more than exp's range apart."""
+    """The one-pass model weights match the log-space reference, also where
+    the largest detection term is one the track cannot take and where the
+    models are more than exp's range apart."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 5),
+           n=st.integers(1, 4), spread=st.sampled_from([0.3, 3.0, 30.0]),
+           zeros=st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_one_pass_weights_equal_log_space_weights(self, seed, t, n,
+                                                      spread, zeros):
+        # beta rows with zeros, among them the miss and the detection
+        # nearest each track; detections up to far beyond the gate
+        cfg = FilterConfig()
+        rng = np.random.default_rng(seed)
+        pred = imm_predict(_random_banks(rng, t, cfg), 0.1, cfg)
+        dets = rng.normal(scale=spread, size=(n, 3))
+        beta = rng.uniform(0.0, 1.0, size=(t, n + 1))
+        beta[:, zeros[:n + 1]] = 0.0
+        beta[beta[:, 1:].sum(axis=1) == 0.0, 1 + rng.integers(n)] = 1.0
+        beta /= beta.sum(axis=1, keepdims=True)
+        upd = imm_correct_pda(pred, dets, beta, cfg)
+        inn = innovation(pred.x[..., :3], pred.P[..., :3, :3] + cfg.R, dets)
+        for i in range(t):
+            want = log_space_weights(pred.mu[i], beta[i], inn.loglik[i])
+            np.testing.assert_allclose(upd.mu[i], want, rtol=0, atol=1e-12)
+
+    def test_underflow_fallback_is_row_local(self):
+        # A track whose every weight underflows (its one likely model has
+        # a likelihood exp's range below another's, as in
+        # test_underflowing_selected_model_keeps_one_hot_mu) takes the
+        # log-space form; a second track beside it changes none of its bits.
+        cfg = FilterConfig(Pi=np.eye(3), mu0=(1.0, 0.0, 0.0))
+        P = np.stack([1e-6 * np.eye(6), 100.0 * np.eye(6), np.eye(6)])
+        one = IMMState(x=np.zeros((1, 3, 6)), P=P[None], mu=cfg.mu0[None])
+        other = _random_banks(np.random.default_rng(3), 1, cfg)
+        dets = np.array([[10.0, 0, 0], [0.5, 0.2, 0.0]])
+        beta = np.array([[0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
+        alone = imm_correct_pda(one, dets, beta[:1], cfg)
+        both = imm_correct_pda(one.append(other), dets, beta, cfg)
+        assert np.array_equal(alone.mu, [[1.0, 0.0, 0.0]])
+        for a in ("x", "P", "mu"):
+            assert getattr(both, a)[0].tobytes() \
+                == getattr(alone, a)[0].tobytes()
+        self.check(other, dets, beta[1:], cfg)
 
     def check(self, pred, dets, beta, cfg):
         upd = imm_correct_pda(pred, dets, beta, cfg)
