@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NumericalError, ValidationError, check_field_types
-from .detector import _SCALAR_MAX
 from .filter import Innovation, _sym, innovation
 
 SENTINEL_COST = 1e9
@@ -86,41 +85,21 @@ def build_cost(detections: np.ndarray, gate_result: GateResult,
 
     Track i's anchor is its last confident detection, `anchor[i]` at time
     `anchor_t[i]`, both NaN without one; its anchor and velocity terms then
-    vanish. Infeasible pairs get the sentinel cost. Up to `_SCALAR_MAX`
-    pairs are costed on Python floats, with the array branch's operations
-    in its order, so both give the same bits.
+    vanish. Infeasible pairs get the sentinel cost. The pairs are costed
+    on Python floats, each norm summing its squares in np.linalg.norm's
+    order, (x*x + y*y) + z*z: that is faster than array operations for the
+    few pairs a frame has, and at any size it costs about as much as the
+    `hungarian` solve that reads the result.
     """
-    dets = np.asarray(detections, dtype=float).reshape(-1, 3)
+    dets = np.asarray(detections, dtype=float).reshape(-1, 3).tolist()
     w_m, w_a, w_v = weights
     feasible = gate_result.feasible
-    anchor_t = np.asarray(anchor_t, dtype=float)
-    if feasible.size <= _SCALAR_MAX:
-        return np.array(_float_costs(
-            dets.tolist(), feasible.tolist(), gate_result.d2.tolist(),
-            np.asarray(anchor, dtype=float).tolist(), anchor_t.tolist(),
-            np.asarray(velocity, dtype=float).tolist(), weights, t_now),
-            dtype=float).reshape(feasible.shape)
-    has = ~np.isnan(anchor_t)[:, None]
-    diff = dets - np.asarray(anchor, dtype=float)[:, None]
-    lag = t_now - anchor_t
-    moving = lag > 0                                    # False where NaN
-    implied = diff / np.where(moving, lag, 1.0)[:, None, None]
-    miss = np.linalg.norm(implied - velocity[:, None], axis=2)
-    cost = w_m * np.where(feasible, gate_result.d2, 0.0) \
-        + np.where(has, w_a * np.linalg.norm(diff, axis=2), 0.0) \
-        + np.where(moving[:, None], w_v * miss, 0.0)
-    return np.where(feasible, np.minimum(cost, SENTINEL_COST - 1.0),
-                    SENTINEL_COST)
-
-
-def _float_costs(dets, feasible, d2, anchor, anchor_t, velocity, weights,
-                 t_now) -> list[list[float]]:
-    """`build_cost` on Python floats, one row per track. Each norm sums its
-    squares as np.linalg.norm(axis=-1) does: (x*x + y*y) + z*z."""
-    w_m, w_a, w_v = weights
     cost = []
     for ok_row, d2_row, (ax, ay, az), a_t, (vx, vy, vz) in zip(
-            feasible, d2, anchor, anchor_t, velocity):
+            feasible.tolist(), gate_result.d2.tolist(),
+            np.asarray(anchor, dtype=float).tolist(),
+            np.asarray(anchor_t, dtype=float).tolist(),
+            np.asarray(velocity, dtype=float).tolist()):
         has = not math.isnan(a_t)
         lag = t_now - a_t
         moving = lag > 0                                # False where NaN
@@ -137,7 +116,7 @@ def _float_costs(dets, feasible, d2, anchor, anchor_t, velocity, weights,
                 c += w_v * math.sqrt((ix * ix + iy * iy) + iz * iz)
             row.append(min(c, SENTINEL_COST - 1.0))
         cost.append(row)
-    return cost
+    return np.array(cost, dtype=float).reshape(feasible.shape)
 
 
 def _assign(cost: list[list[float]]) -> list[int]:

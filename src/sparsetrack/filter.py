@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,6 +25,7 @@ import numpy as np
 from .core import NumericalError, ValidationError, as_points, number_array
 
 _LOG_2PI3 = 3 * float(np.log(2.0 * np.pi))
+_TINY = sys.float_info.min   # smallest normal float
 _I3 = np.eye(3)
 _I6 = np.eye(6)
 _H = np.eye(3, 6)            # position-only measurement matrix
@@ -241,6 +243,7 @@ def imm_init(positions, cfg: FilterConfig) -> IMMState:
 def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     """Mix and time-update every model of every track; mu becomes the
     predicted mu. F and Q are built once per distinct dt and q_levels."""
+    dt = float(dt)                  # the cache key: exact for a real scalar
     if dt <= 0:
         raise ValidationError("dt must be positive")
     x, P, mu_pred = imm_mix(s, cfg)
@@ -294,8 +297,10 @@ def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
     each model's beta-weighted detection likelihood, normalised over the
     models; the miss mass is uninformative across models. The weights are
     formed in one pass in linear space, each track's terms shifted by its
-    largest; a track whose weights then all underflow takes the log-space
-    form, in which a likelihood that underflows still ranks the models.
+    largest; a track whose weight total then falls below the smallest
+    normal float takes the log-space form, in which a likelihood that
+    underflows still ranks the models. Above that bound, each weight's
+    rounding is below 1e-15 of the total.
     """
     dets = as_points(dets)
     beta = np.asarray(beta, dtype=float)
@@ -336,6 +341,12 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
     `inn` holds each model's innovation terms, leading shape (T, M), when
     the caller has computed them with its gate; otherwise they are
     computed here."""
+    if inn is not None and inn.y.shape != (
+            len(pred), cfg.n_models, len(dets), 3):
+        raise ValidationError(
+            f"innovation terms of shape {inn.y.shape[:3]} do not match "
+            f"{len(pred)} tracks x {cfg.n_models} models x {len(dets)} "
+            "detections")
     miss = [b0 >= 1.0 - 1e-12 for b0 in beta[:, 0].tolist()]
     if all(miss):
         return pred
@@ -360,9 +371,9 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
         a - np.maximum.reduce(a, axis=(1, 2))[:, None, None]), 2)
     w = pred.mu * (b0 + (1.0 - b0) * L / np.add.reduce(L, 1)[:, None])
     total = np.add.reduce(w, 1)
-    bad = [not 0.0 < v < math.inf for v in total.tolist()]
+    bad = [not _TINY <= v < math.inf for v in total.tolist()]
     if any(bad):
-        # a track whose weights all underflow takes the log-space form
+        # a track whose weights underflow takes the log-space form
         w[bad] = _log_space_weights(pred.mu[bad], beta[bad], a[bad])
         total[bad] = 1.0
     mu = w / total[:, None]

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
-from sparsetrack import association
 from sparsetrack.core import NumericalError, ValidationError
-from sparsetrack.association import (_SCALAR_MAX, SENTINEL_COST, GateResult,
-                                     JpdaParams, build_cost, gate, hungarian,
-                                     jpda)
+from sparsetrack.association import (SENTINEL_COST, GateResult, JpdaParams,
+                                     build_cost, gate, hungarian, jpda)
 from sparsetrack.filter import (FilterConfig, IMMState, imm_correct,
                                 imm_correct_pda)
 
@@ -196,18 +194,36 @@ class TestBuildCost:
                     assert cost[i, j] == pytest.approx(want, rel=1e-12)
 
 
-class TestBuildCostBranches:
-    """build_cost's list branch against its array branch, bit for bit, for
-    up to `_SCALAR_MAX` pairs."""
+def array_cost(dets, gate_result, anchor, anchor_t, velocity, weights,
+               t_now):
+    """`build_cost`'s formula as whole-array numpy operations."""
+    w_m, w_a, w_v = weights
+    feasible = gate_result.feasible
+    has = ~np.isnan(anchor_t)[:, None]
+    diff = dets - anchor[:, None]
+    lag = t_now - anchor_t
+    moving = lag > 0                                    # False where NaN
+    implied = diff / np.where(moving, lag, 1.0)[:, None, None]
+    miss = np.linalg.norm(implied - velocity[:, None], axis=2)
+    cost = w_m * np.where(feasible, gate_result.d2, 0.0) \
+        + np.where(has, w_a * np.linalg.norm(diff, axis=2), 0.0) \
+        + np.where(moving[:, None], w_v * miss, 0.0)
+    return np.where(feasible, np.minimum(cost, SENTINEL_COST - 1.0),
+                    SENTINEL_COST)
+
+
+class TestBuildCostBits:
+    """build_cost on Python floats against its formula on arrays, bit for
+    bit."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
-    def test_list_branch_equals_array_branch(self, data):
+    def test_equals_array_formula(self, data):
         # NaN anchors, anchors not older than t_now, infeasible pairs, d2
         # whose cost is clamped to SENTINEL_COST - 1, a lag so small that
         # the implied velocity overflows to inf, and zero weights (0 * inf)
-        n = data.draw(st.integers(0, _SCALAR_MAX))
-        m = data.draw(st.integers(0, _SCALAR_MAX // max(n, 1)))
+        n = data.draw(st.integers(0, 8))
+        m = data.draw(st.integers(0, 8))
         coord = st.floats(-50.0, 50.0) | st.sampled_from((0.0, -0.0))
         point = st.tuples(coord, coord, coord)
         t_now = data.draw(st.sampled_from((0.0, 1.0, 123.4)))
@@ -233,13 +249,9 @@ class TestBuildCostBranches:
                          dtype=float).reshape(n, 3),
                 (data.draw(weight), data.draw(weight), data.draw(weight)),
                 t_now)
-        out = []
-        with pytest.MonkeyPatch.context() as mp, \
-                np.errstate(all="ignore"):  # the array branch's overflow
-            for limit in (10**9, -1):
-                mp.setattr(association, "_SCALAR_MAX", limit)
-                out.append(build_cost(*args))
-        got, want = out
+        got = build_cost(*args)
+        with np.errstate(all="ignore"):     # the array formula's overflow
+            want = array_cost(*args)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,18 @@ class TestBatchedBank:
         with pytest.raises(ValidationError):
             imm_correct(pred, np.zeros((3, 3)), assigned, cfg)
 
+    def test_mismatched_innovation_terms_rejected(self):
+        # terms computed for one track, or for other detections, would
+        # broadcast into a silently wrong update
+        cfg = FilterConfig()
+        pred = imm_init([(0, 0, 0), (1, 0, 0), (2, 0, 0)], cfg)
+        dets = np.zeros((2, 3))
+        for rows, n in ((1, 2), (3, 1)):
+            inn = innovation(pred.x[:rows, :, :3],
+                             pred.P[:rows, :, :3, :3] + cfg.R, dets[:n])
+            with pytest.raises(ValidationError, match="innovation terms"):
+                imm_correct(pred, dets, [0, 1, -1], cfg, inn)
+
     def test_rows_and_append_keep_each_track(self):
         cfg = FilterConfig()
         bank = _random_banks(np.random.default_rng(10), 3, cfg)
@@ -443,6 +457,14 @@ class TestTransitionTables:
         assert Q.tobytes() == np.stack(
             [process_noise(dt, qi) for qi in q]).tobytes()
 
+    def test_zero_d_array_dt_predicts_as_its_float(self):
+        cfg = FilterConfig()
+        s = imm_init([(0.0, 1.0, 2.0)], cfg)
+        got = imm_predict(s, np.array(0.1), cfg)
+        want = imm_predict(s, 0.1, cfg)
+        for a in ("x", "P", "mu"):
+            assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
+
     def test_q_levels_kept_as_a_float_tuple(self):
         # the cache key is hashable whatever sequence the config was given
         cfg = FilterConfig(q_levels=np.array([1, 2]), Pi=np.eye(2))
@@ -499,6 +521,26 @@ class TestPdaModelWeights:
             assert getattr(both, a)[0].tobytes() \
                 == getattr(alone, a)[0].tobytes()
         self.check(other, dets, beta[1:], cfg)
+
+    def test_subnormal_weight_total_takes_log_space_form(self):
+        # The two models with probability lie about 730 nats below the
+        # third, which has none: their linear-space weights are subnormal
+        # and keep only a few significant digits, but their total is > 0.
+        cfg = FilterConfig()
+        Sinv = np.linalg.inv(np.eye(3) + cfg.R)[0, 0]
+        x = np.zeros((1, 3, 6))
+        x[0, :2, 0] = np.sqrt(2.0 * np.array([730.0 + np.log(2.0), 730.0])
+                              / Sinv)
+        pred = IMMState(x=x, P=np.broadcast_to(np.eye(6), (1, 3, 6, 6)),
+                        mu=np.array([[0.5, 0.5, 0.0]]))
+        dets, beta = np.zeros((1, 3)), np.array([[0.0, 1.0]])
+        inn = innovation(pred.x[..., :3], pred.P[..., :3, :3] + cfg.R, dets)
+        ll = inn.loglik[0, :, 0]
+        assert 0.0 < 0.5 * np.exp(ll[:2] - ll[2]).sum() < sys.float_info.min
+        mu = imm_correct_pda(pred, dets, beta, cfg).mu[0]
+        want = log_space_weights(pred.mu[0], beta[0], inn.loglik[0])
+        np.testing.assert_allclose(want, [1 / 3, 2 / 3, 0.0], atol=1e-12)
+        np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
 
     def check(self, pred, dets, beta, cfg):
         upd = imm_correct_pda(pred, dets, beta, cfg)
