@@ -4,9 +4,9 @@ Each stage takes only the arrays it reads, one row per track, and runs
 once per frame for all tracks. The Hungarian solve is a port of scipy's
 `linear_sum_assignment` (Crouse's shortest augmenting path) that makes
 the same decisions, ties included, and is checked against it in the
-tests; JPDA enumerates feasible joint events explicitly. Both strategies end in the same filter update,
-`filter.imm_correct_pda`: Hungarian passes the one-hot beta row of each
-track's assigned detection, JPDA each track's row of marginals.
+tests; JPDA enumerates feasible joint events explicitly. Hungarian ends in
+`filter.imm_correct`, the IMM Kalman correction, and JPDA in its general
+form, the PDA update `filter.imm_correct_pda` of each track's marginals.
 """
 from __future__ import annotations
 
@@ -57,14 +57,18 @@ def gate(z_pred: np.ndarray, S: np.ndarray, detections: np.ndarray,
 
     A track whose S is not positive definite (slogdet sign <= 0, or a
     non-finite log-determinant) gets an infeasible row and one note; the
-    other rows are unaffected (see `filter.innovation`).
+    other rows are unaffected (see `filter.innovation`). Other shapes raise
+    `ValidationError`.
     """
-    dets = np.asarray(detections, dtype=float).reshape(-1, 3)
-    z = np.asarray(z_pred, dtype=float)
-    if z.ndim != 3:
-        z = z.reshape(-1, 1, 3)
-    inn = innovation(z, _sym(np.asarray(S, dtype=float).reshape(
-        z.shape + (3,))), dets)
+    dets, z, S = (np.asarray(a, dtype=float) for a in (detections, z_pred, S))
+    if not (dets.shape[1:] == (3,) and z.ndim in (2, 3) and 0 < z.shape[1]
+            and z.shape[-1] == 3 and S.shape == z.shape + (3,)):
+        raise ValidationError(
+            f"gate needs detections (n, 3), z_pred (T, 3) or (T, K, 3) and "
+            f"S of its shape + (3,), got {dets.shape}, {z.shape}, {S.shape}")
+    if z.ndim == 2:
+        z, S = z[:, None], S[:, None]
+    inn = innovation(z, _sym(S), dets)
     ok, d2, loglik = inn.ok[:, 0], inn.d2[:, 0], inn.loglik[:, 0]
     notes = [] if ok.all() else [
         f"track {i}: singular S (slogdet sign {inn.sign[i, 0]:g}, "
@@ -91,15 +95,20 @@ def build_cost(detections: np.ndarray, gate_result: GateResult,
     few pairs a frame has, and at any size it costs about as much as the
     `hungarian` solve that reads the result.
     """
-    dets = np.asarray(detections, dtype=float).reshape(-1, 3).tolist()
-    w_m, w_a, w_v = weights
     feasible = gate_result.feasible
+    t, n = feasible.shape
+    arrays = [np.asarray(a, dtype=float)
+              for a in (detections, anchor, anchor_t, velocity)]
+    want, got = ((n, 3), (t, 3), (t,), (t, 3)), tuple(a.shape for a in arrays)
+    if got != want:
+        raise ValidationError(f"build_cost needs detections, anchors, anchor "
+                              f"times and velocities {want}, got {got}")
+    dets, anchor, anchor_t, velocity = (a.tolist() for a in arrays)
+    w_m, w_a, w_v = weights
     cost = []
     for ok_row, d2_row, (ax, ay, az), a_t, (vx, vy, vz) in zip(
-            feasible.tolist(), gate_result.d2.tolist(),
-            np.asarray(anchor, dtype=float).tolist(),
-            np.asarray(anchor_t, dtype=float).tolist(),
-            np.asarray(velocity, dtype=float).tolist()):
+            feasible.tolist(), gate_result.d2.tolist(), anchor, anchor_t,
+            velocity):
         has = not math.isnan(a_t)
         lag = t_now - a_t
         moving = lag > 0                                # False where NaN

@@ -6,11 +6,12 @@ that differ only in process-noise intensity (hover / cruise / evasive).
 
 The model banks of T tracks are one set of arrays, x (T, M, 6),
 P (T, M, 6, 6) and mu (T, M), and each IMM stage is one batched operation
-over all tracks and models. Hungarian and JPDA tracking share one
-measurement update, `imm_correct_pda`. All functions return new banks and
-leave their inputs unchanged. An overflow inside a stage surfaces as a
-`NumericalError` from the result check; callers that do not want numpy's
-warnings as well run the stages under `np.errstate`, as `Tracker.step` does.
+over all tracks and models. JPDA runs the PDA update `imm_correct_pda`,
+Hungarian its one-hot case `imm_correct`, the IMM Kalman correction. All
+functions return new banks and leave their inputs unchanged. An overflow
+inside a stage surfaces as a `NumericalError` from the result check;
+callers that do not want numpy's warnings as well run the stages under
+`np.errstate`, as `Tracker.step` does.
 """
 from __future__ import annotations
 
@@ -314,14 +315,13 @@ def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
     return _pda_update(pred, dets, beta, cfg)
 
 
-def _log_space_weights(mu: np.ndarray, beta: np.ndarray, a: np.ndarray
-                       ) -> np.ndarray:
-    """Model weights of tracks with model probabilities `mu` (T, M), beta
-    rows (T, n + 1) and b-weighted detection log-terms `a` (T, M, n),
-    formed in log space."""
+def _log_space_weights(mu: np.ndarray, b0, a: np.ndarray) -> np.ndarray:
+    """Model weights of tracks with model probabilities `mu` (T, M), miss
+    probabilities `b0` (T, 1) or 0 and b-weighted detection log-terms `a`
+    (T, M, n), formed in log space."""
     with np.errstate(divide="ignore"):              # log(0) = -inf is intended
         log_mu = np.log(mu)
-        log_b0 = np.log(beta[:, :1])
+        log_b0 = np.log(b0)
     # log-sum-exp over the detections (exactly a itself for one
     # detection), then normalised over the models
     loglik = top = np.maximum.reduce(a, axis=2)
@@ -329,37 +329,71 @@ def _log_space_weights(mu: np.ndarray, beta: np.ndarray, a: np.ndarray
         loglik = top + np.log(np.add.reduce(np.exp(a - top[..., None]), 2))
     top = np.maximum.reduce(loglik, axis=1)[:, None]
     loglik -= top + np.log(np.add.reduce(np.exp(loglik - top), 1))[:, None]
-    log_w = log_mu + np.logaddexp(log_b0, np.log(1.0 - beta[:, :1]) + loglik)
+    log_w = log_mu + np.logaddexp(log_b0, np.log(1.0 - b0) + loglik)
     mu = np.exp(log_w - np.maximum.reduce(log_w, axis=1)[:, None])
     return mu / np.add.reduce(mu, 1)[:, None]
 
 
-def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
-                cfg: FilterConfig, inn: Innovation | None = None) -> IMMState:
-    """`imm_correct_pda` of finite float dets and checked beta rows.
-
-    `inn` holds each model's innovation terms, leading shape (T, M), when
-    the caller has computed them with its gate; otherwise they are
-    computed here."""
+def _terms(pred: IMMState, dets: np.ndarray, cfg: FilterConfig,
+           inn: Innovation | None, miss: list[bool]):
+    """(inn, miss): the models' innovation terms, given or computed, and the
+    miss rows as an array or None if none; both None if every row misses."""
     if inn is not None and inn.y.shape != (
             len(pred), cfg.n_models, len(dets), 3):
         raise ValidationError(
             f"innovation terms of shape {inn.y.shape[:3]} do not match "
             f"{len(pred)} tracks x {cfg.n_models} models x {len(dets)} "
             "detections")
-    miss = [b0 >= 1.0 - 1e-12 for b0 in beta[:, 0].tolist()]
     if all(miss):
-        return pred
-    mixed = any(miss)
-    if mixed:
-        # a hit row stands in for the misses; their results are discarded
-        miss = np.array(miss)
-        beta = np.where(miss[:, None], beta[miss.argmin()], beta)
+        return None, None
     if inn is None:
         inn = innovation(pred.x[..., :3], pred.P[..., :3, :3] + cfg.R, dets)
     if not inn.ok.all():
         raise NumericalError(
             f"singular innovation covariance (slogdet signs {inn.sign})")
+    return inn, np.array(miss) if any(miss) else None
+
+
+def _corrected(pred: IMMState, miss: np.ndarray | None, w: np.ndarray,
+               b0: np.ndarray | None, a: np.ndarray, Sinv: np.ndarray,
+               nu: np.ndarray, M: np.ndarray) -> IMMState:
+    """The bank after each model's Kalman step: mu from weights `w` (T, M),
+    or, where their total is below the smallest normal float, the log-space
+    form of miss probabilities `b0` (T, 1), None for 0, and log-terms `a`;
+    x + K nu; the Joseph form, plus the PDA's b0 (P_pred - P_joseph) for a
+    `b0`, plus K M K'. Rows set in `miss` keep their predicted bank."""
+    total = np.add.reduce(w, 1)
+    bad = [not _TINY <= v < math.inf for v in total.tolist()]
+    if any(bad):
+        w[bad] = _log_space_weights(pred.mu[bad], 0.0 if b0 is None
+                                    else b0[bad], a[bad])
+        total[bad] = 1.0
+    mu = w / total[:, None]
+    K = pred.P[..., :3] @ Sinv                      # (T, M, 6, 3)
+    IKH = _I6 - K @ _H
+    P = IKH @ pred.P @ IKH.swapaxes(-1, -2)
+    if b0 is not None:
+        P = P + b0[..., None, None] * (pred.P - P)
+    P = P + K @ M @ K.swapaxes(-1, -2)
+    x = pred.x + (K @ nu[..., None])[..., 0]
+    if miss is not None:
+        x = np.where(miss[:, None, None], pred.x, x)
+        P = np.where(miss[:, None, None, None], pred.P, P)
+        mu = np.where(miss[:, None], pred.mu, mu)
+    return _stepped(x, P, mu)
+
+
+def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
+                cfg: FilterConfig, inn: Innovation | None = None) -> IMMState:
+    """`imm_correct_pda` of finite float dets and checked beta rows, with
+    the models' innovation terms `inn` from the caller's gate, or None."""
+    inn, miss = _terms(pred, dets, cfg, inn,
+                       [b0 >= 1.0 - 1e-12 for b0 in beta[:, 0].tolist()])
+    if inn is None:
+        return pred
+    if miss is not None:
+        # a hit row stands in for the misses; their results are discarded
+        beta = np.where(miss[:, None], beta[miss.argmin()], beta)
     b0 = beta[:, :1]                                # (T, 1)
     b = beta[:, None, 1:]                           # (T, 1, n)
     y = inn.y                                       # (T, M, n, 3)
@@ -370,44 +404,36 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
     L = np.add.reduce(np.exp(
         a - np.maximum.reduce(a, axis=(1, 2))[:, None, None]), 2)
     w = pred.mu * (b0 + (1.0 - b0) * L / np.add.reduce(L, 1)[:, None])
-    total = np.add.reduce(w, 1)
-    bad = [not _TINY <= v < math.inf for v in total.tolist()]
-    if any(bad):
-        # a track whose weights underflow takes the log-space form
-        w[bad] = _log_space_weights(pred.mu[bad], beta[bad], a[bad])
-        total[bad] = 1.0
-    mu = w / total[:, None]
-
     nu = (b[:, :, None] @ y)[..., 0, :]             # (T, M, 3) innovation
-    K = pred.P[..., :3] @ inn.Sinv                  # (T, M, 6, 3)
-    IKH = _I6 - K @ _H
     # The Joseph-form P_upd's K R K' and the spread share one K (.) K'.
     spread = (y.swapaxes(-1, -2) * b[..., None, :]) @ y \
         - nu[..., None] * nu[..., None, :]
-    w0 = b0[..., None, None]
-    joseph = IKH @ pred.P @ IKH.swapaxes(-1, -2)
-    P = joseph + w0 * (pred.P - joseph) \
-        + K @ ((1.0 - w0) * cfg.R + spread) @ K.swapaxes(-1, -2)
-    x = pred.x + (K @ nu[..., None])[..., 0]
-    if mixed:
-        x = np.where(miss[:, None, None], pred.x, x)
-        P = np.where(miss[:, None, None, None], pred.P, P)
-        mu = np.where(miss[:, None], pred.mu, mu)
-    return _stepped(x, P, mu)
+    return _corrected(pred, miss, w, b0, a, inn.Sinv, nu,
+                      (1.0 - b0[..., None, None]) * cfg.R + spread)
 
 
 def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig,
                 inn: Innovation | None = None) -> IMMState:
-    """Hungarian update: track t takes detection `dets[assigned[t]]` with
-    certainty, and a track with `assigned[t] = -1` keeps its predicted bank.
-    This is `imm_correct_pda` with one-hot beta rows. `inn`, when given,
-    holds each model's innovation terms from the caller's gate."""
+    """Hungarian update: the IMM Kalman correction of track t by detection
+    `dets[assigned[t]]`, or none for `assigned[t] = -1`. Each model takes
+    its innovation's residual, the weight mu L / sum L of its likelihood L
+    and the Joseph form plus K R K': `imm_correct_pda` with one-hot beta
+    rows, whose other terms are exact zeros (tested bit for bit). `inn`,
+    when given, holds each model's innovation terms from the caller's gate."""
     dets = as_points(dets)
     assigned = np.asarray(assigned)
     if assigned.shape != (len(pred),) or assigned.dtype.kind != "i" \
             or not ((assigned >= -1) & (assigned < len(dets))).all():
         raise ValidationError(
             "assigned must hold one detection index or -1 per track")
-    beta = np.zeros((len(assigned), len(dets) + 1))
-    beta[np.arange(len(assigned)), assigned + 1] = 1.0
-    return _pda_update(pred, dets, beta, cfg, inn)
+    hit = assigned.tolist()
+    inn, miss = _terms(pred, dets, cfg, inn, [j < 0 for j in hit])
+    if inn is None:
+        return pred
+    stand = max(hit)                # a hit's detection stands in for misses
+    idx = np.arange(len(hit)), slice(None), np.array(
+        [j if j >= 0 else stand for j in hit])
+    y, ll = inn.y[idx], inn.loglik[idx]             # (T, M, 3), (T, M)
+    L = np.exp(ll - np.maximum.reduce(ll, axis=1)[:, None])
+    return _corrected(pred, miss, pred.mu * (L / np.add.reduce(L, 1)[:, None]),
+                      None, ll[..., None], inn.Sinv, y, cfg.R)

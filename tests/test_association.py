@@ -117,9 +117,42 @@ class TestGate:
         assert g.rest.ok.tolist() == [[True] * 3, [True, False, True]]
         assert g.rest.y.shape == (2, 3, 2, 3)
         for i, k in ((0, 1), (1, 3)):
-            row = gate(z[i, k], S[i, k], dets, self.params)
+            row = gate(z[i, k][None], S[i, k][None], dets, self.params)
             np.testing.assert_allclose(g.rest.d2[i, k - 1], row.d2[0],
                                        rtol=1e-12, atol=1e-12)
+
+    def test_detections_not_three_columns_rejected(self):
+        # not two 3-vectors read from a (3, 2) array
+        with pytest.raises(ValidationError, match=r"\(n, 3\)"):
+            gate(np.zeros((1, 3)), np.eye(3)[None],
+                 np.arange(6.0).reshape(3, 2), self.params)
+
+    def test_flat_z_pred_rejected(self):
+        # not two tracks read from a (6,) array
+        with pytest.raises(ValidationError, match="z_pred"):
+            gate(np.zeros(6), np.broadcast_to(np.eye(3), (2, 3, 3)),
+                 np.zeros((1, 3)), self.params)
+
+    @pytest.mark.parametrize("z_shape, s_shape", [
+        ((2, 3), (1, 3, 3)),           # one S for two tracks
+        ((2, 3), (2, 3, 3, 1)),
+        ((2, 4, 3), (2, 3, 3, 3)),     # one S fewer than stacked rows
+        ((2, 0, 3), (2, 0, 3, 3)),     # no row to gate on
+        ((2, 2), (2, 2, 2)),
+    ])
+    def test_mismatched_z_pred_and_s_rejected(self, z_shape, s_shape):
+        # neither reshaped into other tracks nor a raw reshape ValueError
+        with pytest.raises(ValidationError, match="z_pred"):
+            gate(np.zeros(z_shape), np.ones(s_shape), np.zeros((1, 3)),
+                 self.params)
+
+    def test_empty_detections_and_tracks_accepted(self):
+        g = gate(np.zeros((2, 3)), np.broadcast_to(np.eye(3), (2, 3, 3)),
+                 np.zeros((0, 3)), self.params)
+        assert g.d2.shape == g.feasible.shape == (2, 0)
+        g = gate(np.zeros((0, 4, 3)), np.zeros((0, 4, 3, 3)),
+                 np.zeros((2, 3)), self.params)
+        assert g.d2.shape == (0, 2) and g.rest.y.shape == (0, 3, 2, 3)
 
     def test_singular_model_s_raises_from_the_update(self):
         # one model's S is singular while the fused S is not: the tracker's
@@ -161,6 +194,36 @@ class TestBuildCost:
         g = gate(*view(), dets, self.params)
         cost = build_cost(dets, g, *self.bare, (1.0, 0.3, 0.3), t_now=1.0)
         assert hungarian(cost).tolist() == [-1]
+
+    def test_detections_not_three_columns_rejected(self):
+        g = gate(*view(), np.zeros((3, 3)), self.params)
+        with pytest.raises(ValidationError, match="build_cost needs"):
+            build_cost(np.arange(6.0).reshape(3, 2), g, *self.bare,
+                       (1.0, 0.3, 0.3), t_now=1.0)
+
+    def test_detection_count_other_than_the_gate_rejected(self):
+        g = gate(*view(), np.zeros((2, 3)), self.params)
+        with pytest.raises(ValidationError, match="build_cost needs"):
+            build_cost(np.zeros((3, 3)), g, *self.bare, (1.0, 0.3, 0.3),
+                       t_now=1.0)
+
+    @pytest.mark.parametrize("which, bad", [
+        (0, np.zeros((2, 3))),         # an anchor for a track the gate lacks
+        (0, np.zeros(3)),
+        (1, np.zeros(2)),
+        (1, np.zeros((1, 1))),
+        (2, np.zeros((1, 2))),
+        (2, np.zeros(3)),
+    ])
+    def test_one_row_per_gate_row_required(self, which, bad):
+        # a short row is not dropped by zip, and a long one gives no raw
+        # reshape ValueError
+        g = gate(*view(), np.zeros((2, 3)), self.params)
+        rows = list(self.bare)
+        rows[which] = bad
+        with pytest.raises(ValidationError, match="build_cost needs"):
+            build_cost(np.zeros((2, 3)), g, *rows, (1.0, 0.3, 0.3),
+                       t_now=1.0)
 
     def test_equals_per_pair_loop(self):
         # The array cost equals the per-pair definition, with tracks that

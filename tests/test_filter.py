@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsetrack.association import JpdaParams, gate
 from sparsetrack.core import NumericalError, ValidationError
 from sparsetrack.filter import (FilterConfig, IMMState, _f_and_q, _moments,
                                 _sym, imm_correct, imm_correct_pda, imm_init,
@@ -325,8 +326,8 @@ class TestBatchedBank:
                                           getattr(pred, a)[i])
 
     def test_hungarian_update_equals_single_detection_update(self):
-        # imm_correct's one-hot rows over all detections give the same bank
-        # as updating each assigned track with its one detection alone.
+        # imm_correct over all detections gives the same bank as updating
+        # each assigned track with its one detection alone.
         cfg = FilterConfig()
         rng = np.random.default_rng(9)
         pred = imm_predict(_random_banks(rng, 4, cfg), 0.1, cfg)
@@ -575,3 +576,67 @@ class TestPdaModelWeights:
                          np.array([[15.0, 0.0, 0.0]]),
                          np.array([[b0, 1.0 - b0]]), cfg)
         assert (upd.mu[0, 0] == 0.0) == (b0 == 0.0)
+
+
+class TestHungarianUpdate:
+    """`imm_correct`, the IMM Kalman correction of one detection per track,
+    equals `imm_correct_pda` with one-hot beta rows bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for a in ("x", "P", "mu", "fused_x"):
+            assert getattr(got, a).tobytes() == getattr(want, a).tobytes(), a
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 8),
+           n=st.integers(1, 4),
+           spread=st.sampled_from([0.3, 3.0, 30.0, 300.0]),
+           picks=st.lists(st.integers(0, 4), min_size=8, max_size=8),
+           zero_best=st.booleans(), gated=st.booleans())
+    def test_equals_pda_update_of_one_hot_rows(self, seed, t, n, spread,
+                                               picks, zero_best, gated):
+        # detections up to far beyond the gate, so models' likelihoods lie
+        # beyond exp's range apart; with zero_best the model most likely to
+        # give each track's detection has no probability, which sends the
+        # weights of such a track to log space
+        cfg = FilterConfig()
+        rng = np.random.default_rng(seed)
+        pred = imm_predict(_random_banks(rng, t, cfg), 0.1, cfg)
+        dets = rng.normal(scale=spread, size=(n, 3))
+        assigned = np.array([p % (n + 1) - 1 for p in picks[:t]])
+        if zero_best:
+            ll = innovation(pred.x[..., :3], pred.P[..., :3, :3] + cfg.R,
+                            dets).loglik[np.arange(t), :, assigned]
+            mu = pred.mu.copy()
+            mu[np.arange(t), ll.argmax(axis=1)] = 0.0
+            pred = IMMState(pred.x, pred.P, mu / mu.sum(axis=1)[:, None])
+        beta = np.zeros((t, n + 1))
+        beta[np.arange(t), assigned + 1] = 1.0
+        inn = gate(*pred.measurement_stack(cfg.R), dets,
+                   JpdaParams()).rest if gated else None
+        got = imm_correct(pred, dets, assigned, cfg, inn)
+        if (assigned < 0).all():
+            assert got is pred
+        self.assert_same_bits(got, imm_correct_pda(pred, dets, beta, cfg))
+
+    def test_subnormal_weight_total_takes_log_space_form(self):
+        # test_subnormal_weight_total_takes_log_space_form's bank, run
+        # through imm_correct beside a second detection
+        cfg = FilterConfig()
+        Sinv = np.linalg.inv(np.eye(3) + cfg.R)[0, 0]
+        x = np.zeros((1, 3, 6))
+        x[0, :2, 0] = np.sqrt(2.0 * np.array([730.0 + np.log(2.0), 730.0])
+                              / Sinv)
+        pred = IMMState(x=x, P=np.broadcast_to(np.eye(6), (1, 3, 6, 6)),
+                        mu=np.array([[0.5, 0.5, 0.0]]))
+        dets = np.array([[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        inn = innovation(pred.x[..., :3], pred.P[..., :3, :3] + cfg.R, dets)
+        ll = inn.loglik[0, :, 1]
+        assert 0.0 < 0.5 * np.exp(ll[:2] - ll[2]).sum() < sys.float_info.min
+        got = imm_correct(pred, dets, [1], cfg)
+        want = log_space_weights(pred.mu[0], np.array([0.0, 0.0, 1.0]),
+                                 inn.loglik[0])
+        np.testing.assert_allclose(want, [1 / 3, 2 / 3, 0.0], atol=1e-12)
+        np.testing.assert_allclose(got.mu[0], want, rtol=0, atol=1e-12)
+        self.assert_same_bits(got, imm_correct_pda(
+            pred, dets, np.array([[0.0, 0.0, 1.0]]), cfg))

@@ -23,7 +23,7 @@ def test_two_runs_agree_and_cover_every_output(monkeypatch, capsys):
              for preset in output_digest.PRESETS
              for sensor in output_digest.SENSORS}
     keys |= {f"{what}/{mode}" for what in ("frame_log", "mot_report")
-             for mode in output_digest.MODES}
+             for mode in (*output_digest.MODES, "hungarian/clutter")}
     assert list(runs[0]) == list(KINDS)
     for digests in runs[0].values():
         assert set(digests) == keys

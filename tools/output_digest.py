@@ -16,14 +16,19 @@ order:
   them, and `detection_report/<preset>/<sensor>`, their `eval_detection`;
 - `frame_log/<mode>` and `mot_report/<mode>`: the tracker over the A_s
   detections of the tracking sensor in each association mode, as
-  `write_frame_log` writes it, and its `eval_mot`.
+  `write_frame_log` writes it, and its `eval_mot`;
+- `frame_log/hungarian/clutter` and `mot_report/hungarian/clutter`: the
+  Hungarian tracker over B_s detections with minPts 1, on a 600-frame
+  stream of the tracking sensor at 2.5 clutter returns per scan, where a
+  Hungarian update takes up to tens of tracks.
 
 `--frames N` shortens every stream to N frames (default: each kind's own
-length).
+length; at most 600 for the clutter stream).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -40,6 +45,8 @@ from sparsetrack.trackman import TrackerConfig, run_tracker
 PRESETS = ("A_s", "B_s", "O", "S1", "S4", "MR")
 SENSORS = {"tracking": TRACKING_SENSOR, "default": SensorModel()}
 MODES = ("hungarian", "jpda")
+CLUTTER = dataclasses.replace(TRACKING_SENSOR, clutter_rate=2.5)
+CLUTTER_FRAMES = 600
 
 
 def parse_seeds(text: str) -> range:
@@ -58,25 +65,34 @@ def kind_outputs(kind: str, seed: int, frames: int | None, tmp: Path):
     def report(rep) -> bytes:
         return json.dumps(rep.to_dict()).encode()
 
+    def detected(cfg, scans):
+        det = Detector(cfg)
+        return [(s.t, det.detect(s)) for s in scans]
+
+    def tracked(key, dets, gt, mode):
+        log = run_tracker(dets, TrackerConfig(association_mode=mode))
+        yield f"frame_log/{key}", written(io.write_frame_log, log)
+        yield f"mot_report/{key}", report(eval_mot(log, gt))
+
     for name, sensor in SENSORS.items():
         scans, gt = run_scenario(Scenario(kind=kind, n_frames=frames,
                                           seed=seed, sensor=sensor))
         yield f"scans/{name}", written(io.write_scans, scans)
         yield f"truth/{name}", written(io.write_ground_truth, gt)
         for preset in PRESETS:
-            det = Detector(get_preset(preset))
-            dets = [(s.t, det.detect(s)) for s in scans]
+            dets = detected(get_preset(preset), scans)
             yield (f"detections/{preset}/{name}",
                    written(io.write_measurement_frames, dets))
             yield (f"detection_report/{preset}/{name}",
                    report(eval_detection([ms for _, ms in dets], gt)))
             if (preset, name) == ("A_s", "tracking"):
                 for mode in MODES:
-                    log = run_tracker(dets, TrackerConfig(
-                        association_mode=mode))
-                    yield (f"frame_log/{mode}",
-                           written(io.write_frame_log, log))
-                    yield f"mot_report/{mode}", report(eval_mot(log, gt))
+                    yield from tracked(mode, dets, gt, mode)
+    scans, gt = run_scenario(Scenario(
+        kind=kind, n_frames=min(frames or CLUTTER_FRAMES, CLUTTER_FRAMES),
+        seed=seed, sensor=CLUTTER))
+    dets = detected(dataclasses.replace(get_preset("B_s"), min_pts=1), scans)
+    yield from tracked("hungarian/clutter", dets, gt, "hungarian")
 
 
 def digests(seeds, frames: int | None = None) -> dict[str, dict[str, str]]:
