@@ -12,7 +12,7 @@ from .association import (GateResult, JpdaParams, build_cost, gate, hungarian,
 from .trackman import (FrameRecord, Track, Tracker, TrackerConfig,
                        lifecycle_advance, run_tracker)
 from .simulator import (GroundTruth, Scenario, SensorModel, gen_trajectories,
-                        run_scenario, sample_scan)
+                        run_scenario)
 from .metrics import DetectionReport, MotReport, eval_detection, eval_mot
 
 __version__ = "0.1.0"

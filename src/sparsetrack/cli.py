@@ -55,10 +55,6 @@ _match_radius = click.option("--match-radius", type=float, default=1.0,
                              callback=_positive_radius)
 
 
-def _score_detections(frames, gt, match_radius: float):
-    return eval_detection([ms for _, ms in frames], gt, match_radius)
-
-
 def _read_aligned(scans_path, truth_path):
     """The scans and the truth, once the scans' times match the truth's,
     so a misaligned pair fails before the detector runs."""
@@ -136,7 +132,7 @@ def detect(scans_path, preset, config, truth_path, match_radius, out_path):
     n = sum(len(ms) for _, ms in frames)
     click.echo(f"wrote {n} detections over {len(frames)} frames to {out_path}")
     if gt is not None:
-        _report(_score_detections(frames, gt, match_radius),
+        _report(eval_detection([ms for _, ms in frames], gt, match_radius),
                 Path(out_path).with_suffix(".report.json"))
 
 
@@ -187,11 +183,10 @@ def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
           out_path):
     """Detection-report table over a minPts grid (Table-I-style columns)."""
     try:
-        grid = [int(v) for v in min_pts_grid.split(",") if v.strip()]
+        grid = [int(v) for v in min_pts_grid.split(",")]
     except ValueError:
-        raise click.UsageError("--min-pts must be comma-separated integers")
-    if not grid:
-        raise click.UsageError("--min-pts grid is empty")
+        raise click.UsageError("--min-pts must be comma-separated integers, "
+                               "one min_pts value per item")
     base = _detector_config(preset, config)
     try:
         configs = [dataclasses.replace(base, min_pts=mp) for mp in grid]
@@ -200,7 +195,8 @@ def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
     scans, gt = _read_aligned(scans_path, truth_path)
     rows = []
     for cfg in configs:
-        rep = _score_detections(_run_detector(scans, cfg), gt, match_radius)
+        rep = eval_detection([ms for _, ms in _run_detector(scans, cfg)], gt,
+                             match_radius)
         rows.append({"min_pts": cfg.min_pts, "eps0": cfg.eps0,
                      "voxel": cfg.voxel, **rep.to_dict()})
     Path(out_path).write_text(json.dumps(rows, indent=2) + "\n")
@@ -222,7 +218,7 @@ def evaluate(det_path, log_path, truth_path, match_radius, out_path):
     if det_path is not None:
         frames = stio.read_measurement_frames(det_path)
         check_frame_times([t for t, _ in frames], gt)
-        report = _score_detections(frames, gt, match_radius)
+        report = eval_detection([ms for _, ms in frames], gt, match_radius)
     else:
         report = eval_mot(stio.read_frame_log(log_path), gt, match_radius)
     _report(report, out_path)

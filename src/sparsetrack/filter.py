@@ -30,9 +30,6 @@ _TINY = sys.float_info.min   # smallest normal float
 _I3 = np.eye(3)
 _I6 = np.eye(6)
 _H = np.eye(3, 6)            # position-only measurement matrix
-# F and G G' as codes into (0, 1, dt) and (0, h^2, h dt, dt^2), h = dt^2 / 2
-_F_CODE = np.kron([[1, 2], [0, 1]], np.eye(3, dtype=int))
-_Q_CODE = np.kron([[1, 2], [2, 3]], np.eye(3, dtype=int))
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
@@ -83,14 +80,18 @@ class IMMState:
         # summing propagates NaN/inf, so this is a cheap finiteness check
         if not np.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)):
             raise ValidationError("non-finite filter state")
-        self._fuse(x, P, np.maximum(mu, 0.0))
+        mu = np.maximum(mu, 0.0)
+        self.x, self.P, self.mu = x, _sym(P), mu
+        self.fused_x = (mu[:, None] @ x)[:, 0]
 
-    def _fuse(self, x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> None:
-        """Set the bank from checked arrays: symmetrise P and fuse x."""
-        self._set(x, _sym(P), mu, (mu[:, None] @ x)[:, 0])
-
-    def _set(self, *arrays: np.ndarray) -> None:
-        self.x, self.P, self.mu, self.fused_x = arrays
+    @classmethod
+    def _of(cls, x: np.ndarray, P: np.ndarray, mu: np.ndarray,
+            fused_x: np.ndarray) -> IMMState:
+        """A bank from C-contiguous arrays of a valid bank, unchecked: P
+        symmetric and `fused_x` = mu x per track."""
+        s = object.__new__(cls)
+        s.x, s.P, s.mu, s.fused_x = x, P, mu, fused_x
+        return s
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
         return self.x, self.P, self.mu, self.fused_x
@@ -110,13 +111,6 @@ class IMMState:
         return (np.concatenate((z, xp), axis=1),
                 np.concatenate((S, Pp), axis=1) + R)
 
-    @classmethod
-    def _of(cls, arrays) -> IMMState:
-        """A bank from x, P, mu and fused_x of valid banks, unchecked."""
-        s = object.__new__(cls)
-        s._set(*arrays)
-        return s
-
     def __len__(self) -> int:
         return len(self.mu)
 
@@ -126,12 +120,12 @@ class IMMState:
         if idx == list(range(len(self))):
             return self
         # take copies the rows as indexing does, with less per-call overhead
-        return IMMState._of(a.take(idx, axis=0) for a in self._arrays())
+        return IMMState._of(*(a.take(idx, axis=0) for a in self._arrays()))
 
     def append(self, *others: IMMState) -> IMMState:
         """This bank followed by the rows of each of `others`."""
-        return IMMState._of(np.concatenate(arrays) for arrays in zip(
-            self._arrays(), *(o._arrays() for o in others)))
+        return IMMState._of(*(np.concatenate(arrays) for arrays in zip(
+            self._arrays(), *(o._arrays() for o in others))))
 
 
 def _stepped(x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> IMMState:
@@ -145,9 +139,7 @@ def _stepped(x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> IMMState:
     if not np.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)
                        + np.add.reduce(mu, None)):
         raise NumericalError("filter step failed: non-finite filter state")
-    s = object.__new__(IMMState)
-    s._fuse(x, P, mu)
-    return s
+    return IMMState._of(x, _sym(P), mu, (mu[:, None] @ x)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -184,7 +176,9 @@ class FilterConfig:
                 and np.all(mu0 >= 0)):
             raise ValidationError("mu0 must be a distribution over models")
         P0 = number_array("P0", self.P0)
-        if P0.shape != (6, 6) or not np.allclose(P0, P0.T):
+        # imm_init builds banks from the stored, symmetrised P0 unchecked
+        if P0.shape != (6, 6) or not np.allclose(P0, P0.T) \
+                or not np.isfinite(_sym(P0)).all():
             raise ValidationError("P0 must be a finite symmetric 6x6 matrix")
         w = np.linalg.eigvalsh(P0)  # ascending
         if w[0] < -1e-12 * w[-1]:
@@ -204,12 +198,12 @@ class FilterConfig:
 def _f_and_q(dt: float, q_levels: tuple[float, ...]
              ) -> tuple[np.ndarray, np.ndarray]:
     """F (6, 6) and Q = q^2 G G' (M, 6, 6) of each q in `q_levels` for
-    G = [dt^2/2 I; dt I], each from one lookup into a value table. Cached
-    on the exact (dt, q_levels), so the arrays are read-only."""
+    G = [dt^2/2 I; dt I]. Cached on the exact (dt, q_levels), so the
+    arrays are read-only."""
     h = 0.5 * dt * dt
-    F = np.array((0.0, 1.0, dt))[_F_CODE]
+    F = _I6 + dt * np.eye(6, k=3)
     Q = np.square(q_levels)[:, None, None] \
-        * np.array((0.0, h * h, h * dt, dt * dt))[_Q_CODE]
+        * np.kron([[h * h, h * dt], [h * dt, dt * dt]], _I3)
     F.flags.writeable = Q.flags.writeable = False
     return F, Q
 
@@ -237,16 +231,17 @@ def imm_init(positions, cfg: FilterConfig) -> IMMState:
     t, m = len(pos), cfg.n_models
     x = np.zeros((t, m, 6))
     x[:, :, :3] = pos[:, None]
-    return IMMState(x=x, P=np.broadcast_to(cfg.P0, (t, m, 6, 6)),
-                    mu=np.broadcast_to(cfg.mu0, (t, m)))
+    mu = np.tile(cfg.mu0, (t, 1))
+    return IMMState._of(x, np.tile(cfg.P0, (t, m, 1, 1)), mu,
+                        (mu[:, None] @ x)[:, 0])
 
 
 def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     """Mix and time-update every model of every track; mu becomes the
     predicted mu. F and Q are built once per distinct dt and q_levels."""
     dt = float(dt)                  # the cache key: exact for a real scalar
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
     x, P, mu_pred = imm_mix(s, cfg)
     F, Q = _f_and_q(dt, cfg.q_levels)
     return _stepped(x @ F.T, F @ P @ F.T + Q,
@@ -319,14 +314,17 @@ def _log_space_weights(mu: np.ndarray, b0, a: np.ndarray) -> np.ndarray:
     """Model weights of tracks with model probabilities `mu` (T, M), miss
     probabilities `b0` (T, 1) or 0 and b-weighted detection log-terms `a`
     (T, M, n), formed in log space."""
+    # log-sum-exp over the detections (exactly a itself for one
+    # detection), each model's terms shifted by its largest, or by 0 when it
+    # has none finite so that its log-likelihood is -inf, not NaN; then
+    # normalised over the models
+    loglik = np.maximum.reduce(a, axis=2)
     with np.errstate(divide="ignore"):              # log(0) = -inf is intended
         log_mu = np.log(mu)
         log_b0 = np.log(b0)
-    # log-sum-exp over the detections (exactly a itself for one
-    # detection), then normalised over the models
-    loglik = top = np.maximum.reduce(a, axis=2)
-    if a.shape[2] > 1:
-        loglik = top + np.log(np.add.reduce(np.exp(a - top[..., None]), 2))
+        if a.shape[2] > 1:
+            top = np.where(loglik > -math.inf, loglik, 0.0)
+            loglik = top + np.log(np.add.reduce(np.exp(a - top[..., None]), 2))
     top = np.maximum.reduce(loglik, axis=1)[:, None]
     loglik -= top + np.log(np.add.reduce(np.exp(loglik - top), 1))[:, None]
     log_w = log_mu + np.logaddexp(log_b0, np.log(1.0 - b0) + loglik)
@@ -354,14 +352,21 @@ def _terms(pred: IMMState, dets: np.ndarray, cfg: FilterConfig,
     return inn, np.array(miss) if any(miss) else None
 
 
-def _corrected(pred: IMMState, miss: np.ndarray | None, w: np.ndarray,
+def _corrected(pred: IMMState, miss: np.ndarray | None,
                b0: np.ndarray | None, a: np.ndarray, Sinv: np.ndarray,
                nu: np.ndarray, M: np.ndarray) -> IMMState:
-    """The bank after each model's Kalman step: mu from weights `w` (T, M),
-    or, where their total is below the smallest normal float, the log-space
-    form of miss probabilities `b0` (T, 1), None for 0, and log-terms `a`;
-    x + K nu; the Joseph form, plus the PDA's b0 (P_pred - P_joseph) for a
-    `b0`, plus K M K'. Rows set in `miss` keep their predicted bank."""
+    """The bank after each model's Kalman step, from miss probabilities
+    `b0` (T, 1), None for 0, and b-weighted detection log-terms `a`
+    (T, M, n). mu is w = mu (b0 + (1 - b0) L / sum_m L) normalised, for L
+    the sum over detections of exp(a), each track's a shifted by its
+    largest; a track whose w total is below the smallest normal float takes
+    the log-space form. x + K nu; the Joseph form, plus the PDA's
+    b0 (P_pred - P_joseph) for a `b0`, plus K M K'. Rows set in `miss`
+    keep their predicted bank."""
+    L = np.add.reduce(np.exp(
+        a - np.maximum.reduce(a, axis=(1, 2))[:, None, None]), 2)
+    sum_L = np.add.reduce(L, 1)[:, None]
+    w = pred.mu * (L / sum_L if b0 is None else b0 + (1.0 - b0) * L / sum_L)
     total = np.add.reduce(w, 1)
     bad = [not _TINY <= v < math.inf for v in total.tolist()]
     if any(bad):
@@ -399,16 +404,11 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
     y = inn.y                                       # (T, M, n, 3)
     # a[t, m, k] = log(b_tk N(y_tmk; 0, S_tm)); -inf where b_tk = 0
     a = np.log(b, out=np.full(b.shape, -np.inf), where=b > 0.0) + inn.loglik
-    # w[t, m] = mu_tm (b0_t + (1 - b0_t) L_tm / sum_m L_tm) for L_tm the sum
-    # over detections of exp(a), each track's a shifted by its largest
-    L = np.add.reduce(np.exp(
-        a - np.maximum.reduce(a, axis=(1, 2))[:, None, None]), 2)
-    w = pred.mu * (b0 + (1.0 - b0) * L / np.add.reduce(L, 1)[:, None])
     nu = (b[:, :, None] @ y)[..., 0, :]             # (T, M, 3) innovation
     # The Joseph-form P_upd's K R K' and the spread share one K (.) K'.
     spread = (y.swapaxes(-1, -2) * b[..., None, :]) @ y \
         - nu[..., None] * nu[..., None, :]
-    return _corrected(pred, miss, w, b0, a, inn.Sinv, nu,
+    return _corrected(pred, miss, b0, a, inn.Sinv, nu,
                       (1.0 - b0[..., None, None]) * cfg.R + spread)
 
 
@@ -430,10 +430,7 @@ def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig,
     inn, miss = _terms(pred, dets, cfg, inn, [j < 0 for j in hit])
     if inn is None:
         return pred
-    stand = max(hit)                # a hit's detection stands in for misses
-    idx = np.arange(len(hit)), slice(None), np.array(
-        [j if j >= 0 else stand for j in hit])
-    y, ll = inn.y[idx], inn.loglik[idx]             # (T, M, 3), (T, M)
-    L = np.exp(ll - np.maximum.reduce(ll, axis=1)[:, None])
-    return _corrected(pred, miss, pred.mu * (L / np.add.reduce(L, 1)[:, None]),
-                      None, ll[..., None], inn.Sinv, y, cfg.R)
+    # a miss row reads the last detection's terms; its results are discarded
+    idx = np.arange(len(hit)), slice(None), assigned
+    return _corrected(pred, miss, None, inn.loglik[idx][..., None], inn.Sinv,
+                      inn.y[idx], cfg.R)

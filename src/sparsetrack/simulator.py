@@ -297,15 +297,6 @@ def _sample_scans(t: np.ndarray, positions: np.ndarray, visible: np.ndarray,
     return scans
 
 
-def sample_scan(positions: np.ndarray, visible: np.ndarray, t: float,
-                sensor: SensorModel, rng: np.random.Generator,
-                observer: Pose | None = None) -> Scan:
-    """One scan: sparse target returns plus Poisson clutter, local frame.
-    The one-frame case of `run_scenario`'s sampling loop."""
-    return _sample_scans(np.array([t], dtype=float), np.asarray(positions)[None],
-                         np.asarray(visible)[None], sensor, rng, observer)[0]
-
-
 def run_scenario(sc: Scenario,
                  observer: Pose | None = None) -> tuple[list[Scan], GroundTruth]:
     """Generate the aligned (scans, ground truth) pair, deterministically."""

@@ -120,8 +120,8 @@ class Tracker:
         self.cfg = cfg
         self.tracks: list[Track] = []
         m = cfg.filter.n_models
-        self.bank = IMMState(np.zeros((0, m, 6)), np.zeros((0, m, 6, 6)),
-                             np.zeros((0, m)))
+        self.bank = IMMState._of(np.zeros((0, m, 6)), np.zeros((0, m, 6, 6)),
+                                 np.zeros((0, m)), np.zeros((0, 6)))
         self._next_id = 0
         self._last_t: float | None = None
 

@@ -420,7 +420,8 @@ class TestSweep:
         for key in ("tp", "fp", "fn", "det_pct"):
             assert row[key] == report[key]
 
-    @pytest.mark.parametrize("grid", ["0", "1,-2", "2,99999999999999999999"])
+    @pytest.mark.parametrize("grid", ["0", "1,-2", "2,99999999999999999999",
+                                      "1,,2", "2,"])
     def test_invalid_grid_value_usage_error(self, runner, tmp_path, grid):
         # the files do not exist: every grid config is checked before any
         # file is read

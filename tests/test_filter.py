@@ -121,6 +121,9 @@ class TestFilterConfig:
         ("R", "abc"), ("R", [[1.0, 0, 0], [0, 1.0, 0], [0, 0, "1"]]),
         ("P0", "abc"), ("Pi", "abc"), ("Pi", np.eye(3, dtype=bool)),
         ("q_levels", 5), ("q_levels", "abc"), ("q_levels", ()),
+        pytest.param(          # symmetrising P0 overflows
+            "P0", np.diag([1.7e308] * 6),
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ])
     def test_rejects_non_finite_or_malformed(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -230,6 +233,13 @@ class TestImm:
         cfg = FilterConfig()
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             step(imm_init([(0, 0, 0)], cfg), cfg)
+
+    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, 0.0, -0.1])
+    def test_dt_outside_positive_finite_is_validation_error(self, dt):
+        # an infinite or NaN dt used to fail as a non-finite filter step
+        cfg = FilterConfig()
+        with pytest.raises(ValidationError, match="dt"):
+            imm_predict(imm_init([(0.0, 1.0, 2.0)], cfg), dt, cfg)
 
     def test_immstate_validates_mu(self):
         with pytest.raises(ValidationError):
@@ -542,6 +552,22 @@ class TestPdaModelWeights:
         want = log_space_weights(pred.mu[0], beta[0], inn.loglik[0])
         np.testing.assert_allclose(want, [1 / 3, 2 / 3, 0.0], atol=1e-12)
         np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
+
+    def test_model_with_no_finite_term_gets_zero_weight(self):
+        # The track may take only detection 1, whose d2 overflows to inf
+        # under model 0, so model 0 has no finite term; the one-pass weights
+        # all underflow. The log-space form gives model 0 weight 0, as the
+        # Hungarian update does, not NaN.
+        cfg = FilterConfig()
+        P = np.stack([s * np.eye(6) for s in (1e-6, 1e300, 1e301)])
+        pred = IMMState(x=np.zeros((1, 3, 6)), P=P[None],
+                        mu=np.array([[0.5, 0.5, 0.0]]))
+        dets = np.array([[0.0, 0.0, 0.0], [1e154, 1e154, 1e154]])
+        with np.errstate(all="ignore"):
+            pda = imm_correct_pda(pred, dets, np.array([[0.0, 0.0, 1.0]]),
+                                  cfg)
+            hungarian = imm_correct(pred, dets, np.array([1]), cfg)
+        assert pda.mu.tolist() == hungarian.mu.tolist() == [[0.0, 1.0, 0.0]]
 
     def check(self, pred, dets, beta, cfg):
         upd = imm_correct_pda(pred, dets, beta, cfg)

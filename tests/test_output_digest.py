@@ -22,8 +22,8 @@ def test_two_runs_agree_and_cover_every_output(monkeypatch, capsys):
              for what in ("detections", "detection_report")
              for preset in output_digest.PRESETS
              for sensor in output_digest.SENSORS}
-    keys |= {f"{what}/{mode}" for what in ("frame_log", "mot_report")
-             for mode in (*output_digest.MODES, "hungarian/clutter")}
+    keys |= {f"{what}/{mode}{stream}" for what in ("frame_log", "mot_report")
+             for mode in output_digest.MODES for stream in ("", "/clutter")}
     assert list(runs[0]) == list(KINDS)
     for digests in runs[0].values():
         assert set(digests) == keys

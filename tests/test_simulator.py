@@ -5,7 +5,8 @@ from sparsetrack.core import Pose, ValidationError
 from sparsetrack.simulator import (CROSSINGS, KINDS, MAX_FRAMES, MODERATE,
                                    OCCLUSION, SCENARIOS, SEPARATED, Scenario,
                                    SensorModel, TRACKING_SENSOR,
-                                   gen_trajectories, run_scenario, sample_scan)
+                                   _sample_scans, gen_trajectories,
+                                   run_scenario)
 
 CONTRACT_SEEDS = range(50)
 
@@ -140,8 +141,9 @@ class TestSampleScan:
     def test_p_hit_zero_only_clutter(self):
         sensor = SensorModel(p_hit=0.0, clutter_rate=5.0)
         rng = np.random.default_rng(0)
-        scan = sample_scan(np.array([[0, 0, 10.0], [3, 0, 10.0]]),
-                           np.array([True, True]), 0.0, sensor, rng)
+        truth = np.array([[[0, 0, 10.0], [3, 0, 10.0]]])
+        scan, = _sample_scans(np.zeros(1), truth, np.array([[True, True]]),
+                              sensor, rng, None)
         lo = np.array([b[0] for b in sensor.clutter_volume])
         hi = np.array([b[1] for b in sensor.clutter_volume])
         assert np.all(scan.points >= lo) and np.all(scan.points <= hi)
@@ -151,7 +153,8 @@ class TestSampleScan:
                              sigma_meas=1e-12, clutter_rate=0.0)
         rng = np.random.default_rng(0)
         truth = np.array([[0, 0, 10.0], [3, 0, 10.0]])
-        scan = sample_scan(truth, np.array([True, True]), 0.0, sensor, rng)
+        scan, = _sample_scans(np.zeros(1), truth[None],
+                              np.array([[True, True]]), sensor, rng, None)
         assert scan.points.shape == (2, 3)
         assert np.allclose(np.sort(scan.points, axis=0),
                            np.sort(truth, axis=0), atol=1e-9)
@@ -160,8 +163,9 @@ class TestSampleScan:
         sensor = SensorModel(p_hit=1.0, n_return_dist={1: 1.0},
                              sigma_meas=1e-12, clutter_rate=0.0)
         rng = np.random.default_rng(0)
-        scan = sample_scan(np.array([[0, 0, 10.0], [3, 0, 10.0]]),
-                           np.array([True, False]), 0.0, sensor, rng)
+        truth = np.array([[[0, 0, 10.0], [3, 0, 10.0]]])
+        scan, = _sample_scans(np.zeros(1), truth, np.array([[True, False]]),
+                              sensor, rng, None)
         assert scan.points.shape == (1, 3)
 
     def test_observer_pose_applied(self):
@@ -170,19 +174,20 @@ class TestSampleScan:
         rng = np.random.default_rng(0)
         observer = Pose(np.array([1.0, 2.0, 3.0]), np.eye(3))
         truth = np.array([[5.0, 0, 10.0]])
-        scan = sample_scan(truth, np.array([True]), 0.0, sensor, rng, observer)
+        scan, = _sample_scans(np.zeros(1), truth[None], np.array([[True]]),
+                              sensor, rng, observer)
         assert np.allclose(scan.points[0], truth[0] - observer.translation,
                            atol=1e-9)
 
     def test_default_sensor_sparse_return_regime(self):
         sensor = SensorModel(clutter_rate=0.0)
         rng = np.random.default_rng(12)
-        counts = []
-        truth = np.array([[0.0, 0.0, 10.0]])
-        for _ in range(2000):
-            scan = sample_scan(truth, np.array([True]), 0.0, sensor, rng)
-            counts.append(len(scan))
-        counts = np.array(counts)
+        frames = 2000
+        scans = _sample_scans(np.zeros(frames),
+                              np.tile([0.0, 0.0, 10.0], (frames, 1, 1)),
+                              np.ones((frames, 1), dtype=bool), sensor, rng,
+                              None)
+        counts = np.array([len(scan) for scan in scans])
         assert set(np.unique(counts)) <= {0, 1, 2}
         expected = sensor.p_hit * sum(k * p for k, p
                                       in sensor.n_return_dist.items())
@@ -327,18 +332,6 @@ class TestDrawOrder:
                     == pose.translation.tobytes())
         assert made[0].bit_generator.state == rng.bit_generator.state
 
-    def test_sample_scan_is_one_frame_of_the_loop(self):
-        sc = Scenario(kind=CROSSINGS, n_frames=120, seed=4)
-        observer = OBSERVERS["moved"]
-        scans, _ = run_scenario(sc, observer)
-        rng = np.random.default_rng(sc.seed)
-        gt = gen_trajectories(sc, rng)
-        for k, scan in enumerate(scans):
-            one = sample_scan(gt.positions[k], gt.visible[k], float(gt.t[k]),
-                              sc.sensor, rng, observer)
-            assert one.t == scan.t
-            assert one.points.tobytes() == scan.points.tobytes()
-
     @pytest.mark.parametrize("dist", [{1: 1.0}, {1: 0.5, 2: 0.0, 3: 0.5},
                                       TRACKING_SENSOR.n_return_dist],
                              ids=["one", "zero-middle", "tracking"])
@@ -349,12 +342,15 @@ class TestDrawOrder:
         counts = np.array(sorted(dist), dtype=int)
         probs = np.array([dist[k] for k in counts.tolist()])
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        truth, vis = np.array([[0.0, 0.0, 10.0]]), np.array([True])
-        for _ in range(10_000):
-            n = len(sample_scan(truth, vis, 0.0, sensor, rng))
+        frames = 10_000
+        scans = _sample_scans(np.zeros(frames),
+                              np.tile([0.0, 0.0, 10.0], (frames, 1, 1)),
+                              np.ones((frames, 1), dtype=bool), sensor, rng,
+                              None)
+        for scan in scans:
             ref.random()
             expected = int(ref.choice(counts, p=probs))
             ref.standard_normal((expected, 3))
             ref.poisson(0.0)
-            assert n == expected
+            assert len(scan) == expected
         assert rng.bit_generator.state == ref.bit_generator.state

@@ -124,6 +124,21 @@ class TestTrackerStep:
         rec = tracker.step([meas((0.5, 0, 5))], 0.5)
         assert rec.assignments == [(tracks[0].id, 0)]
 
+    def test_overflowing_frame_gap_is_data_error(self):
+        # t - last_t overflows to inf: the predict rejects it as data, and
+        # the frame leaves the tracker as it was
+        tracker = Tracker(TrackerConfig())
+        tracker.step([meas((0, 0, 5))], -1e308)
+        bank, tracks = tracker.bank, list(tracker.tracks)
+        state = [(tr.id, tr.status, tr.misses, tr.consec_hits)
+                 for tr in tracks]
+        with pytest.raises(ValidationError, match="dt"):
+            tracker.step([meas((0, 0, 5))], 1e308)
+        assert tracker.bank is bank and tracker.tracks == tracks
+        assert [(tr.id, tr.status, tr.misses, tr.consec_hits)
+                for tr in tracker.tracks] == state
+        assert tracker._last_t == -1e308 and tracker._next_id == 1
+
     @pytest.mark.parametrize("t", [1, np.float64(1.0), np.float32(1.0),
                                    np.int64(1)])
     def test_accepts_real_number_time(self, t):

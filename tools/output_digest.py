@@ -17,10 +17,10 @@ order:
 - `frame_log/<mode>` and `mot_report/<mode>`: the tracker over the A_s
   detections of the tracking sensor in each association mode, as
   `write_frame_log` writes it, and its `eval_mot`;
-- `frame_log/hungarian/clutter` and `mot_report/hungarian/clutter`: the
-  Hungarian tracker over B_s detections with minPts 1, on a 600-frame
-  stream of the tracking sensor at 2.5 clutter returns per scan, where a
-  Hungarian update takes up to tens of tracks.
+- `frame_log/<mode>/clutter` and `mot_report/<mode>/clutter`: the
+  tracker in each association mode over B_s detections with minPts 1, on
+  a 600-frame stream of the tracking sensor at 2.5 clutter returns per
+  scan, where an update takes up to tens of tracks.
 
 `--frames N` shortens every stream to N frames (default: each kind's own
 length; at most 600 for the clutter stream).
@@ -92,7 +92,8 @@ def kind_outputs(kind: str, seed: int, frames: int | None, tmp: Path):
         kind=kind, n_frames=min(frames or CLUTTER_FRAMES, CLUTTER_FRAMES),
         seed=seed, sensor=CLUTTER))
     dets = detected(dataclasses.replace(get_preset("B_s"), min_pts=1), scans)
-    yield from tracked("hungarian/clutter", dets, gt, "hungarian")
+    for mode in MODES:
+        yield from tracked(f"{mode}/clutter", dets, gt, mode)
 
 
 def digests(seeds, frames: int | None = None) -> dict[str, dict[str, str]]:
