@@ -215,6 +215,13 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return np.array(assigned, dtype=int)
 
 
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 class AssociationComplexityError(RuntimeError):
     """Joint-event enumeration exceeded the configured cap."""
 
@@ -228,18 +235,17 @@ def jpda(gate_result: GateResult, params: JpdaParams) -> np.ndarray:
     Event weights whose total overflows raise `NumericalError`.
     """
     n, m = gate_result.feasible.shape
-    beta = np.zeros((n, m + 1))
     if n == 0:
-        return beta
+        return np.zeros((0, m + 1))
     # Per-pair event weight relative to the clutter hypothesis:
-    # assigned -> Pd * Lambda_ij / lambda_c, missed -> (1 - Pd). The
-    # enumeration reads them as Python lists, which is faster than
-    # indexing arrays element by element and gives the same floats.
-    with np.errstate(over="ignore"):
-        w_pair = np.where(
-            gate_result.feasible,
-            params.Pd * np.exp(gate_result.loglik) / params.lambda_c,
-            0.0).tolist()
+    # assigned -> Pd * Lambda_ij / lambda_c, missed -> (1 - Pd), formed and
+    # read on Python floats: a frame has few pairs, and the enumeration
+    # below is Python anyway. An exp beyond the float range is inf.
+    pd, lambda_c = params.Pd, params.lambda_c
+    w_pair = [[pd * _exp(v) / lambda_c if ok else 0.0
+               for ok, v in zip(ok_row, ll_row)]
+              for ok_row, ll_row in zip(gate_result.feasible.tolist(),
+                                        gate_result.loglik.tolist())]
     w_miss = 1.0 - params.Pd
     if w_miss == 0.0:
         w_miss = 1e-300  # Pd = 1: keep all-miss events representable
@@ -279,10 +285,12 @@ def jpda(gate_result: GateResult, params: JpdaParams) -> np.ndarray:
         raise NumericalError(
             f"JPDA joint-event weights are not finite (total {total})")
     if total <= 0.0:
+        beta = np.zeros((n, m + 1))
         beta[:, 0] = 1.0
         return beta
-    beta = np.array(acc) / total
-    # Enforce exact row normalization against accumulation error.
-    beta[:, 0] = 1.0 - beta[:, 1:].sum(axis=1)
-    np.clip(beta, 0.0, 1.0, out=beta)
-    return beta
+    rows = []
+    for row in acc:
+        r = [v / total for v in row[1:]]
+        # beta0 is the rest of 1, so each row sums to 1 up to rounding
+        rows.append([min(max(v, 0.0), 1.0) for v in [1.0 - sum(r)] + r])
+    return np.array(rows)

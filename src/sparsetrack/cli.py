@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -182,11 +183,13 @@ def track(scans_path, meas_path, truth_path, preset, config, association,
 def sweep(scans_path, truth_path, preset, config, min_pts_grid, match_radius,
           out_path):
     """Detection-report table over a minPts grid (Table-I-style columns)."""
-    try:
-        grid = [int(v) for v in min_pts_grid.split(",")]
-    except ValueError:
+    # plain ASCII digits only: int() would also read "1_0", "+2" and
+    # full-width digits
+    items = [v.strip() for v in min_pts_grid.split(",")]
+    if not all(re.fullmatch("[0-9]+", v) for v in items):
         raise click.UsageError("--min-pts must be comma-separated integers, "
                                "one min_pts value per item")
+    grid = [int(v) for v in items]
     base = _detector_config(preset, config)
     try:
         configs = [dataclasses.replace(base, min_pts=mp) for mp in grid]

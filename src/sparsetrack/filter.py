@@ -29,7 +29,6 @@ _LOG_2PI3 = 3 * float(np.log(2.0 * np.pi))
 _TINY = sys.float_info.min   # smallest normal float
 _I3 = np.eye(3)
 _I6 = np.eye(6)
-_H = np.eye(3, 6)            # position-only measurement matrix
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
@@ -136,8 +135,8 @@ def _stepped(x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> IMMState:
     non-negative weights divided by their sum, so a finite mu is a
     distribution and this one finiteness check covers x, P and mu.
     """
-    if not np.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)
-                       + np.add.reduce(mu, None)):
+    if not math.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)
+                         + np.add.reduce(mu, None)):
         raise NumericalError("filter step failed: non-finite filter state")
     return IMMState._of(x, _sym(P), mu, (mu[:, None] @ x)[:, 0])
 
@@ -167,7 +166,10 @@ class FilterConfig:
                 and np.all(np.abs(Pi.sum(axis=1) - 1.0) <= 1e-12)):
             raise ValidationError("Pi rows must sum to 1 with entries >= 0")
         R = number_array("R", self.R)
-        if not (R.shape == (3, 3) and np.linalg.eigvalsh(_sym(R)).min() > 0):
+        if R.shape == (3, 3):
+            R = _sym(R)         # which can overflow: tested before eigvalsh
+        if not (R.shape == (3, 3) and np.isfinite(R).all()
+                and np.linalg.eigvalsh(R).min() > 0):
             raise ValidationError("R must be a finite symmetric positive "
                                   "definite 3x3 matrix")
         mu0 = number_array("mu0", np.full(m, 1.0 / m) if self.mu0 is None
@@ -185,7 +187,7 @@ class FilterConfig:
             raise ValidationError("P0 must be positive semi-definite")
         object.__setattr__(self, "q_levels", tuple(q.tolist()))
         object.__setattr__(self, "Pi", Pi)
-        object.__setattr__(self, "R", _sym(R))
+        object.__setattr__(self, "R", R)
         object.__setattr__(self, "P0", _sym(P0))
         object.__setattr__(self, "mu0", mu0)
 
@@ -218,9 +220,9 @@ def imm_mix(s: IMMState, cfg: FilterConfig
     m = cfg.n_models
     mu_pred = s.mu @ cfg.Pi
     # w[t, j, i] = Pi[i, j] * mu[t, i] / mu_pred[t, j]
-    w = np.divide(cfg.Pi.T * s.mu[:, None, :], mu_pred[:, :, None],
-                  out=np.full((len(s), m, m), 1.0 / m),
-                  where=mu_pred[:, :, None] > 0.0)
+    mp = mu_pred[:, :, None]
+    w = np.divide(cfg.Pi.T * s.mu[:, None, :], mp,
+                  out=np.full((len(s), m, m), 1.0 / m), where=mp > 0.0)
     x, P = _moments(w, s.x, s.P)
     return x, P, mu_pred
 
@@ -245,7 +247,7 @@ def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     x, P, mu_pred = imm_mix(s, cfg)
     F, Q = _f_and_q(dt, cfg.q_levels)
     return _stepped(x @ F.T, F @ P @ F.T + Q,
-                    mu_pred / np.add.reduce(mu_pred, 1)[:, None])
+                    mu_pred / np.add.reduce(mu_pred, 1, keepdims=True))
 
 
 class Innovation(NamedTuple):
@@ -263,7 +265,7 @@ class Innovation(NamedTuple):
 
 def innovation(z: np.ndarray, S: np.ndarray, dets: np.ndarray) -> Innovation:
     """Innovation terms of `dets` (n, 3) against predictions `z` (..., 3)
-    with covariances `S` (..., 3, 3), in one slogdet, inverse and einsum.
+    with covariances `S` (..., 3, 3), in one slogdet and one inverse.
 
     An S that is not positive definite (slogdet sign <= 0, or a non-finite
     log-determinant) is swapped for I before the stacked inverse, so it
@@ -275,7 +277,7 @@ def innovation(z: np.ndarray, S: np.ndarray, dets: np.ndarray) -> Innovation:
         S = np.where(ok[..., None, None], S, _I3)
     Sinv = np.linalg.inv(S)
     y = dets - z[..., None, :]
-    d2 = np.einsum("...ki,...ij,...kj->...k", y, Sinv, y)
+    d2 = np.add.reduce((y @ Sinv) * y, -1)
     return Innovation(sign, logdet, ok, Sinv, y, d2,
                       -0.5 * (_LOG_2PI3 + logdet[..., None] + d2))
 
@@ -354,37 +356,53 @@ def _terms(pred: IMMState, dets: np.ndarray, cfg: FilterConfig,
 
 def _corrected(pred: IMMState, miss: np.ndarray | None,
                b0: np.ndarray | None, a: np.ndarray, Sinv: np.ndarray,
-               nu: np.ndarray, M: np.ndarray) -> IMMState:
+               nu: np.ndarray, R: np.ndarray,
+               spread: np.ndarray | None = None) -> IMMState:
     """The bank after each model's Kalman step, from miss probabilities
     `b0` (T, 1), None for 0, and b-weighted detection log-terms `a`
-    (T, M, n). mu is w = mu (b0 + (1 - b0) L / sum_m L) normalised, for L
+    (T, M, n). mu is w = mu (b0 sum_m L + (1 - b0) L) normalised, for L
     the sum over detections of exp(a), each track's a shifted by its
     largest; a track whose w total is below the smallest normal float takes
-    the log-space form. x + K nu; the Joseph form, plus the PDA's
-    b0 (P_pred - P_joseph) for a `b0`, plus K M K'. Rows set in `miss`
-    keep their predicted bank."""
+    the log-space form. x + K nu, and P the Joseph form
+    J = (I - K H) P_pred (I - K H)' plus K R K', or for a `b0`
+    b0 P_pred + (1 - b0) J + K M K' with M = (1 - b0) R + `spread`. Rows
+    set in `miss` keep their predicted bank: their gain is zeroed, so x and
+    P are the predicted ones exactly, and their a is read as 0, so that
+    their discarded weights stay finite."""
+    if miss is not None:
+        np.copyto(a, 0.0, where=miss[:, None, None])
     L = np.add.reduce(np.exp(
-        a - np.maximum.reduce(a, axis=(1, 2))[:, None, None]), 2)
-    sum_L = np.add.reduce(L, 1)[:, None]
-    w = pred.mu * (L / sum_L if b0 is None else b0 + (1.0 - b0) * L / sum_L)
-    total = np.add.reduce(w, 1)
-    bad = [not _TINY <= v < math.inf for v in total.tolist()]
+        a - np.maximum.reduce(a, axis=(1, 2), keepdims=True)), 2)
+    if b0 is None:
+        w = pred.mu * L
+    else:
+        b0c = 1.0 - b0
+        w = pred.mu * (b0 * np.add.reduce(L, 1, keepdims=True) + b0c * L)
+    total = np.add.reduce(w, 1, keepdims=True)
+    bad = [not _TINY <= v < math.inf for v, in total.tolist()]
     if any(bad):
         w[bad] = _log_space_weights(pred.mu[bad], 0.0 if b0 is None
                                     else b0[bad], a[bad])
         total[bad] = 1.0
-    mu = w / total[:, None]
-    K = pred.P[..., :3] @ Sinv                      # (T, M, 6, 3)
-    IKH = _I6 - K @ _H
-    P = IKH @ pred.P @ IKH.swapaxes(-1, -2)
-    if b0 is not None:
-        P = P + b0[..., None, None] * (pred.P - P)
-    P = P + K @ M @ K.swapaxes(-1, -2)
-    x = pred.x + (K @ nu[..., None])[..., 0]
+    mu = w / total
+    P3 = pred.P[..., :3]
+    K = P3 @ Sinv                                   # (T, M, 6, 3)
     if miss is not None:
-        x = np.where(miss[:, None, None], pred.x, x)
-        P = np.where(miss[:, None, None, None], pred.P, P)
-        mu = np.where(miss[:, None], pred.mu, mu)
+        np.copyto(K, 0.0, where=miss[:, None, None, None])
+    Kt = K.swapaxes(-1, -2)
+    # From blocks, for H = [I 0]: J = A - (A H') K' with C = K H P_pred and
+    # A = P_pred - C, so J + K M K' = A - (A H' - K M) K'; the PDA's
+    # b0 P_pred + (1 - b0) J scales C and A H' by 1 - b0
+    C = K @ pred.P[..., :3, :]
+    A3 = P3 - C[..., :3]                            # A H'
+    if b0 is None:
+        P = pred.P - C - (A3 - K @ R) @ Kt
+    else:
+        c = b0c[..., None, None]
+        P = pred.P - c * C - (c * A3 - K @ (c * R + spread)) @ Kt
+    x = pred.x + (nu[..., None, :] @ Kt)[..., 0, :]
+    if miss is not None:
+        np.copyto(mu, pred.mu, where=miss[:, None])
     return _stepped(x, P, mu)
 
 
@@ -396,20 +414,17 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
                        [b0 >= 1.0 - 1e-12 for b0 in beta[:, 0].tolist()])
     if inn is None:
         return pred
-    if miss is not None:
-        # a hit row stands in for the misses; their results are discarded
-        beta = np.where(miss[:, None], beta[miss.argmin()], beta)
-    b0 = beta[:, :1]                                # (T, 1)
     b = beta[:, None, 1:]                           # (T, 1, n)
     y = inn.y                                       # (T, M, n, 3)
     # a[t, m, k] = log(b_tk N(y_tmk; 0, S_tm)); -inf where b_tk = 0
-    a = np.log(b, out=np.full(b.shape, -np.inf), where=b > 0.0) + inn.loglik
-    nu = (b[:, :, None] @ y)[..., 0, :]             # (T, M, 3) innovation
-    # The Joseph-form P_upd's K R K' and the spread share one K (.) K'.
-    spread = (y.swapaxes(-1, -2) * b[..., None, :]) @ y \
-        - nu[..., None] * nu[..., None, :]
-    return _corrected(pred, miss, b0, a, inn.Sinv, nu,
-                      (1.0 - b0[..., None, None]) * cfg.R + spread)
+    with np.errstate(divide="ignore"):
+        a = np.log(b) + inn.loglik
+    yb = y * b[..., None]
+    nu = np.add.reduce(yb, 2)                       # (T, M, 3) innovation
+    # the innovations' spread, which takes the same K (.) K' as R
+    spread = yb.swapaxes(-1, -2) @ y - nu[..., None] * nu[..., None, :]
+    return _corrected(pred, miss, beta[:, :1], a, inn.Sinv, nu, cfg.R,
+                      spread)
 
 
 def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig,

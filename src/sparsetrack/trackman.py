@@ -158,10 +158,11 @@ class Tracker:
         pred = self.bank.rows(act)
 
         # the detection each active track takes, or -1
-        assigned = np.full(len(act), -1)
+        assigned = [-1] * len(act)
         beta_summary: list[dict] | None = None
-        # detections assigned to, or (JPDA) inside the gate of, an active track
-        taken = np.zeros(len(dets), dtype=bool)
+        # detections neither assigned to nor (JPDA) inside the gate of an
+        # active track
+        leftover = list(range(len(dets)))
 
         # a non-finite filter result raises NumericalError, so numpy's
         # overflow warnings would only repeat it
@@ -181,33 +182,37 @@ class Tracker:
                         dets, g, np.array([tr.anchor for tr in active]),
                         np.array([tr.anchor_t for tr in active]),
                         pred.fused_x[:, 3:], cfg.cost_weights, t)
-                    assigned = assoc.hungarian(cost)
-                    pred = imm_correct(pred, dets, assigned, cfg.filter,
-                                       g.rest)
-                    taken[assigned[assigned >= 0]] = True
+                    hit = assoc.hungarian(cost)
+                    pred = imm_correct(pred, dets, hit, cfg.filter, g.rest)
+                    assigned = hit.tolist()
+                    leftover = sorted(set(leftover).difference(assigned))
                 else:
                     beta = assoc.jpda(g, cfg.jpda)
                     pred = self._imm_correct_pda(pred, dets, beta, g.rest)
-                    assigned = np.where(beta[:, 0] <= cfg.jpda_miss_threshold,
-                                        beta[:, 1:].argmax(axis=1), -1)
+                    rows = beta.tolist()
+                    # a hit takes the first most probable detection, as
+                    # argmax does
+                    assigned = [r.index(max(r[1:]), 1) - 1
+                                if r[0] <= cfg.jpda_miss_threshold else -1
+                                for r in rows]
                     beta_summary = [
-                        {"id": tr.id, "beta0": b0, "best": j} for tr, b0, j
-                        in zip(active, beta[:, 0].tolist(), assigned.tolist())]
+                        {"id": tr.id, "beta0": r[0], "best": j}
+                        for tr, r, j in zip(active, rows, assigned)]
                     # detections inside any active gate are not initiation
                     # sources
-                    taken = g.feasible.any(axis=0)
+                    leftover = [j for j, gated in enumerate(
+                        g.feasible.any(axis=0).tolist()) if not gated]
 
         # 5. hits and lifecycle
         assignments: list[tuple[int, int]] = []
         deleted: list[int] = []
-        for tr, j in zip(active, assigned.tolist()):
+        for tr, j in zip(active, assigned):
             if j >= 0:
                 tr.anchor, tr.anchor_t = dets[j].copy(), t
                 assignments.append((tr.id, j))
             if lifecycle_advance(tr, j >= 0, cfg) == DELETED:
                 deleted.append(tr.id)
 
-        leftover = [j for j, used in enumerate(taken.tolist()) if not used]
         # where each live track is: updated, frozen, or where it came back
         live = [p for tr, p in zip(active, pred.fused_x[:, :3])
                 if tr.status != DELETED]

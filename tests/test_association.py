@@ -400,12 +400,15 @@ class TestHungarian:
         assert hungarian(cost).tolist() == [0, -1, 1]
 
 
-def brute_force_jpda(g, params: JpdaParams) -> np.ndarray:
-    """JPDA marginals from every joint event: each track takes a distinct
-    gated detection or misses, with weight prod(Pd * N_ij / lambda_c) over
-    its assignments times (1 - Pd) per miss."""
+def event_weights(g, params: JpdaParams) -> tuple[np.ndarray, float]:
+    """(sum of the weights of the events in which track i takes column c
+    (0 miss, j + 1 detection j), total weight) over every joint event: each
+    track takes a distinct gated detection or misses, with weight
+    prod(Pd * N_ij / lambda_c) over its assignments times (1 - Pd) per
+    miss. Events are visited, and their weights multiplied, in `jpda`'s
+    order."""
     n, m = g.feasible.shape
-    beta = np.zeros((n, m + 1))
+    acc = np.zeros((n, m + 1))
     total = 0.0
     for event in itertools.product(range(-1, m), repeat=n):
         dets = [j for j in event if j >= 0]
@@ -417,8 +420,14 @@ def brute_force_jpda(g, params: JpdaParams) -> np.ndarray:
                       for i, j in enumerate(event))
         total += w
         for i, j in enumerate(event):
-            beta[i, j + 1] += w
-    return beta / total
+            acc[i, j + 1] += w
+    return acc, total
+
+
+def brute_force_jpda(g, params: JpdaParams) -> np.ndarray:
+    """JPDA marginals from every joint event."""
+    acc, total = event_weights(g, params)
+    return acc / total
 
 
 class TestJpda:
@@ -440,6 +449,25 @@ class TestJpda:
                                        brute_force_jpda(g, params),
                                        rtol=0, atol=1e-12)
         assert shared >= 100
+
+    def test_marginals_equal_the_array_post_processing(self):
+        # the marginals are normalised on Python lists; the array form they
+        # replace divided by the total, set beta0 to 1 minus the row sum of
+        # the rest and clipped to [0, 1]
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            params = JpdaParams(Pd=float(rng.uniform(0.3, 0.99)),
+                                lambda_c=float(10 ** rng.uniform(-4, -1)))
+            tracks = views(*rng.uniform(-1.5, 1.5, size=(n, 3)))
+            g = gate(*tracks, rng.uniform(-1.5, 1.5, size=(m, 3)), params)
+            acc, total = event_weights(g, params)
+            want = acc / total
+            want[:, 0] = 1.0 - want[:, 1:].sum(axis=1)
+            np.clip(want, 0.0, 1.0, out=want)
+            beta = jpda(g, params)
+            np.testing.assert_allclose(beta, want, rtol=0, atol=1e-15)
+            assert ((beta >= 0.0) & (beta <= 1.0)).all()
 
     def test_two_event_formula(self):
         params = JpdaParams(Pd=0.7, lambda_c=1e-4)

@@ -421,7 +421,8 @@ class TestSweep:
             assert row[key] == report[key]
 
     @pytest.mark.parametrize("grid", ["0", "1,-2", "2,99999999999999999999",
-                                      "1,,2", "2,"])
+                                      "1,,2", "2,", "1_0", " +2 ", "\uff11",
+                                      "2,\u0663"])
     def test_invalid_grid_value_usage_error(self, runner, tmp_path, grid):
         # the files do not exist: every grid config is checked before any
         # file is read

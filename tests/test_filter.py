@@ -124,6 +124,9 @@ class TestFilterConfig:
         pytest.param(          # symmetrising P0 overflows
             "P0", np.diag([1.7e308] * 6),
             marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        pytest.param(          # symmetrising R overflows
+            "R", np.diag([1.7e308] * 3),
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ])
     def test_rejects_non_finite_or_malformed(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -391,6 +394,41 @@ class TestBatchedBank:
                                   getattr(bank, a)[[2, 0]])
         assert bank.rows([0, 1, 2]) is bank
         assert bank.rows([2, 1, 0]) is not bank
+
+
+class TestJosephBlocks:
+    """The update's covariance, formed from blocks of P and K, equals the
+    Joseph form (I - K H) P (I - K H)' + K M K' of the reference, taken as
+    b0 P + (1 - b0) of it for the PDA, within 1e-12 * max(1, |P|), and is
+    symmetric PSD."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 6),
+           n=st.integers(1, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           kinds=st.lists(st.sampled_from(["random", "one-hot", "miss"]),
+                          min_size=6, max_size=6))
+    def test_equals_joseph_form_and_stays_psd(self, seed, t, n, scale,
+                                              kinds):
+        cfg = FilterConfig()
+        rng = np.random.default_rng(seed)
+        bank = _random_banks(rng, t, cfg)
+        pred = IMMState(bank.x, scale * bank.P, bank.mu)
+        dets = rng.normal(scale=3.0, size=(n, 3))
+        beta = np.array([_beta_row(rng, kinds[i], n) for i in range(t)])
+        assigned = np.array([-1 if k == "miss" else rng.integers(n)
+                             for k in kinds[:t]])
+        one_hot = np.zeros((t, n + 1))
+        one_hot[np.arange(t), assigned + 1] = 1.0
+        for upd, rows in ((imm_correct_pda(pred, dets, beta, cfg), beta),
+                          (imm_correct(pred, dets, assigned, cfg), one_hot)):
+            for i in range(t):
+                _, want, _ = track_correct_pda(pred.x[i], pred.P[i],
+                                               pred.mu[i], dets, rows[i], cfg)
+                for got, w, P in zip(upd.P[i], want, pred.P[i]):
+                    bound = 1e-12 * max(1.0, np.linalg.norm(P))
+                    assert np.linalg.norm(got - w) <= bound
+                    assert np.array_equal(got, got.T)
+                    assert np.linalg.eigvalsh(got).min() >= -bound
 
 
 def _eager_fused_P(s):

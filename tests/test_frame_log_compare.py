@@ -111,3 +111,66 @@ def test_unreadable_log_exits_2(compare, tmp_path, capsys):
     assert frame_log_compare.main([str(tmp_path / "bad.jsonl"),
                                    str(tmp_path / "bad.jsonl")]) == 2
     assert "malformed JSON" in capsys.readouterr().err
+
+
+@pytest.fixture
+def compare_dirs(monkeypatch, tmp_path, capsys, lines):
+    """compare_dirs(logs) -> (exit code, stdout) of the tool on a directory
+    holding the log as `x.jsonl` and `y.jsonl` and a directory holding
+    `logs`, a {name: records} dict."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import frame_log_compare
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    for name in ("x.jsonl", "y.jsonl"):
+        (a / name).write_text("".join(json.dumps(r) + "\n" for r in lines))
+
+    def run(logs):
+        for name, records in logs.items():
+            (b / name).write_text(
+                "".join(json.dumps(r) + "\n" for r in records))
+        code = frame_log_compare.main([str(a), str(b)])
+        return code, capsys.readouterr().out
+    return run
+
+
+def test_directories_of_equivalent_logs_pass(compare_dirs, lines):
+    records = copy.deepcopy(lines)
+    k, tr = slow_track(records)
+    tr["velocity"][0] += 1e-13
+    code, out = compare_dirs({"x.jsonl": lines, "y.jsonl": records})
+    assert code == 0
+    assert out.startswith("equivalent: 2 logs; largest scaled float "
+                          "difference ")
+    assert f"at y.jsonl, frame {k} " in out
+
+
+def test_directories_name_the_log_of_the_first_violation(compare_dirs,
+                                                         lines):
+    records = copy.deepcopy(lines)
+    k, tr = slow_track(records)
+    tr["velocity"][1] += 1e-10
+    code, out = compare_dirs({"x.jsonl": lines, "y.jsonl": records})
+    assert code == 1
+    assert out.startswith(f"not equivalent: y.jsonl: frame {k} ")
+
+
+def test_a_log_one_directory_lacks_fails(compare_dirs, lines, tmp_path):
+    code, out = compare_dirs({"x.jsonl": lines})
+    assert code == 1
+    assert out == (f"not equivalent: y.jsonl is in {tmp_path / 'a'} but not "
+                   f"in {tmp_path / 'b'}\n")
+    code, out = compare_dirs({"y.jsonl": lines, "z.jsonl": lines})
+    assert code == 1
+    assert out.startswith("not equivalent: z.jsonl is in ")
+
+
+def test_directories_without_logs_fail(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import frame_log_compare
+
+    assert frame_log_compare.main([str(tmp_path), str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "not equivalent: no *.jsonl logs in ")

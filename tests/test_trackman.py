@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsetrack import association, trackman
@@ -84,6 +84,31 @@ class TestTrackerStep:
         rec = tracker.step([meas((0, 0, 5)), meas((0.1, 0, 5))], 0.0)
         assert len(rec.spawned) == 1
         assert len(tracker.tracks) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1)
+        .filter(any), min_size=1, max_size=3)))
+    @example(rows=[[2, 1, 1], [0, 3, 3], [3, 1, 1]])
+    def test_jpda_best_is_first_argmax_or_miss(self, rows):
+        # beta rows of small integer weights, so that ties among the
+        # detections and beta0 exactly at the threshold occur: in the
+        # example, a tie at beta0 = 0.5, a tie with beta0 = 0, and a miss
+        beta = np.array(rows, dtype=float)
+        beta /= beta.sum(axis=1, keepdims=True)
+        t, n = beta.shape[0], beta.shape[1] - 1
+        cfg = TrackerConfig(association_mode="jpda")
+        tracker = Tracker(cfg)
+        tracker.step([meas((10.0 * i, 0, 5)) for i in range(t)], 0.0)
+        with mock.patch.object(association, "jpda", return_value=beta):
+            rec = tracker.step([meas((0.1 * j, 0, 5)) for j in range(n)],
+                               0.1)
+        want = np.where(beta[:, 0] <= cfg.jpda_miss_threshold,
+                        beta[:, 1:].argmax(axis=1), -1)
+        assert [b["best"] for b in rec.beta_summary] == want.tolist()
+        assert [b["beta0"] for b in rec.beta_summary] == beta[:, 0].tolist()
+        assert rec.assignments == [(b["id"], b["best"])
+                                   for b in rec.beta_summary if b["best"] >= 0]
 
     def test_ids_never_reused(self):
         cfg = TrackerConfig(max_misses_active=1)

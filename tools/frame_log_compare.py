@@ -1,6 +1,7 @@
 """Check that two frame logs are equivalent under the float-equivalence rule.
 
     PYTHONPATH=src python3 tools/frame_log_compare.py A.jsonl B.jsonl
+    PYTHONPATH=src python3 tools/frame_log_compare.py A_DIR B_DIR
 
 Both files are read with `io.read_frame_log`. They are equivalent when:
 
@@ -11,17 +12,24 @@ Both files are read with `io.read_frame_log`. They are equivalent when:
   `beta_summary` `beta0`, lies within 1e-12 * max(1, |a|, |b|) of the
   other side's, measured as the Euclidean norm of the difference.
 
+Given two directories, it compares each `*.jsonl` log of one with the log
+of the same name in the other (as `tools/output_digest.py --logs DIR`
+writes them), in name order; a log that only one side has, or two
+directories without logs, is a violation.
+
 Exit 0 when they are, printing the largest scaled float difference found;
-exit 1 at the first violation, naming its frame, track id and field; exit 2
-when a file cannot be read. The rule compares whole-pipeline output across
-two versions of the code; run-to-run output of one version stays
-byte-identical (README, "Float equivalence of frame logs").
+exit 1 at the first violation, naming its log (for directories), frame,
+track id and field; exit 2 when a file cannot be read. The rule compares
+whole-pipeline output across two versions of the code; run-to-run output
+of one version stays byte-identical (README, "Float equivalence of frame
+logs").
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from sparsetrack import io
 from sparsetrack.core import ValidationError
@@ -84,22 +92,51 @@ def compare(log_a, log_b) -> tuple[str | None, float, str]:
     return None, worst, where
 
 
+def compare_dirs(a: Path, b: Path) -> tuple[str | None, float, str, int]:
+    """(first violation or None, largest scaled float difference, where,
+    logs compared) of the same-named `*.jsonl` logs of two directories."""
+    names = [{p.name for p in d.glob("*.jsonl")} for d in (a, b)]
+    for only, side, other in ((names[0] - names[1], a, b),
+                              (names[1] - names[0], b, a)):
+        if only:
+            return f"{min(only)} is in {side} but not in {other}", 0.0, "", 0
+    if not names[0]:
+        return f"no *.jsonl logs in {a} or {b}", 0.0, "", 0
+    worst, where = 0.0, ""
+    for k, name in enumerate(sorted(names[0])):
+        violation, d, at = compare(io.read_frame_log(a / name),
+                                   io.read_frame_log(b / name))
+        if violation is not None:
+            return f"{name}: {violation}", worst, where, k
+        if d > worst:
+            worst, where = d, f"{name}, {at}"
+    return None, worst, where, len(names[0])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("a", help="first frame log (JSON Lines)")
-    ap.add_argument("b", help="second frame log (JSON Lines)")
+    ap.add_argument("a", type=Path,
+                    help="first frame log (JSON Lines), or a directory of them")
+    ap.add_argument("b", type=Path,
+                    help="second frame log, or a directory of them")
     args = ap.parse_args(argv)
     try:
-        log_a, log_b = io.read_frame_log(args.a), io.read_frame_log(args.b)
+        if args.a.is_dir() and args.b.is_dir():
+            violation, worst, where, n = compare_dirs(args.a, args.b)
+            what = f"{n} logs"
+        else:
+            log_a = io.read_frame_log(args.a)
+            violation, worst, where = compare(log_a,
+                                              io.read_frame_log(args.b))
+            what = f"{len(log_a)} records"
     except (OSError, ValidationError) as exc:
         print(f"frame_log_compare: {exc}", file=sys.stderr)
         return 2
-    violation, worst, where = compare(log_a, log_b)
     if violation is not None:
         print(f"not equivalent: {violation}")
         return 1
-    print(f"equivalent: {len(log_a)} records; largest scaled float "
-          f"difference {worst:.3g}" + (f" at {where}" if where else ""))
+    print(f"equivalent: {what}; largest scaled float difference "
+          f"{worst:.3g}" + (f" at {where}" if where else ""))
     return 0
 
 

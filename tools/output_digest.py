@@ -1,6 +1,7 @@
 """Print sha256 digests of the library's outputs over a range of seeds.
 
-    PYTHONPATH=src python3 tools/output_digest.py --seeds 0-19 [--frames N]
+    PYTHONPATH=src python3 tools/output_digest.py --seeds 0-19 [--frames N] \
+        [--logs DIR]
 
 `sparsetrack` is imported from PYTHONPATH, so running this once against
 each of two source trees and comparing the printed JSON shows whether a
@@ -23,7 +24,11 @@ order:
   scan, where an update takes up to tens of tracks.
 
 `--frames N` shortens every stream to N frames (default: each kind's own
-length; at most 600 for the clutter stream).
+length; at most 600 for the clutter stream). `--logs DIR` also writes each
+frame log it digests to DIR as `<kind>-<seed>-<mode>.jsonl`, or
+`<kind>-<seed>-<mode>-clutter.jsonl` for the clutter stream, so that
+`tools/frame_log_compare.py` can compare two trees' logs directory against
+directory.
 """
 from __future__ import annotations
 
@@ -55,8 +60,10 @@ def parse_seeds(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def kind_outputs(kind: str, seed: int, frames: int | None, tmp: Path):
-    """(key, bytes) of every output of one kind and seed."""
+def kind_outputs(kind: str, seed: int, frames: int | None, tmp: Path,
+                 logs: Path | None = None):
+    """(key, bytes) of every output of one kind and seed; each frame log is
+    also written to `logs`, when given."""
     def written(write, data) -> bytes:
         path = tmp / "out.jsonl"
         write(data, path)
@@ -71,7 +78,11 @@ def kind_outputs(kind: str, seed: int, frames: int | None, tmp: Path):
 
     def tracked(key, dets, gt, mode):
         log = run_tracker(dets, TrackerConfig(association_mode=mode))
-        yield f"frame_log/{key}", written(io.write_frame_log, log)
+        data = written(io.write_frame_log, log)
+        if logs is not None:
+            name = f"{kind}-{seed}-{key.replace('/', '-')}.jsonl"
+            (logs / name).write_bytes(data)
+        yield f"frame_log/{key}", data
         yield f"mot_report/{key}", report(eval_mot(log, gt))
 
     for name, sensor in SENSORS.items():
@@ -96,14 +107,17 @@ def kind_outputs(kind: str, seed: int, frames: int | None, tmp: Path):
         yield from tracked(f"{mode}/clutter", dets, gt, mode)
 
 
-def digests(seeds, frames: int | None = None) -> dict[str, dict[str, str]]:
-    """{kind: {key: sha256 hex}}, each digest over `seeds` in order."""
+def digests(seeds, frames: int | None = None, logs: Path | None = None
+            ) -> dict[str, dict[str, str]]:
+    """{kind: {key: sha256 hex}}, each digest over `seeds` in order; the
+    frame logs are also written to `logs`, when given."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in KINDS:
             hashes: dict = {}
             for seed in seeds:
-                for key, data in kind_outputs(kind, seed, frames, Path(tmp)):
+                for key, data in kind_outputs(kind, seed, frames, Path(tmp),
+                                              logs):
                     hashes.setdefault(key, hashlib.sha256()).update(data)
             out[kind] = {k: h.hexdigest() for k, h in hashes.items()}
     return out
@@ -115,8 +129,12 @@ def main(argv=None) -> int:
                     help="A-B, both included, or one seed")
     ap.add_argument("--frames", type=int, default=None,
                     help="frames per stream (default: each kind's own)")
+    ap.add_argument("--logs", type=Path, default=None,
+                    help="directory to write every frame log to")
     args = ap.parse_args(argv)
-    print(json.dumps(digests(args.seeds, args.frames), indent=2))
+    if args.logs is not None:
+        args.logs.mkdir(parents=True, exist_ok=True)
+    print(json.dumps(digests(args.seeds, args.frames, args.logs), indent=2))
     return 0
 
 
