@@ -367,8 +367,8 @@ def _corrected(pred: IMMState, miss: np.ndarray | None,
     J = (I - K H) P_pred (I - K H)' plus K R K', or for a `b0`
     b0 P_pred + (1 - b0) J + K M K' with M = (1 - b0) R + `spread`. Rows
     set in `miss` keep their predicted bank: their gain is zeroed, so x and
-    P are the predicted ones exactly, and their a is read as 0, so that
-    their discarded weights stay finite."""
+    P equal the predicted ones, and their a is read as 0, so that their
+    discarded weights stay finite."""
     if miss is not None:
         np.copyto(a, 0.0, where=miss[:, None, None])
     L = np.add.reduce(np.exp(
