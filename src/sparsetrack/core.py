@@ -163,9 +163,11 @@ class Scan:
         return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
-    """Validated detection: a global-frame centroid with its point support."""
+    """Validated detection: a global-frame centroid with its point support.
+    Slotted (no instance dict, no weak references): a dense scan makes
+    hundreds."""
 
     position: np.ndarray
     support: int
@@ -181,11 +183,14 @@ class Measurement:
         that has checked a whole batch at once: `position` is a finite
         float64 (3,) array and `support >= 1`."""
         m = object.__new__(cls)
-        # one attribute at a time, as __init__ sets them: a dict update
-        # would unshare the instance dict's keys and double its size
-        object.__setattr__(m, "position", position)
-        object.__setattr__(m, "support", support)
+        _set_position(m, position)
+        _set_support(m, support)
         return m
+
+
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_position = Measurement.position.__set__
+_set_support = Measurement.support.__set__
 
 
 def to_global(p, pose: Pose) -> np.ndarray:

@@ -174,8 +174,8 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
     """Replace each occupied voxel by the centroid of its points.
 
     Voxels are half-open cubes [i*v, (i+1)*v) anchored at the origin; output
-    order follows first occurrence of each voxel in the input. A voxel index
-    beyond the int64 range is a ValidationError.
+    order follows first occurrence of each voxel in the input. A non-finite
+    point, or a voxel index beyond the int64 range, is a ValidationError.
     """
     if v <= 0:
         raise ValidationError("voxel size must be positive")
@@ -193,12 +193,19 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
         except (OverflowError, ValueError):  # an inf or NaN index
             in_range = False
     else:
+        # indices as rows (3, n): numpy reduces a contiguous row several
+        # times faster than a column of an (n, 3) array
         with np.errstate(over="ignore"):
-            f = np.floor(pts / v)
+            f = np.ascontiguousarray(np.floor(pts / v).T)
+        low = f.min(axis=1, keepdims=True)
+        lo, hi = low.ravel().tolist(), f.max(axis=1).tolist()
         # floats in [-2**63, 2**63) convert exactly; others (inf too) would
-        # wrap
-        in_range = ((f >= -2.0**63) & (f < 2.0**63)).all()
+        # wrap, and a NaN, which the minimum keeps, fails the test
+        in_range = (all(-2.0**63 <= x for x in lo)
+                    and all(x < 2.0**63 for x in hi))
     if not in_range:
+        if not np.isfinite(pts).all():
+            raise ValidationError("non-finite point in voxel_downsample input")
         raise ValidationError(
             f"voxel index out of the int64 range at voxel size {v}")
     if scalar:
@@ -218,14 +225,27 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
             centroids.append([sx / k, sy / k, sz / k])
         return np.array(centroids)
     idx = f.astype(np.int64)
-    # Group equal index rows with one stable sort: a voxel's rows are
-    # consecutive in `order`, its first input row first.
-    order = np.lexsort(idx.T)
-    grouped = idx[order]
-    new = np.concatenate(([True], (grouped[1:] != grouped[:-1]).any(axis=1)))
+    # Group each voxel's points with one stable sort, its first input point
+    # first; the output follows first occurrence, so any grouping order
+    # will do. The key packs a point's indices, offset by their minima, into
+    # one integer when the spans' product fits; the spans are Python ints,
+    # as an int64 max - min + 1 wraps at 2**63. The offsets and keys are
+    # below 2**63, and uint64 holds a span of 2**63 as a multiplier.
+    _, ny, nz = spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    if math.prod(spans) <= 2**63:
+        d = (idx - low.astype(np.int64)).view(np.uint64)
+        key = (d[0] * ny + d[1]) * nz + d[2]
+        order = key.argsort(kind="stable")
+        key = key[order]
+        new = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(idx)
+        grouped = idx[:, order]
+        new = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
+    new = np.concatenate(([True], new))
     if new.all():
         return pts + 0.0  # each point is its voxel's sum, 0.0 + p, over 1
-    label = np.empty(len(idx), dtype=np.intp)
+    label = np.empty(len(pts), dtype=np.intp)
     label[order] = np.cumsum(new) - 1
     # bincount adds each voxel's points to 0.0 in input order
     sums = np.stack([np.bincount(label, weights=c) for c in pts.T], axis=1)
@@ -311,7 +331,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
         sizes = [len(m) for m in members[:n] if m]
         return Clusters(pts[order], np.array(sizes, dtype=np.intp))
     from scipy.spatial import cKDTree  # imported only for large scans
-    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+    try:
+        tree = cKDTree(pts)
+    except ValueError:
+        if not np.isfinite(pts).all():  # the scalar branch's error
+            raise ValidationError("dbscan points must be finite") from None
+        raise
+    pairs = tree.query_pairs(eps, output_type="ndarray")
     # each pair is one neighbour of both its points; the point itself is
     # the min_pts-th
     core = np.bincount(pairs.ravel(), minlength=n) >= min_pts - 1
@@ -379,40 +405,78 @@ def estimate_centroid(points: np.ndarray, sizes) -> np.ndarray:
     """Component-wise median of each of N clusters: (N, 3).
 
     `points` (n, 3) holds the clusters' rows one cluster after another,
-    `sizes[k]` rows for cluster k. The value is np.median's, bit for bit: the
+    `sizes[k]` rows for cluster k; sizes that are not ints >= 1 summing to
+    n are a ValidationError. The value is np.median's, bit for bit: the
     middle value of an odd cluster, the mean of the middle pair of an even
-    one (for one or two points, the point or the mean). np.median sums the
-    middle value or pair from +0.0 and divides by the count. A 1-point
-    cluster is its point as it is: its sum starts at -0.0, which changes no
-    value, not even the sign of a zero.
+    one (for two points, the mean). np.median sums the middle value or pair
+    from +0.0 and divides by the count. A 1-point cluster is its point as
+    it is, where np.median would turn a -0.0 into 0.0.
     """
     sizes = np.asarray(sizes)
-    if len(points) <= _SCALAR_MAX:
-        rows = points.tolist()
-        out, end = [], 0
-        for k in sizes.tolist():
-            end += k
-            if k == 1:
-                out.append(rows[end - 1])
-                continue
-            h = k // 2
-            cols = [sorted(c) for c in zip(*rows[end - k:end])]
-            out.append([0.0 + c[h] if k % 2 else (0.0 + c[h - 1] + c[h]) / 2
-                        for c in cols])
-        return np.array(out).reshape(-1, 3)
+    if sizes.ndim != 1 or sizes.size and sizes.dtype.kind not in "iu":
+        raise ValidationError("cluster sizes must be a 1-D array of ints")
+    n = len(points)
+    if n <= _SCALAR_MAX:
+        return np.array(_scalar_medians(points.tolist(), sizes.tolist())
+                        ).reshape(-1, 3)
+    points = np.asarray(points, dtype=float)  # int rows would truncate
+    # a uint64 size beyond the intp range turns negative and fails below
+    sizes = sizes.astype(np.intp, copy=False)
+    ends = np.cumsum(sizes)
+    # sizes in [1, n] sum far below the int64 range
+    if not (len(sizes) and sizes.min() >= 1 and sizes.max() <= n
+            and ends[-1] == n):
+        raise _size_error(n)
+    # A 1-point cluster's median is its point, and at minPts 1-2 nearly
+    # every cluster of a dense scan is one point: take each cluster's last
+    # row, then sort only the larger clusters' rows and overwrite theirs.
+    out = points.take(ends - 1, axis=0)
+    if len(sizes) == n:  # every cluster is one point
+        return out
+    big = sizes > 1
+    multi = np.flatnonzero(big)
+    rows, sizes = points[np.repeat(big, sizes)], sizes[multi]
+    if len(rows) <= _SCALAR_MAX:
+        out[multi] = _scalar_medians(rows.tolist(), sizes.tolist())
+        return out
     ends = np.cumsum(sizes)
     # each column sorted within each cluster: by value, then stably by
     # cluster id, in the smallest integer type, which numpy radix-sorts
-    order = points.argsort(axis=0)
+    order = rows.argsort(axis=0)
     cluster = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(
         len(sizes))), sizes)
     order = order[cluster[order].argsort(axis=0, kind="stable"), _AXES]
-    ranked = points[order, _AXES]
+    ranked = rows[order, _AXES]
     lo = ranked[ends - sizes // 2 - 1]
     hi = ranked[ends - (sizes + 1) // 2]
     odd = (sizes % 2 == 1)[:, None]
-    start = np.where(sizes > 1, 0.0, -0.0)[:, None]
-    return (start + lo + np.where(odd, -0.0, hi)) / (2 - odd)
+    out[multi] = (0.0 + lo + np.where(odd, -0.0, hi)) / (2 - odd)
+    return out
+
+
+def _size_error(n: int) -> ValidationError:
+    return ValidationError(f"cluster sizes must be >= 1 and sum to {n} rows")
+
+
+def _scalar_medians(rows: list, counts: list) -> list:
+    """`estimate_centroid` on Python floats: `rows` (n 3-lists) in clusters
+    of `counts[k]` rows, which must be >= 1 and sum to n."""
+    n = len(rows)
+    out, end = [], 0
+    for k in counts:
+        end += k
+        if k < 1 or end > n:
+            raise _size_error(n)
+        if k == 1:
+            out.append(rows[end - 1])
+            continue
+        h = k // 2
+        cols = [sorted(c) for c in zip(*rows[end - k:end])]
+        out.append([0.0 + c[h] if k % 2 else (0.0 + c[h - 1] + c[h]) / 2
+                    for c in cols])
+    if end != n:
+        raise _size_error(n)
+    return out
 
 
 class Detector:

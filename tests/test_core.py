@@ -1,4 +1,7 @@
-from dataclasses import fields
+import copy
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +159,28 @@ class TestMeasurement:
     def test_finite_position(self):
         with pytest.raises(ValidationError):
             Measurement(position=np.array([np.inf, 0, 0]), support=1)
+
+    def test_slotted_copies_and_stays_frozen(self):
+        # the detector's trusted build and the checked constructor give the
+        # same slotted object, and so do pickle, copy and deepcopy of it
+        position = np.array([1.5, -0.0, 2.0])
+        trusted = Measurement.trusted(position, 3)
+        checked = Measurement(position=[1.5, -0.0, 2.0], support=3)
+        assert not hasattr(trusted, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(trusted)
+        assert trusted.position is position
+        for m in (checked, copy.copy(trusted), copy.deepcopy(trusted),
+                  pickle.loads(pickle.dumps(trusted))):
+            assert type(m) is Measurement
+            assert m.position.dtype == float
+            assert m.position.tobytes() == position.tobytes()
+            assert type(m.support) is int and m.support == 3
+        assert copy.deepcopy(trusted).position is not position
+        for name, value in (("position", np.zeros(3)), ("support", 4)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(trusted, name, value)
+        assert trusted.position is position and trusted.support == 3
 
 
 def _config(cls, **kw):

@@ -275,6 +275,41 @@ class TestVoxelDownsample:
         assert voxel_downsample(lowest, 1.0).tolist() == [
             [-2.0**63, 0.25, 0.0]]
 
+    @pytest.mark.parametrize("ranges, packed", [
+        # (lowest, highest) voxel index per axis; the array branch packs
+        # the index rows into one sort key while the spans' product is at
+        # most 2**63, and falls back to np.lexsort above it
+        ([(-2**63, -1), (0, 0), (0, 0)], True),
+        ([(-2**63, 0), (0, 0), (0, 0)], False),
+        ([(0, 0), (-2**63, -1), (0, 0)], True),
+        ([(0, 0), (0, 0), (-2**63, -1)], True),
+        ([(0, 0), (0, 0), (-2**63, 0)], False),
+        ([(0, 2**32 - 1), (-2**30, 2**30 - 1), (0, 0)], True),
+        ([(0, 2**32 - 1), (-2**30, 2**30), (0, 0)], False),
+        ([(-3, 2**20 - 4), (5, 2**21 + 4), (-2**21, 2**21 - 1)], True),
+        ([(-3, 2**20 - 4), (5, 2**21 + 5), (-2**21, 2**21 - 1)], False)])
+    def test_sort_key_packed_while_the_spans_fit(self, monkeypatch, ranges,
+                                                 packed):
+        rng = np.random.default_rng(7)
+        # each axis's extremes, its middle and -1, 0 where they lie inside
+        values = [sorted({lo, hi, (lo + hi) // 2} | ({-1, 0} & {lo, hi}))
+                  for lo, hi in ranges]
+        idx = np.array([[rng.choice(col) for col in values]
+                        for _ in range(3 * _SCALAR_MAX)], dtype=float)
+        for k, (lo, hi) in enumerate(ranges):
+            idx[:2, k] = lo, hi
+        # index k + frac floors to k; rows repeat, so voxels merge
+        pts = idx + rng.choice([0.25, 0.5], size=idx.shape)
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: calls.append(1) or lexsort(keys))
+        got = voxel_downsample(pts, 1.0)
+        assert len(calls) == (not packed)
+        assert got.tobytes() == reference_voxel(pts, 1.0).tobytes()
+        assert len(got) < len(pts)
+        assert_same_array(*on_both_branches(voxel_downsample, pts, 1.0))
+
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_reference(self, data):
@@ -413,12 +448,12 @@ class TestDbscan:
 
     @pytest.mark.parametrize("n", [1, _SCALAR_MAX + 1])
     def test_non_finite_points_rejected(self, n):
-        # a ValidationError from the scalar branch, cKDTree's ValueError
-        # above it
+        # one ValidationError on both sides of the k-d tree's size limit
         pts = np.zeros((n, 3))
         for bad in (np.nan, np.inf):
             pts[-1, 0] = bad
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValidationError,
+                               match="dbscan points must be finite"):
                 dbscan(pts, eps=0.5, min_pts=1)
 
     def test_density_chaining(self):
@@ -726,6 +761,41 @@ class TestCentroid:
                 for c in np.split(pts, np.cumsum(sizes)[:-1])]
         assert estimate_centroid(pts, sizes).tobytes() == np.array(
             want).tobytes()
+
+    @pytest.mark.parametrize("singles, multi", [
+        # (number of 1-point clusters, sizes of the others): all rows on
+        # the scalar branch; the multi-point rows on it, the whole set not;
+        # both on the array branch; every cluster one point; none
+        (6, [2, 3, 4]), (40, [2, 3, 4, 7]), (40, [2, 3, 4, 5, 6, 9]),
+        (3 * _SCALAR_MAX, []), (0, [2, 3, 5, 8])])
+    def test_singletons_among_larger_clusters(self, singles, multi):
+        # each cluster's centroid is the reference's, signed zeros included:
+        # np.median's, but a 1-point cluster's -0.0 stays -0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            sizes = rng.permutation([1] * singles + multi)
+            pool = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, 0.1, 2.5])
+            pts = rng.choice(pool, size=(sizes.sum(), 3))
+            pts[rng.random(pts.shape) < 0.3] = rng.uniform(-5, 5)
+            want = [reference_centroid(c)
+                    for c in np.split(pts, np.cumsum(sizes)[:-1])]
+            got = estimate_centroid(pts, sizes)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert_same_array(*on_both_branches(estimate_centroid, pts,
+                                                sizes))
+
+    @pytest.mark.parametrize("n, sizes", [
+        (3, [1, 1]), (40, [20, 21]), (3, [2, 2]), (3, [0, 3]),
+        (40, [0, 40]), (3, [-1, 4]), (40, [-1, 41]), (3, [1.0, 2.0]),
+        (40, [True] * 40), (3, [[1, 2]]), (3, 3), (3, []), (0, [1]),
+        (40, np.array([2**64 - 1, 41], dtype=np.uint64)),
+        (40, [2**62] * 4 + [40])])
+    def test_sizes_must_cover_the_rows(self, n, sizes):
+        # on both branches, whatever the row count
+        pts = np.arange(3.0 * n).reshape(n, 3)
+        got = on_both_branches(estimate_centroid, pts, sizes)
+        assert got[0] == got[1]
+        assert got[0].startswith("ValidationError: cluster sizes must")
 
 
 class TestPresets:
@@ -1140,6 +1210,19 @@ class TestScalarBranch:
                                           min_size=n, max_size=n)))
         for s in (sizes, np.array(sizes)):
             assert_same_array(*on_both_branches(estimate_centroid, pts, s))
+
+    @pytest.mark.parametrize("n", [1, _SCALAR_MAX, _SCALAR_MAX + 1])
+    def test_non_finite_points(self, n):
+        # the same ValidationError from either branch of voxel_downsample
+        # and of dbscan, for NaN and for inf
+        for bad in (np.nan, np.inf, -np.inf):
+            pts = np.zeros((n, 3))
+            pts[-1, 1] = bad
+            for fn, args, text in (
+                    (voxel_downsample, (0.05,), "non-finite point"),
+                    (dbscan, (0.5, 1), "dbscan points must be finite")):
+                got = on_both_branches(fn, pts, *args)
+                assert got[0] == got[1] and text in got[0]
 
     @pytest.mark.parametrize("kind, preset, clutter", [
         ("crossings", "A_s", 1.0), ("occlusion", "A_s", 1.0),

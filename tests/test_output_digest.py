@@ -28,9 +28,15 @@ def test_two_runs_agree_and_cover_every_output(monkeypatch, capsys,
              for sensor in output_digest.SENSORS}
     keys |= {f"{what}/{mode}{stream}" for what in ("frame_log", "mot_report")
              for mode in output_digest.MODES for stream in ("", "/clutter")}
+    # the dense stream is digested for one kind only
+    dense = {"scans/dense"} | {
+        f"{what}/O/dense/min_pts{m}"
+        for what in ("detections", "detection_report")
+        for m in output_digest.DENSE_MIN_PTS}
     assert list(runs[0]) == list(KINDS)
-    for digests in runs[0].values():
-        assert set(digests) == keys
+    for kind, digests in runs[0].items():
+        assert set(digests) == keys | (
+            dense if kind == output_digest.DENSE_KIND else set())
         assert all(len(h) == 64 for h in digests.values())
     assert output_digest.parse_seeds("0-19") == range(20)
     assert output_digest.parse_seeds("3") == range(3, 4)

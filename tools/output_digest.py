@@ -21,14 +21,19 @@ order:
 - `frame_log/<mode>/clutter` and `mot_report/<mode>/clutter`: the
   tracker in each association mode over B_s detections with minPts 1, on
   a 600-frame stream of the tracking sensor at 2.5 clutter returns per
-  scan, where an update takes up to tens of tracks.
+  scan, where an update takes up to tens of tracks;
+- for the separated kind only, `scans/dense`, and
+  `detections/O/dense/min_pts<m>` and `detection_report/O/dense/min_pts<m>`
+  for preset O at minPts 1 to 4: a 60-frame stream of the tracking sensor
+  at 500 clutter returns per scan, where nearly every cluster at minPts 1
+  is one point and the detector's stages run on arrays.
 
 `--frames N` shortens every stream to N frames (default: each kind's own
-length; at most 600 for the clutter stream). `--logs DIR` also writes each
-frame log it digests to DIR as `<kind>-<seed>-<mode>.jsonl`, or
-`<kind>-<seed>-<mode>-clutter.jsonl` for the clutter stream, so that
-`tools/frame_log_compare.py` can compare two trees' logs directory against
-directory.
+length; at most 600 for the clutter stream and 60 for the dense one).
+`--logs DIR` also writes each frame log it digests to DIR as
+`<kind>-<seed>-<mode>.jsonl`, or `<kind>-<seed>-<mode>-clutter.jsonl` for
+the clutter stream, so that `tools/frame_log_compare.py` can compare two
+trees' logs directory against directory.
 """
 from __future__ import annotations
 
@@ -52,6 +57,10 @@ SENSORS = {"tracking": TRACKING_SENSOR, "default": SensorModel()}
 MODES = ("hungarian", "jpda")
 CLUTTER = dataclasses.replace(TRACKING_SENSOR, clutter_rate=2.5)
 CLUTTER_FRAMES = 600
+DENSE = dataclasses.replace(TRACKING_SENSOR, clutter_rate=500.0)
+DENSE_FRAMES = 60
+DENSE_KIND = "separated"
+DENSE_MIN_PTS = (1, 2, 3, 4)
 
 
 def parse_seeds(text: str) -> range:
@@ -105,6 +114,18 @@ def kind_outputs(kind: str, seed: int, frames: int | None, tmp: Path,
     dets = detected(dataclasses.replace(get_preset("B_s"), min_pts=1), scans)
     for mode in MODES:
         yield from tracked(f"{mode}/clutter", dets, gt, mode)
+    if kind != DENSE_KIND:
+        return
+    scans, gt = run_scenario(Scenario(
+        kind=kind, n_frames=min(frames or DENSE_FRAMES, DENSE_FRAMES),
+        seed=seed, sensor=DENSE))
+    yield "scans/dense", written(io.write_scans, scans)
+    for m in DENSE_MIN_PTS:
+        dets = detected(dataclasses.replace(get_preset("O"), min_pts=m), scans)
+        yield (f"detections/O/dense/min_pts{m}",
+               written(io.write_measurement_frames, dets))
+        yield (f"detection_report/O/dense/min_pts{m}",
+               report(eval_detection([ms for _, ms in dets], gt)))
 
 
 def digests(seeds, frames: int | None = None, logs: Path | None = None
