@@ -6,7 +6,7 @@ from .detector import (Detector, DetectorConfig, PRESETS, TemporalHistory,
                        adaptive_epsilon, dbscan, estimate_centroid,
                        get_preset, roi_filter, validate_geometric,
                        validate_jump, validate_temporal, voxel_downsample)
-from .filter import FilterConfig, IMMState, imm_correct_pda, imm_init, imm_mix
+from .filter import FilterConfig, IMMState, imm_correct_pda, imm_init
 from .association import (GateResult, JpdaParams, build_cost, gate, hungarian,
                           jpda)
 from .trackman import (FrameRecord, Track, Tracker, TrackerConfig,

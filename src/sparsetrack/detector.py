@@ -174,11 +174,12 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
     """Replace each occupied voxel by the centroid of its points.
 
     Voxels are half-open cubes [i*v, (i+1)*v) anchored at the origin; output
-    order follows first occurrence of each voxel in the input. A non-finite
-    point, or a voxel index beyond the int64 range, is a ValidationError.
+    order follows first occurrence of each voxel in the input. A voxel size
+    outside (0, inf), a non-finite point, or a voxel index beyond the int64
+    range, is a ValidationError.
     """
-    if v <= 0:
-        raise ValidationError("voxel size must be positive")
+    if not 0 < v < math.inf:
+        raise ValidationError("voxel_downsample requires 0 < v < inf")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if pts.shape[0] == 0:
         return pts

@@ -55,13 +55,13 @@ class IMMState:
     """Model banks of T tracks: x (T, M, 6), P (T, M, 6, 6), mu (T, M).
 
     Row i of every array belongs to track i. A bank built from outside
-    arrays is validated and symmetrised once, here. `fused_x` (T, 6) is
-    each track's moment-matched fused mean; `fused_P` (T, 6, 6), the fused
-    covariance, is computed on each read. Banks are treated as immutable
-    values.
+    arrays is validated and symmetrised once, here. The IMM's outputs, each
+    track's moment-matched fused mean `fused_x` (T, 6) and covariance
+    `fused_P` (T, 6, 6), are computed row by row on each read. Banks are
+    treated as immutable values.
     """
 
-    __slots__ = ("x", "P", "mu", "fused_x")
+    __slots__ = ("x", "P", "mu")
 
     def __init__(self, x, P, mu):
         x = np.asarray(x, dtype=float)
@@ -79,21 +79,21 @@ class IMMState:
         # summing propagates NaN/inf, so this is a cheap finiteness check
         if not np.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)):
             raise ValidationError("non-finite filter state")
-        mu = np.maximum(mu, 0.0)
-        self.x, self.P, self.mu = x, _sym(P), mu
-        self.fused_x = (mu[:, None] @ x)[:, 0]
+        self.x, self.P, self.mu = x, _sym(P), np.maximum(mu, 0.0)
 
     @classmethod
-    def _of(cls, x: np.ndarray, P: np.ndarray, mu: np.ndarray,
-            fused_x: np.ndarray) -> IMMState:
-        """A bank from C-contiguous arrays of a valid bank, unchecked: P
-        symmetric and `fused_x` = mu x per track."""
+    def _of(cls, x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> IMMState:
+        """An unchecked bank of C-contiguous, valid arrays, P symmetric."""
         s = object.__new__(cls)
-        s.x, s.P, s.mu, s.fused_x = x, P, mu, fused_x
+        s.x, s.P, s.mu = x, P, mu
         return s
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
-        return self.x, self.P, self.mu, self.fused_x
+        return self.x, self.P, self.mu
+
+    @property
+    def fused_x(self) -> np.ndarray:
+        return (self.mu[:, None] @ self.x)[:, 0]
 
     @property
     def fused_P(self) -> np.ndarray:
@@ -138,7 +138,7 @@ def _stepped(x: np.ndarray, P: np.ndarray, mu: np.ndarray) -> IMMState:
     if not math.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)
                          + np.add.reduce(mu, None)):
         raise NumericalError("filter step failed: non-finite filter state")
-    return IMMState._of(x, _sym(P), mu, (mu[:, None] @ x)[:, 0])
+    return IMMState._of(x, _sym(P), mu)
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,14 @@ def _f_and_q(dt: float, q_levels: tuple[float, ...]
     return F, Q
 
 
-def imm_mix(s: IMMState, cfg: FilterConfig
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_models(s: IMMState, cfg: FilterConfig) -> None:
+    if s.mu.shape[1] != cfg.n_models:
+        raise ValidationError(f"the bank has {s.mu.shape[1]} models, the "
+                              f"filter config {cfg.n_models}")
+
+
+def _mix(s: IMMState, cfg: FilterConfig
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interaction step: mixed initial conditions and predicted mu.
 
     Returns (x (T, M, 6), P (T, M, 6, 6), mu_pred (T, M)). A model whose
@@ -233,9 +239,8 @@ def imm_init(positions, cfg: FilterConfig) -> IMMState:
     t, m = len(pos), cfg.n_models
     x = np.zeros((t, m, 6))
     x[:, :, :3] = pos[:, None]
-    mu = np.tile(cfg.mu0, (t, 1))
-    return IMMState._of(x, np.tile(cfg.P0, (t, m, 1, 1)), mu,
-                        (mu[:, None] @ x)[:, 0])
+    return IMMState._of(x, np.tile(cfg.P0, (t, m, 1, 1)),
+                        np.tile(cfg.mu0, (t, 1)))
 
 
 def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
@@ -244,7 +249,8 @@ def imm_predict(s: IMMState, dt: float, cfg: FilterConfig) -> IMMState:
     dt = float(dt)                  # the cache key: exact for a real scalar
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt}")
-    x, P, mu_pred = imm_mix(s, cfg)
+    _check_models(s, cfg)
+    x, P, mu_pred = _mix(s, cfg)
     F, Q = _f_and_q(dt, cfg.q_levels)
     return _stepped(x @ F.T, F @ P @ F.T + Q,
                     mu_pred / np.add.reduce(mu_pred, 1, keepdims=True))
@@ -300,6 +306,7 @@ def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
     underflows still ranks the models. Above that bound, each weight's
     rounding is below 1e-15 of the total.
     """
+    _check_models(pred, cfg)
     dets = as_points(dets)
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (len(pred), len(dets) + 1) or not (
@@ -435,6 +442,7 @@ def imm_correct(pred: IMMState, dets, assigned, cfg: FilterConfig,
     and the Joseph form plus K R K': `imm_correct_pda` with one-hot beta
     rows, whose other terms are exact zeros (tested bit for bit). `inn`,
     when given, holds each model's innovation terms from the caller's gate."""
+    _check_models(pred, cfg)
     dets = as_points(dets)
     assigned = np.asarray(assigned)
     if assigned.shape != (len(pred),) or assigned.dtype.kind != "i" \

@@ -121,7 +121,7 @@ class Tracker:
         self.tracks: list[Track] = []
         m = cfg.filter.n_models
         self.bank = IMMState._of(np.zeros((0, m, 6)), np.zeros((0, m, 6, 6)),
-                                 np.zeros((0, m)), np.zeros((0, 6)))
+                                 np.zeros((0, m)))
         self._next_id = 0
         self._last_t: float | None = None
 
@@ -214,13 +214,14 @@ class Tracker:
                 deleted.append(tr.id)
 
         # where each live track is: updated, frozen, or where it came back
-        live = [p for tr, p in zip(active, pred.fused_x[:, :3])
+        fused = pred.fused_x
+        live = [p for tr, p in zip(active, fused[:, :3])
                 if tr.status != DELETED]
         born: dict[int, int] = {}  # id -> detection: resurrections, spawns
 
         # 6. dormant tracks miss, or come back at a nearby leftover detection
-        for i in dorm:
-            tr, pos = tracks[i], self.bank.fused_x[i, :3]
+        for i, pos in zip(dorm, self.bank.fused_x[dorm, :3] if dorm else ()):
+            tr = tracks[i]
             if lifecycle_advance(tr, False, cfg) == DELETED:
                 deleted.append(tr.id)
                 continue
@@ -267,13 +268,13 @@ class Tracker:
                 [tr.id for tr in self.tracks + active] + list(born))}
             bank = self.bank.append(*sources).rows(
                 [row[tr.id] for tr in tracks])
+            fused = bank.fused_x
         # commit the frame: the tracks and their banks are replaced together,
         # and a filter or association failure, which is raised before any
         # track is touched, leaves the clock and every track as they were
         self.tracks, self.bank = tracks, bank
         self._next_id, self._last_t = next_id, t
 
-        fused = bank.fused_x.copy()
         snapshot = [{
             "id": tr.id, "status": tr.status,
             "position": x[:3], "velocity": x[3:], "mu": mu,

@@ -256,8 +256,11 @@ class TestVoxelDownsample:
         assert np.allclose(out[1], (0.01, 0, 0))
 
     def test_invalid_voxel(self):
-        with pytest.raises(ValidationError):
-            voxel_downsample(np.zeros((1, 3)), 0.0)
+        # an infinite voxel would merge x = -4 and x = 1 into one centroid
+        pts = np.array([[-4.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for v in (0.0, -0.05, np.inf, np.nan):
+            assert on_both_branches(voxel_downsample, pts, v) == [
+                "ValidationError: voxel_downsample requires 0 < v < inf"] * 2
 
     def test_index_beyond_int64_rejected(self):
         # floor(p / v) of 2e21 or more used to wrap in the int64 cast and

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sparsetrack.association import JpdaParams, gate
 from sparsetrack.core import NumericalError, ValidationError
 from sparsetrack.filter import (FilterConfig, IMMState, _f_and_q, _moments,
-                                _sym, imm_correct, imm_correct_pda, imm_init,
-                                imm_mix, imm_predict, innovation)
+                                _mix, _sym, imm_correct, imm_correct_pda,
+                                imm_init, imm_predict, innovation)
 
 from reference_filter import (KState, gaussian_loglik, imm_step, kf_predict,
                               kf_update, log_space_weights, process_noise,
@@ -145,7 +145,7 @@ class TestImm:
         mu = np.array([0.2, 0.5, 0.3])
         s = IMMState(x=x[None], P=np.tile(np.eye(6), (1, 3, 1, 1)),
                      mu=mu[None])
-        mixed_x, mixed_P, mu_pred = imm_mix(s, cfg)
+        mixed_x, mixed_P, mu_pred = _mix(s, cfg)
         assert np.allclose(mu_pred, mu)
         for j in range(3):
             assert np.allclose(mixed_x[0, j], s.x[0, j], atol=1e-12)
@@ -157,7 +157,7 @@ class TestImm:
         mu = np.array([0.2, 0.5, 0.3])
         s = IMMState(x=np.tile(base.x, (1, 3, 1)),
                      P=np.tile(base.P, (1, 3, 1, 1)), mu=mu[None])
-        mixed_x, mixed_P, _ = imm_mix(s, cfg)
+        mixed_x, mixed_P, _ = _mix(s, cfg)
         for x, P in zip(mixed_x[0], mixed_P[0]):
             assert np.allclose(x, base.x)
             assert np.allclose(P, base.P, atol=1e-12)
@@ -168,7 +168,7 @@ class TestImm:
         s = IMMState(x=np.stack([np.zeros(6), np.ones(6)])[None],
                      P=np.tile(np.eye(6), (1, 2, 1, 1)),
                      mu=np.array([[0.5, 0.5]]))
-        _, mixed_P, _ = imm_mix(s, cfg)
+        _, mixed_P, _ = _mix(s, cfg)
         for P in mixed_P[0]:
             diff = P - np.eye(6)  # both priors are I; spread adds PSD term
             assert np.linalg.eigvalsh(diff).min() >= -1e-12
@@ -243,6 +243,20 @@ class TestImm:
         cfg = FilterConfig()
         with pytest.raises(ValidationError, match="dt"):
             imm_predict(imm_init([(0.0, 1.0, 2.0)], cfg), dt, cfg)
+
+    @pytest.mark.parametrize("step", [
+        lambda s, cfg: imm_predict(s, 0.1, cfg),
+        lambda s, cfg: imm_correct(s, [(0.0, 1.0, 2.0)], [0], cfg),
+        lambda s, cfg: imm_correct_pda(s, [(0.0, 1.0, 2.0)], [[0.5, 0.5]],
+                                       cfg),
+    ], ids=["predict", "correct", "correct_pda"])
+    def test_bank_of_other_model_count_is_validation_error(self, step):
+        # a 2-model bank under the 3-model default: predict raised numpy's
+        # matmul ValueError and both updates accepted it
+        two = FilterConfig(q_levels=(0.5, 2.0), Pi=np.full((2, 2), 0.5))
+        with pytest.raises(ValidationError,
+                           match="the bank has 2 models, the filter config 3"):
+            step(imm_init([(0.0, 1.0, 2.0)], two), FilterConfig())
 
     def test_immstate_validates_mu(self):
         with pytest.raises(ValidationError):
@@ -431,14 +445,17 @@ class TestJosephBlocks:
                     assert np.linalg.eigvalsh(got).min() >= -bound
 
 
-def _eager_fused_P(s):
-    """The fused covariances as each bank's constructor formed them before
-    they were computed on read: one fusion over the whole bank."""
-    return _sym(_moments(s.mu[:, None], s.x, s.P)[1][:, 0])
+def _eager_fusion(s):
+    """The fused means and covariances as each bank's constructor formed
+    them before they were computed on read: one fusion over the whole
+    bank."""
+    x, P = _moments(s.mu[:, None], s.x, s.P)
+    return x[:, 0], _sym(P[:, 0])
 
 
 class TestFusedOnDemand:
-    """fused_P, computed on each read, has the bits of eager fusion."""
+    """fused_x and fused_P, computed on each read, have the bits of eager
+    fusion."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 6),
@@ -454,16 +471,18 @@ class TestFusedOnDemand:
         upd = imm_correct_pda(pred, dets, beta, cfg)
         idx = [i % t for i in idx]
         for s in (init, pred, upd):
-            eager = _eager_fused_P(s)
-            assert np.array_equal(
-                s.fused_x, _moments(s.mu[:, None], s.x, s.P)[0][:, 0])
-            assert s.fused_P is not s.fused_P  # computed on each read
             gathered = s.rows(idx).append(init)
-            assert gathered.fused_P.tobytes() == np.concatenate(
-                [eager[idx], _eager_fused_P(init)]).tobytes()
-            for i in range(t):  # fusion is row-local
-                assert s.rows([i]).fused_P.tobytes() == eager[i].tobytes()
-            assert s.fused_P.tobytes() == eager.tobytes()
+            for name, eager, eager_init in zip(("fused_x", "fused_P"),
+                                               _eager_fusion(s),
+                                               _eager_fusion(init)):
+                # computed on each read
+                assert getattr(s, name) is not getattr(s, name)
+                assert getattr(gathered, name).tobytes() == np.concatenate(
+                    [eager[idx], eager_init]).tobytes()
+                for i in range(t):  # fusion is row-local
+                    assert getattr(s.rows([i]), name).tobytes() \
+                        == eager[i].tobytes()
+                assert getattr(s, name).tobytes() == eager.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(0, 6))

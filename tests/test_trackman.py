@@ -298,6 +298,25 @@ class TestDormancyAndResurrection:
         assert rec.resurrected == []
         assert tracker.tracks[0].status == DORMANT
 
+    @pytest.mark.parametrize("mode", ["hungarian", "jpda"])
+    def test_dormant_miss_limit_is_checked_before_resurrection(self, mode):
+        # A dormant track at its last allowed miss takes this frame's miss
+        # first and is deleted, so a leftover detection inside
+        # resurrect_radius spawns a new id instead of bringing it back.
+        cfg = TrackerConfig(association_mode=mode, max_misses_active=3,
+                            max_misses_dormant=2)
+        tracker = Tracker(cfg)
+        t = self.make_confirmed(tracker)
+        for _ in range(cfg.max_misses_active + 1 + cfg.max_misses_dormant):
+            tracker.step([], t)
+            t += 0.1
+        [tr] = tracker.tracks
+        assert (tr.status, tr.misses) == (DORMANT, cfg.max_misses_dormant)
+        rec = tracker.step([meas((0.5, 0, 5))], t)
+        assert (rec.deleted, rec.resurrected, rec.spawned) == ([0], [], [1])
+        assert [(tr.id, tr.status) for tr in tracker.tracks] == [
+            (1, TENTATIVE)]
+
     def test_dormant_track_is_frozen(self):
         cfg = TrackerConfig(max_misses_active=3)
         tracker = Tracker(cfg)

@@ -1,4 +1,5 @@
-"""Every imported name in src/ and tests/ is used by the scope importing it.
+"""Every imported name in src/, tests/ and tools/ is used by the scope
+importing it.
 
 Package `__init__.py` files are skipped: their imports are re-exports.
 """
@@ -34,7 +35,8 @@ def unused_imports(scope: ast.AST) -> list[tuple[int, str]]:
 
 def test_no_unused_imports():
     offenders = []
-    for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")]):
+    for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py"),
+                        *ROOT.glob("tools/*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
