@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Measurement, Scan, ValidationError, check_field_types,
-                   to_global)
+from .core import (Measurement, Scan, ValidationError, _point_set,
+                   check_field_types, to_global)
 
 # Largest input of a per-point stage (ROI, voxel grid, DBSCAN, extent check,
 # centroid) that is processed point by point on Python floats, with the
@@ -124,6 +124,9 @@ class TemporalHistory:
 
     def push(self, positions: np.ndarray, t: float) -> None:
         """Append one scan's candidates (n, 3) at time t; keep the last K."""
+        if not -math.inf < t < math.inf:  # a NaN fails too
+            raise ValidationError("history timestamps must be finite")
+        positions = _point_set(np.asarray(positions, dtype=float))
         if len(self.t) and t < self.t[-1]:
             raise ValidationError("history timestamps must be monotone")
         self.pos = np.concatenate([self.pos, positions])[-self.K:]
@@ -137,7 +140,7 @@ class TemporalHistory:
 
         Ties go to the earliest entry.
         """
-        d = np.asarray(points, dtype=float)[:, None, :] - self.pos
+        d = _point_set(np.asarray(points, dtype=float))[:, None, :] - self.pos
         # (1, 3) @ (3, 1) is the dot product np.linalg.norm takes of one
         # vector, so distances round exactly as a per-entry norm would.
         table = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
@@ -175,12 +178,12 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
 
     Voxels are half-open cubes [i*v, (i+1)*v) anchored at the origin; output
     order follows first occurrence of each voxel in the input. A voxel size
-    outside (0, inf), a non-finite point, or a voxel index beyond the int64
-    range, is a ValidationError.
+    outside (0, inf), points not (n, 3), a non-finite point, or a voxel
+    index beyond the int64 range, is a ValidationError.
     """
     if not 0 < v < math.inf:
         raise ValidationError("voxel_downsample requires 0 < v < inf")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = _point_set(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         return pts
     scalar = pts.shape[0] <= _SCALAR_MAX
@@ -300,7 +303,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
     """
     if not 0 < eps < np.inf or min_pts < 1:
         raise ValidationError("dbscan requires 0 < eps < inf and min_pts >= 1")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = _point_set(np.asarray(points, dtype=float))
     n = pts.shape[0]
     if n <= _SCALAR_MAX:
         rows = pts.tolist()
@@ -399,28 +402,26 @@ def validate_temporal(dists, ages, cfg: DetectorConfig) -> bool:
                if d < cfg.d_cons and a < cfg.T_cons) >= cfg.M
 
 
-_AXES = np.arange(3)
-
-
 def estimate_centroid(points: np.ndarray, sizes) -> np.ndarray:
     """Component-wise median of each of N clusters: (N, 3).
 
     `points` (n, 3) holds the clusters' rows one cluster after another,
-    `sizes[k]` rows for cluster k; sizes that are not ints >= 1 summing to
-    n are a ValidationError. The value is np.median's, bit for bit: the
-    middle value of an odd cluster, the mean of the middle pair of an even
-    one (for two points, the mean). np.median sums the middle value or pair
-    from +0.0 and divides by the count. A 1-point cluster is its point as
-    it is, where np.median would turn a -0.0 into 0.0.
+    `sizes[k]` rows for cluster k; points of another shape, or sizes that
+    are not ints >= 1 summing to n, are a ValidationError. The value is
+    np.median's, bit for bit: the middle value of an odd cluster, the mean
+    of the middle pair of an even one (for two points, the mean). np.median
+    sums the middle value or pair from +0.0 and divides by the count. A
+    1-point cluster is its point as it is, where np.median would turn a
+    -0.0 into 0.0.
     """
     sizes = np.asarray(sizes)
     if sizes.ndim != 1 or sizes.size and sizes.dtype.kind not in "iu":
         raise ValidationError("cluster sizes must be a 1-D array of ints")
+    points = _point_set(np.asarray(points, dtype=float))
     n = len(points)
     if n <= _SCALAR_MAX:
         return np.array(_scalar_medians(points.tolist(), sizes.tolist())
                         ).reshape(-1, 3)
-    points = np.asarray(points, dtype=float)  # int rows would truncate
     # a uint64 size beyond the intp range turns negative and fails below
     sizes = sizes.astype(np.intp, copy=False)
     ends = np.cumsum(sizes)
@@ -430,28 +431,12 @@ def estimate_centroid(points: np.ndarray, sizes) -> np.ndarray:
         raise _size_error(n)
     # A 1-point cluster's median is its point, and at minPts 1-2 nearly
     # every cluster of a dense scan is one point: take each cluster's last
-    # row, then sort only the larger clusters' rows and overwrite theirs.
+    # row, then overwrite the larger clusters' rows with their medians.
     out = points.take(ends - 1, axis=0)
-    if len(sizes) == n:  # every cluster is one point
-        return out
     big = sizes > 1
-    multi = np.flatnonzero(big)
-    rows, sizes = points[np.repeat(big, sizes)], sizes[multi]
-    if len(rows) <= _SCALAR_MAX:
-        out[multi] = _scalar_medians(rows.tolist(), sizes.tolist())
-        return out
-    ends = np.cumsum(sizes)
-    # each column sorted within each cluster: by value, then stably by
-    # cluster id, in the smallest integer type, which numpy radix-sorts
-    order = rows.argsort(axis=0)
-    cluster = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(
-        len(sizes))), sizes)
-    order = order[cluster[order].argsort(axis=0, kind="stable"), _AXES]
-    ranked = rows[order, _AXES]
-    lo = ranked[ends - sizes // 2 - 1]
-    hi = ranked[ends - (sizes + 1) // 2]
-    odd = (sizes % 2 == 1)[:, None]
-    out[multi] = (0.0 + lo + np.where(odd, -0.0, hi)) / (2 - odd)
+    medians = _scalar_medians(points[np.repeat(big, sizes)].tolist(),
+                              sizes[big].tolist())
+    out[big] = np.array(medians).reshape(-1, 3)
     return out
 
 

@@ -636,6 +636,31 @@ class TestTemporalHistory:
         with pytest.raises(ValidationError):
             TemporalHistory(0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_push_rejects_non_finite_time(self, t):
+        # a NaN would pass every later monotone test: 5.0, nan, 1.0
+        hist = TemporalHistory(4)
+        hist.push(np.zeros((1, 3)), 5.0)
+        with pytest.raises(ValidationError, match="must be finite"):
+            hist.push(np.ones((1, 3)), t)
+        with pytest.raises(ValidationError, match="monotone"):
+            hist.push(np.ones((1, 3)), 1.0)
+        assert hist.t.tolist() == [5.0] and hist.pos.tolist() == [[0.0] * 3]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (1, 4), (2, 1)])
+    def test_points_not_n_by_3(self, shape):
+        # a (2, 1) query would broadcast as two points (x, x, x)
+        hist = TemporalHistory(4)
+        with pytest.raises(ValidationError, match=r"expected an \(N, 3\)"):
+            hist.push(np.zeros(shape), 1.0)
+        assert len(hist) == 0
+        with pytest.raises(ValidationError, match=r"expected an \(N, 3\)"):
+            hist.nearest(np.zeros(shape))
+        hist.push([], 1.0)  # an empty input is no rows
+        hist.push([[1, 2, 3]], 2.0)
+        assert hist.pos.tolist() == [[1.0, 2.0, 3.0]]
+        assert hist.t.tolist() == [2.0]
+
 
 class TestValidationLayers:
     cfg = DetectorConfig(n_min=2, n_max=10, e_max=1.0)
@@ -767,10 +792,11 @@ class TestCentroid:
 
     @pytest.mark.parametrize("singles, multi", [
         # (number of 1-point clusters, sizes of the others): all rows on
-        # the scalar branch; the multi-point rows on it, the whole set not;
-        # both on the array branch; every cluster one point; none
+        # the scalar branch; the rest on the array branch, with few or many
+        # multi-point rows, every cluster one point, none, or clusters at
+        # the default n_max (111 multi-point rows)
         (6, [2, 3, 4]), (40, [2, 3, 4, 7]), (40, [2, 3, 4, 5, 6, 9]),
-        (3 * _SCALAR_MAX, []), (0, [2, 3, 5, 8])])
+        (3 * _SCALAR_MAX, []), (0, [2, 3, 5, 8]), (40, [50, 49, 2, 3, 7])])
     def test_singletons_among_larger_clusters(self, singles, multi):
         # each cluster's centroid is the reference's, signed zeros included:
         # np.median's, but a 1-point cluster's -0.0 stays -0.0
@@ -1226,6 +1252,20 @@ class TestScalarBranch:
                     (dbscan, (0.5, 1), "dbscan points must be finite")):
                 got = on_both_branches(fn, pts, *args)
                 assert got[0] == got[1] and text in got[0]
+
+    @pytest.mark.parametrize("shape", [
+        (3, 2), (6,), (2, 2), (20, 2), (2, 3, 3), (_SCALAR_MAX + 1, 6)])
+    def test_points_not_n_by_3(self, shape):
+        # never reshaped into 3-D points: the same ValidationError from
+        # either branch, a list of rows included
+        pts = np.arange(float(np.prod(shape))).reshape(shape)
+        for fn, args in ((voxel_downsample, (0.5,)), (dbscan, (0.5, 1)),
+                         (estimate_centroid, ([1] * len(pts),))):
+            for given_pts in (pts, pts.tolist()):
+                got = on_both_branches(fn, given_pts, *args)
+                assert got[0] == got[1] == (
+                    f"ValidationError: expected an (N, 3) array, got shape "
+                    f"{shape}")
 
     @pytest.mark.parametrize("kind, preset, clutter", [
         ("crossings", "A_s", 1.0), ("occlusion", "A_s", 1.0),
