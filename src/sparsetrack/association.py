@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, check_field_types
+from .core import (NumericalError, ValidationError, as_points,
+                   check_field_types, number_array)
 from .filter import Innovation, _sym, innovation
 
 SENTINEL_COST = 1e9
@@ -57,28 +58,32 @@ def gate(z_pred: np.ndarray, S: np.ndarray, detections: np.ndarray,
 
     A track whose S is not positive definite (slogdet sign <= 0, or a
     non-finite log-determinant) gets an infeasible row and one note; the
-    other rows are unaffected (see `filter.innovation`). Other shapes raise
-    `ValidationError`.
+    other rows are unaffected (see `filter.innovation`). `detections` are
+    read by `core.as_points`; `z_pred` and `S` are the tracker's own
+    predictions, in which a singular or non-finite S is such a row, not an
+    error. Other shapes raise `ValidationError`.
     """
-    dets, z, S = (np.asarray(a, dtype=float) for a in (detections, z_pred, S))
-    if not (dets.shape[1:] == (3,) and z.ndim in (2, 3) and 0 < z.shape[1]
-            and z.shape[-1] == 3 and S.shape == z.shape + (3,)):
+    dets = as_points(detections)
+    z, S = np.asarray(z_pred, dtype=float), np.asarray(S, dtype=float)
+    if not (z.ndim in (2, 3) and 0 < z.shape[1] and z.shape[-1] == 3
+            and S.shape == z.shape + (3,)):
         raise ValidationError(
-            f"gate needs detections (n, 3), z_pred (T, 3) or (T, K, 3) and "
-            f"S of its shape + (3,), got {dets.shape}, {z.shape}, {S.shape}")
+            f"gate needs z_pred (T, 3) or (T, K, 3) and S of its shape + "
+            f"(3,), got {z.shape}, {S.shape}")
     if z.ndim == 2:
         z, S = z[:, None], S[:, None]
     inn = innovation(z, _sym(S), dets)
-    ok, d2, loglik = inn.ok[:, 0], inn.d2[:, 0], inn.loglik[:, 0]
-    notes = [] if ok.all() else [
-        f"track {i}: singular S (slogdet sign {inn.sign[i, 0]:g}, "
-        f"logdet {inn.logdet[i, 0]:.3e}); row infeasible"
-        for i in np.flatnonzero(~ok).tolist()]
-    if notes:
-        d2[~ok] = np.inf
-        loglik[~ok] = -np.inf
+    d2, loglik, notes = inn.d2[:, 0], inn.loglik[:, 0], []
+    if inn.ok is not None:
+        bad = ~inn.ok[:, 0]
+        notes = [f"track {i}: singular S (slogdet sign {inn.sign[i, 0]:g}, "
+                 f"logdet {inn.logdet[i, 0]:.3e}); row infeasible"
+                 for i in np.flatnonzero(bad).tolist()]
+        d2[bad] = np.inf
+        loglik[bad] = -np.inf
     return GateResult(d2=d2, feasible=d2 <= params.gamma, loglik=loglik,
-                      notes=notes, rest=Innovation(*(a[:, 1:] for a in inn)))
+                      notes=notes, rest=Innovation._make(
+                          a if a is None else a[:, 1:] for a in inn))
 
 
 def build_cost(detections: np.ndarray, gate_result: GateResult,
@@ -195,11 +200,9 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     Returns `assigned`, one entry per row: the column given to that row, or
     -1 where the row is left over or its only pair is at the sentinel cost.
     """
-    cost = np.asarray(cost, dtype=float)
+    cost = number_array("cost", cost)
     if cost.ndim != 2:
         raise ValidationError(f"cost must be a matrix, got shape {cost.shape}")
-    if not np.isfinite(cost).all():
-        raise ValidationError("cost matrix must be finite")
     n, m = cost.shape
     rows = cost.tolist()
     assigned = [-1] * n

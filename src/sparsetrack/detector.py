@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Measurement, Scan, ValidationError, _point_set,
-                   check_field_types, to_global)
+from .core import (Measurement, Scan, ValidationError, as_points,
+                   check_field_types, is_int, is_number, to_global)
 
 # Largest input of a per-point stage (ROI, voxel grid, DBSCAN, extent check,
 # centroid) that is processed point by point on Python floats, with the
@@ -29,8 +29,8 @@ _SCALAR_MAX = 16
 
 def adaptive_epsilon(r: float, cfg: DetectorConfig) -> float:
     """Range-adaptive DBSCAN radius: eps0 + alpha * max(r - r_ref, 0)."""
-    if r < 0:
-        raise ValidationError("range must be >= 0")
+    if not (is_number(r) and r >= 0):
+        raise ValidationError(f"range must be a finite number >= 0, not {r!r}")
     return cfg.eps0 + cfg.alpha * max(r - cfg.r_ref, 0.0)
 
 
@@ -113,8 +113,8 @@ class TemporalHistory:
     `pos` (k, 3) and their scan times `t` (k,)."""
 
     def __init__(self, K: int):
-        if K < 1:
-            raise ValidationError("history length K must be >= 1")
+        if not (is_int(K) and K >= 1):
+            raise ValidationError("history length K must be an int >= 1")
         self.K = K
         self.pos = np.zeros((0, 3))
         self.t = np.zeros(0)
@@ -124,9 +124,9 @@ class TemporalHistory:
 
     def push(self, positions: np.ndarray, t: float) -> None:
         """Append one scan's candidates (n, 3) at time t; keep the last K."""
-        if not -math.inf < t < math.inf:  # a NaN fails too
-            raise ValidationError("history timestamps must be finite")
-        positions = _point_set(np.asarray(positions, dtype=float))
+        if not is_number(t):
+            raise ValidationError("history timestamps must be finite numbers")
+        positions = as_points(positions)
         if len(self.t) and t < self.t[-1]:
             raise ValidationError("history timestamps must be monotone")
         self.pos = np.concatenate([self.pos, positions])[-self.K:]
@@ -140,7 +140,7 @@ class TemporalHistory:
 
         Ties go to the earliest entry.
         """
-        d = _point_set(np.asarray(points, dtype=float))[:, None, :] - self.pos
+        d = as_points(points)[:, None, :] - self.pos
         # (1, 3) @ (3, 1) is the dot product np.linalg.norm takes of one
         # vector, so distances round exactly as a per-entry norm would.
         table = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
@@ -178,12 +178,12 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
 
     Voxels are half-open cubes [i*v, (i+1)*v) anchored at the origin; output
     order follows first occurrence of each voxel in the input. A voxel size
-    outside (0, inf), points not (n, 3), a non-finite point, or a voxel
-    index beyond the int64 range, is a ValidationError.
+    outside (0, inf), points that `as_points` rejects, or a voxel index
+    beyond the int64 range, is a ValidationError.
     """
-    if not 0 < v < math.inf:
+    if not (is_number(v) and v > 0):
         raise ValidationError("voxel_downsample requires 0 < v < inf")
-    pts = _point_set(np.asarray(points, dtype=float))
+    pts = as_points(points)
     if pts.shape[0] == 0:
         return pts
     scalar = pts.shape[0] <= _SCALAR_MAX
@@ -194,7 +194,7 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
                     for x, y, z in rows]
             flat = list(itertools.chain.from_iterable(keys))
             in_range = -2**63 <= min(flat) and max(flat) < 2**63
-        except (OverflowError, ValueError):  # an inf or NaN index
+        except OverflowError:  # an infinite index
             in_range = False
     else:
         # indices as rows (3, n): numpy reduces a contiguous row several
@@ -203,13 +203,10 @@ def voxel_downsample(points: np.ndarray, v: float) -> np.ndarray:
             f = np.ascontiguousarray(np.floor(pts / v).T)
         low = f.min(axis=1, keepdims=True)
         lo, hi = low.ravel().tolist(), f.max(axis=1).tolist()
-        # floats in [-2**63, 2**63) convert exactly; others (inf too) would
-        # wrap, and a NaN, which the minimum keeps, fails the test
+        # floats in [-2**63, 2**63) convert exactly; others (inf too) wrap
         in_range = (all(-2.0**63 <= x for x in lo)
                     and all(x < 2.0**63 for x in hi))
     if not in_range:
-        if not np.isfinite(pts).all():
-            raise ValidationError("non-finite point in voxel_downsample input")
         raise ValidationError(
             f"voxel index out of the int64 range at voxel size {v}")
     if scalar:
@@ -301,16 +298,13 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
     query, so time and memory grow with n plus the number of pairs, which
     is n^2 / 2 when all points lie within eps of each other.
     """
-    if not 0 < eps < np.inf or min_pts < 1:
-        raise ValidationError("dbscan requires 0 < eps < inf and min_pts >= 1")
-    pts = _point_set(np.asarray(points, dtype=float))
+    if not (is_number(eps) and eps > 0 and is_int(min_pts) and min_pts >= 1):
+        raise ValidationError("dbscan requires 0 < eps < inf and an int "
+                              "min_pts >= 1")
+    pts = as_points(points)
     n = pts.shape[0]
     if n <= _SCALAR_MAX:
-        rows = pts.tolist()
-        # a NaN would fail every distance test and pass as noise
-        if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-            raise ValidationError("dbscan points must be finite")
-        nbrs = _neighbours(rows, float(eps))
+        nbrs = _neighbours(pts.tolist(), float(eps))
         core = [len(nb) >= min_pts - 1 for nb in nbrs]
         # each component is labelled from its smallest core index, the
         # first of its cores the scan reaches
@@ -335,13 +329,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> Clusters:
         sizes = [len(m) for m in members[:n] if m]
         return Clusters(pts[order], np.array(sizes, dtype=np.intp))
     from scipy.spatial import cKDTree  # imported only for large scans
-    try:
-        tree = cKDTree(pts)
-    except ValueError:
-        if not np.isfinite(pts).all():  # the scalar branch's error
-            raise ValidationError("dbscan points must be finite") from None
-        raise
-    pairs = tree.query_pairs(eps, output_type="ndarray")
+    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
     # each pair is one neighbour of both its points; the point itself is
     # the min_pts-th
     core = np.bincount(pairs.ravel(), minlength=n) >= min_pts - 1
@@ -406,8 +394,9 @@ def estimate_centroid(points: np.ndarray, sizes) -> np.ndarray:
     """Component-wise median of each of N clusters: (N, 3).
 
     `points` (n, 3) holds the clusters' rows one cluster after another,
-    `sizes[k]` rows for cluster k; points of another shape, or sizes that
-    are not ints >= 1 summing to n, are a ValidationError. The value is
+    `sizes[k]` rows for cluster k; points that `as_points` rejects (a
+    non-finite point among them, which has no median), or sizes that are
+    not ints >= 1 summing to n, are a ValidationError. The value is
     np.median's, bit for bit: the middle value of an odd cluster, the mean
     of the middle pair of an even one (for two points, the mean). np.median
     sums the middle value or pair from +0.0 and divides by the count. A
@@ -417,7 +406,7 @@ def estimate_centroid(points: np.ndarray, sizes) -> np.ndarray:
     sizes = np.asarray(sizes)
     if sizes.ndim != 1 or sizes.size and sizes.dtype.kind not in "iu":
         raise ValidationError("cluster sizes must be a 1-D array of ints")
-    points = _point_set(np.asarray(points, dtype=float))
+    points = as_points(points)
     n = len(points)
     if n <= _SCALAR_MAX:
         return np.array(_scalar_medians(points.tolist(), sizes.tolist())
@@ -497,12 +486,10 @@ class Detector:
         if not all(keep):
             rows, sizes = rows[np.repeat(keep, sizes)], sizes[keep]
         zs = to_global(estimate_centroid(rows, sizes), scan.pose)
-        # the check each Measurement would make, once for the whole scan
-        finite = np.isfinite(zs).all(axis=1)
-        if not finite.all():
-            raise ValidationError(f"non-finite point: {zs[finite.argmin()]}")
 
         hist = self.history
+        # nearest makes the check each Measurement would make (a pose can
+        # overflow a centroid to inf), once for the whole scan
         idx, dist, table = hist.nearest(zs)
         ages = (scan.t - hist.t).tolist()
         # Layer 2 is checked against the spatially nearest prior candidate;

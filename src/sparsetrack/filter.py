@@ -64,21 +64,16 @@ class IMMState:
     __slots__ = ("x", "P", "mu")
 
     def __init__(self, x, P, mu):
-        x = np.asarray(x, dtype=float)
-        P = np.asarray(P, dtype=float)
-        mu = np.asarray(mu, dtype=float)
+        x, P, mu = number_array("x", x), number_array("P", P), \
+            number_array("mu", mu)
         if mu.ndim != 2 or x.shape != mu.shape + (6,) \
                 or P.shape != mu.shape + (6, 6):
             raise ValidationError("model banks must be x (T, M, 6), "
                                   "P (T, M, 6, 6) and mu (T, M)")
-        # each test is written so that NaN fails it
         if not (np.minimum.reduce(mu, axis=None, initial=0.0) >= -1e-12
                 and np.maximum.reduce(np.abs(np.add.reduce(mu, 1) - 1.0),
                                       initial=0.0) <= 1e-9):
             raise ValidationError("model probabilities must be a distribution")
-        # summing propagates NaN/inf, so this is a cheap finiteness check
-        if not np.isfinite(np.add.reduce(x, None) + np.add.reduce(P, None)):
-            raise ValidationError("non-finite filter state")
         self.x, self.P, self.mu = x, _sym(P), np.maximum(mu, 0.0)
 
     @classmethod
@@ -262,7 +257,7 @@ class Innovation(NamedTuple):
 
     sign: np.ndarray        # (...) slogdet sign of S
     logdet: np.ndarray      # (...) log-determinant of S
-    ok: np.ndarray          # (...) S positive definite
+    ok: np.ndarray | None   # (...) S positive definite; None if all are
     Sinv: np.ndarray        # (..., 3, 3) inverse of S, or I where not ok
     y: np.ndarray           # (..., n, 3) residuals
     d2: np.ndarray          # (..., n) squared Mahalanobis distances
@@ -276,10 +271,14 @@ def innovation(z: np.ndarray, S: np.ndarray, dets: np.ndarray) -> Innovation:
     An S that is not positive definite (slogdet sign <= 0, or a non-finite
     log-determinant) is swapped for I before the stacked inverse, so it
     cannot make the inverse fail; its terms are for the caller to discard.
+    The mask is reduced once, here: `ok` is None when every S is positive
+    definite, so a caller tests it only when one is not.
     """
     sign, logdet = np.linalg.slogdet(S)
     ok = (sign > 0) & np.isfinite(logdet)
-    if not ok.all():
+    if ok.all():
+        ok = None
+    else:
         S = np.where(ok[..., None, None], S, _I3)
     Sinv = np.linalg.inv(S)
     y = dets - z[..., None, :]
@@ -308,7 +307,7 @@ def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
     """
     _check_models(pred, cfg)
     dets = as_points(dets)
-    beta = np.asarray(beta, dtype=float)
+    beta = number_array("beta", beta)
     if beta.shape != (len(pred), len(dets) + 1) or not (
             np.abs(np.add.reduce(beta, 1) - 1.0) <= 1e-9).all():
         raise ValidationError(
@@ -355,7 +354,7 @@ def _terms(pred: IMMState, dets: np.ndarray, cfg: FilterConfig,
         return None, None
     if inn is None:
         inn = innovation(pred.x[..., :3], pred.P[..., :3, :3] + cfg.R, dets)
-    if not inn.ok.all():
+    if inn.ok is not None and not inn.ok.all():
         raise NumericalError(
             f"singular innovation covariance (slogdet signs {inn.sign})")
     return inn, np.array(miss) if any(miss) else None

@@ -123,7 +123,7 @@ class TestGate:
 
     def test_detections_not_three_columns_rejected(self):
         # not two 3-vectors read from a (3, 2) array
-        with pytest.raises(ValidationError, match=r"\(n, 3\)"):
+        with pytest.raises(ValidationError, match=r"\(N, 3\)"):
             gate(np.zeros((1, 3)), np.eye(3)[None],
                  np.arange(6.0).reshape(3, 2), self.params)
 

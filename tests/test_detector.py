@@ -456,7 +456,7 @@ class TestDbscan:
         for bad in (np.nan, np.inf):
             pts[-1, 0] = bad
             with pytest.raises(ValidationError,
-                               match="dbscan points must be finite"):
+                               match="points must hold finite numbers"):
                 dbscan(pts, eps=0.5, min_pts=1)
 
     def test_density_chaining(self):
@@ -951,7 +951,8 @@ class TestDetectorPipeline:
         monkeypatch.setattr(detector_module, "to_global",
                             lambda p, pose: np.where(p > 4.0, np.inf, p))
         det = Detector(DetectorConfig(min_pts=1))
-        with pytest.raises(ValidationError, match="non-finite point"):
+        with pytest.raises(ValidationError,
+                           match="points must hold finite numbers"):
             det.detect(scan_of([[1.0, 1.0, 2.0], [5.0, 0.0, 2.0]]))
         assert len(det.history) == 0
 
@@ -965,7 +966,8 @@ class TestDetectorPipeline:
                             lambda p, pose: np.full_like(p, np.inf))
         bad = scan_of([[5.1, 0.0, 2.0]], t=0.1)
         for _ in range(2):
-            with pytest.raises(ValidationError, match="non-finite point"):
+            with pytest.raises(ValidationError,
+                               match="points must hold finite numbers"):
                 det.detect(bad)
             assert np.array_equal(det.history.pos, pos)
             assert np.array_equal(det.history.t, t)
@@ -1248,8 +1250,8 @@ class TestScalarBranch:
             pts = np.zeros((n, 3))
             pts[-1, 1] = bad
             for fn, args, text in (
-                    (voxel_downsample, (0.05,), "non-finite point"),
-                    (dbscan, (0.5, 1), "dbscan points must be finite")):
+                    (voxel_downsample, (0.05,), "points must hold finite"),
+                    (dbscan, (0.5, 1), "points must hold finite")):
                 got = on_both_branches(fn, pts, *args)
                 assert got[0] == got[1] and text in got[0]
 
