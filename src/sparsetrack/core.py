@@ -66,7 +66,8 @@ def number_array(name: str, v) -> np.ndarray:
     element passes `is_number` (an int or float ndarray: is finite)."""
     if isinstance(v, np.ndarray) and v.dtype.kind in "iuf":
         a = np.asarray(v, dtype=float)
-        if np.isfinite(a).all():
+        # a count, unlike a sum, neither overflows nor meets inf - inf
+        if np.count_nonzero(np.isfinite(a)) == a.size:
             return a
     else:
         try:

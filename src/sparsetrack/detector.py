@@ -473,9 +473,11 @@ class Detector:
             self._last_t = scan.t
             return []
         down = voxel_downsample(roi, cfg.voxel)
-        ranges = np.sqrt(np.add.reduce(down * down, 1))  # np.linalg.norm's
-        r = float(np.add.reduce(ranges) / len(ranges))  # and .mean()'s bits
-        eps = adaptive_epsilon(r, cfg)
+        eps = cfg.eps0  # = eps0 + 0.0 * max(r - r_ref, 0), bit for bit
+        if cfg.alpha != 0:
+            ranges = np.sqrt(np.add.reduce(down * down, 1))  # np.linalg.norm's
+            r = float(np.add.reduce(ranges) / len(ranges))  # .mean()'s bits
+            eps = adaptive_epsilon(r, cfg)
         clusters = dbscan(down, eps, cfg.min_pts)
 
         keep = [validate_geometric(c, cfg) for c in clusters]
@@ -503,10 +505,11 @@ class Detector:
             dists = table.tolist()
             emitted = [i for i in accepted
                        if validate_temporal(dists[i], ages, cfg)]
-        measurements = list(map(Measurement.trusted, zs[emitted],
-                                sizes[emitted].tolist()))
+        support = sizes.tolist()
+        measurements = [Measurement.trusted(zs[i], support[i])
+                        for i in emitted]
         # History gets this frame's layer-1/2 survivors only after the whole
         # frame is processed, so same-frame candidates do not interact.
-        hist.push(zs[accepted], scan.t)
+        hist.push(zs if len(accepted) == len(zs) else zs[accepted], scan.t)
         self._last_t = scan.t
         return measurements

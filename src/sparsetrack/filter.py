@@ -276,7 +276,7 @@ def innovation(z: np.ndarray, S: np.ndarray, dets: np.ndarray) -> Innovation:
     """
     sign, logdet = np.linalg.slogdet(S)
     ok = (sign > 0) & np.isfinite(logdet)
-    if ok.all():
+    if np.count_nonzero(ok) == ok.size:
         ok = None
     else:
         S = np.where(ok[..., None, None], S, _I3)
@@ -315,7 +315,8 @@ def imm_correct_pda(pred: IMMState, dets, beta, cfg: FilterConfig
             "detection, summing to 1")
     if not ((beta >= 0.0) & (beta <= 1.0)).all():
         raise ValidationError("beta entries must lie in [0, 1]")
-    return _pda_update(pred, dets, beta, cfg)
+    with np.errstate(divide="ignore"):              # log(0) = -inf is intended
+        return _pda_update(pred, dets, beta, cfg)
 
 
 def _log_space_weights(mu: np.ndarray, b0, a: np.ndarray) -> np.ndarray:
@@ -415,7 +416,9 @@ def _corrected(pred: IMMState, miss: np.ndarray | None,
 def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
                 cfg: FilterConfig, inn: Innovation | None = None) -> IMMState:
     """`imm_correct_pda` of finite float dets and checked beta rows, with
-    the models' innovation terms `inn` from the caller's gate, or None."""
+    the models' innovation terms `inn` from the caller's gate, or None,
+    under the caller's `np.errstate(divide="ignore")`: the log of a zero
+    beta entry is -inf by intent."""
     inn, miss = _terms(pred, dets, cfg, inn,
                        [b0 >= 1.0 - 1e-12 for b0 in beta[:, 0].tolist()])
     if inn is None:
@@ -423,8 +426,7 @@ def _pda_update(pred: IMMState, dets: np.ndarray, beta: np.ndarray,
     b = beta[:, None, 1:]                           # (T, 1, n)
     y = inn.y                                       # (T, M, n, 3)
     # a[t, m, k] = log(b_tk N(y_tmk; 0, S_tm)); -inf where b_tk = 0
-    with np.errstate(divide="ignore"):
-        a = np.log(b) + inn.loglik
+    a = np.log(b) + inn.loglik
     yb = y * b[..., None]
     nu = np.add.reduce(yb, 2)                       # (T, M, 3) innovation
     # the innovations' spread, which takes the same K (.) K' as R

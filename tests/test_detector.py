@@ -1021,8 +1021,15 @@ def object_points(anchor, size):
 @st.composite
 def streams(draw):
     """(cfg, scans): objects that appear fresh, follow an object of the last
-    scan by an offset above, or sit midway between two of them."""
+    scan by an offset above, sit midway between two of them, or 0.5 m
+    beside one of this scan.
+
+    Half the configs have a range-adaptive radius. Their scans' mean
+    ranges lie between about 4 and 14 m, so from r_ref 4 m the radius
+    grows from 0.3 m to about 0.8 m, and on most scans it passes 0.5 m,
+    where two objects side by side become one cluster."""
     cfg = DetectorConfig(eps0=0.3, voxel=0.05,
+                         alpha=draw(st.sampled_from((0.0, 0.05))), r_ref=4.0,
                          min_pts=draw(st.integers(1, 3)),
                          n_min=draw(st.integers(1, 2)),
                          layer3_enabled=draw(st.booleans()),
@@ -1037,7 +1044,8 @@ def streams(draw):
         t += draw(st.sampled_from(DTS))
         anchors = []
         for _ in range(draw(st.integers(0, 5))):
-            how = draw(st.sampled_from(("fresh", "follow", "midway")))
+            how = draw(st.sampled_from(("fresh", "follow", "midway",
+                                        "beside")))
             if how == "follow" and prev:
                 a = draw(st.sampled_from(prev))
                 dx, dy = draw(st.sampled_from(OFFSETS))
@@ -1049,6 +1057,9 @@ def streams(draw):
             elif how == "midway" and len(prev) >= 2:
                 a, b = draw(st.permutations(prev))[:2]
                 anchors.append(tuple((p + q) / 2 for p, q in zip(a, b)))
+            elif how == "beside" and anchors:
+                a = draw(st.sampled_from(anchors))
+                anchors.append((a[0] + 0.5, a[1], a[2]))
             else:
                 anchors.append((8.0 + 0.5 * draw(st.integers(-8, 8)),
                                 0.5 * draw(st.integers(-8, 8)),

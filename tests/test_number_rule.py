@@ -9,13 +9,14 @@ modules from converting their own parameters with `dtype=float`.
 """
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsetrack.association import JpdaParams, gate, hungarian
-from sparsetrack.core import ValidationError
+from sparsetrack.core import ValidationError, as_points
 from sparsetrack.detector import (_SCALAR_MAX, DetectorConfig,
                                   TemporalHistory, adaptive_epsilon, dbscan,
                                   estimate_centroid, voxel_downsample)
@@ -100,6 +101,22 @@ def test_array_entries_reject_bad_numbers(entry, bad):
         with pytest.raises(ValidationError,
                            match=f"^{name} must hold finite numbers, got "):
             call(given)
+
+
+# Finite elements are counted, not summed: a sum overflows on the first
+# set, is inf - inf = NaN on the second, and warns on both.
+@pytest.mark.parametrize("strict", ["warnings", "errstate"])
+@pytest.mark.parametrize("form", [list, np.array], ids=["list", "ndarray"])
+def test_finiteness_check_raises_no_float_warning(form, strict):
+    with warnings.catch_warnings(), np.errstate(
+            all="raise" if strict == "errstate" else None):
+        if strict == "warnings":
+            warnings.simplefilter("error")
+        big = [[1e308, 1e308, 1e308]]
+        assert as_points(form(big)).tolist() == big
+        with pytest.raises(ValidationError,
+                           match="^points must hold finite numbers, got "):
+            as_points(form([[math.inf, -math.inf, 0.0]]))
 
 
 PTS = np.array([[0.0, 0.0, 1.0], [0.3, 0.0, 1.0]])
